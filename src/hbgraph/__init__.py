@@ -25,7 +25,7 @@ from .codes import CODE_NAMES
 from .storage import CodecConfig, EncodedGraph, decode, decode_node, encode
 from .storage import load as load_compressed
 from .storage import save as save_compressed
-from .hll import CounterArray, ErrorProfile, eta, hash64
+from .hll import CounterArray, eta, hash64
 from .engine import (
     BudgetExceededError,
     NeighbourhoodRun,
@@ -86,7 +86,6 @@ __all__ = [
     "load_compressed",
     # counters
     "CounterArray",
-    "ErrorProfile",
     "hash64",
     "eta",
     # diffusion runs

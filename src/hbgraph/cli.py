@@ -270,7 +270,7 @@ def cmd_import(ns) -> int:
         g.symmetric = True
     cfg = _codec_config(ns, None)
     outputs = _encode_and_save(g, cfg, out)
-    argv = ["--threads", ns.threads, "import", edges, "-o", out]
+    argv = ["import", edges, "-o", out]
     if ns.symmetrize:
         argv.append("--symmetrize")
     if ns.allow_self_loops:
@@ -294,7 +294,7 @@ def cmd_permute(ns) -> int:
     g2 = apply_permutation(g, perm)
     cfg = _codec_config(ns, file_cfg)
     outputs = _encode_and_save(g2, cfg, out)
-    argv = ["--threads", ns.threads, "permute", src, "-o", out]
+    argv = ["permute", src, "-o", out]
     inputs = [src]
     if ns.perm is not None:
         argv += ["--perm", perm_path]
@@ -312,7 +312,7 @@ def cmd_transpose(ns) -> int:
     g, file_cfg = _load_graph(src)
     cfg = _codec_config(ns, file_cfg)
     outputs = _encode_and_save(transpose(g), cfg, out)
-    argv = ["--threads", ns.threads, "transpose", src, "-o", out]
+    argv = ["transpose", src, "-o", out]
     argv += _codec_argv(cfg)
     _write_manifest("transpose", argv, [src], outputs)
     return 0
@@ -326,9 +326,7 @@ def cmd_anf(ns) -> int:
     if ns.exact:
         if ns.runs not in (None, 1):
             raise ValueError("--exact computes one deterministic run; drop --runs")
-        runs = [
-            run_exact(g, max_iters=ns.max_iters, graph_id=gid, threads=ns.threads)
-        ]
+        runs = [run_exact(g, max_iters=ns.max_iters, graph_id=gid)]
     else:
         count = 10 if ns.runs is None else ns.runs
         if count < 1:
@@ -340,13 +338,11 @@ def cmd_anf(ns) -> int:
                 r = run_systolic(
                     g, pred, m=ns.registers, seed=s, max_iters=ns.max_iters,
                     budget_bytes=ns.budget_bytes, graph_id=gid,
-                    threads=ns.threads,
                 )
             else:
                 r = run(
                     g, m=ns.registers, seed=s, max_iters=ns.max_iters,
                     budget_bytes=ns.budget_bytes, graph_id=gid,
-                    threads=ns.threads,
                 )
             runs.append(r)
     rs = RunSet(runs)
@@ -358,7 +354,7 @@ def cmd_anf(ns) -> int:
     ]
     _print_table(rows, header=("run", "registers", "seed", "iterations",
                                "N(T)", "truncated"))
-    argv = ["--threads", ns.threads, "anf", src, "-o", out]
+    argv = ["anf", src, "-o", out]
     if ns.exact:
         argv.append("--exact")
     else:
@@ -412,6 +408,12 @@ def _stats_payload(rs: RunSet, include_self: bool, q: float) -> dict:
 def cmd_stats(ns) -> int:
     src = os.path.abspath(ns.runs_file)
     rs = RunSet.load(src)
+    cut = [i for i, r in enumerate(rs.runs) if r.truncated]
+    if cut:
+        raise ValueError(
+            f"{src}: run(s) {', '.join(map(str, cut))} stopped at --max-iters "
+            "before the counters settled; their curves are incomplete"
+        )
     payload = _stats_payload(rs, not ns.exclude_self_pairs, ns.quantile)
 
     def fmt(key):
@@ -445,10 +447,12 @@ def cmd_stats(ns) -> int:
         with open(tsv, "w", encoding="ascii") as fh:
             fh.write("statistic\tvalue\n")
             for k in keys:
-                fh.write(f"{k}\t{payload[k]!r}\n".replace("nan", "n/a"))
+                v = payload[k]
+                cell = "n/a" if isinstance(v, float) and not np.isfinite(v) else repr(v)
+                fh.write(f"{k}\t{cell}\n")
         outputs.append(tsv)
     if outputs:
-        argv = ["--threads", ns.threads, "stats", src]
+        argv = ["stats", src]
         if ns.output:
             argv += ["-o", os.path.abspath(ns.output)]
         if ns.tsv:
@@ -505,7 +509,7 @@ def cmd_diameter(ns) -> int:
     if ns.output:
         out = os.path.abspath(ns.output)
         _dump_json(_json_safe(payload), out)
-        argv = ["--threads", ns.threads, "diameter", src, "-o", out]
+        argv = ["diameter", src, "-o", out]
         if ns.start is not None:
             argv += ["--start", ns.start]
         if ns.giant:
@@ -536,7 +540,7 @@ def cmd_gaps(ns) -> int:
             fh.write("bin\tgap_lo\tgap_hi\tarcs\n")
             for b, count in enumerate(hist):
                 fh.write(f"{b}\t{1 << b}\t{(1 << (b + 1)) - 1}\t{int(count)}\n")
-        argv = ["--threads", ns.threads, "gaps", src, "-o", out]
+        argv = ["gaps", src, "-o", out]
         _write_manifest("gaps", argv, [src], [out])
     return 0
 
@@ -555,7 +559,7 @@ def cmd_bound(ns) -> int:
     if ns.output:
         out = os.path.abspath(ns.output)
         _dump_json({"lower_bound": best, "per_run": bounds}, out)
-        argv = ["--threads", ns.threads, "bound", src, "-o", out]
+        argv = ["bound", src, "-o", out]
         _write_manifest("bound", argv, [src], [out])
     return 0
 
@@ -570,7 +574,7 @@ def cmd_export_edges(ns) -> int:
         )
     save_edge_list(g, out, use_original_ids=ns.original_ids)
     print(f"wrote {g.num_arcs} arcs to {out}")
-    argv = ["--threads", ns.threads, "export-edges", src, "-o", out]
+    argv = ["export-edges", src, "-o", out]
     if ns.original_ids:
         argv.append("--original-ids")
     _write_manifest("export-edges", argv, [src], [out])
@@ -588,12 +592,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "exact diameters for large graphs."
         ),
     )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("HB_THREADS", "1")),
-        help="worker threads for diffusion sweeps (default: $HB_THREADS or 1)",
-    )
+    # accepted and ignored, so that older manifests, whose argv starts
+    # with it, still replay
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.add_argument(
         "-q", "--quiet", action="store_true", help="suppress progress logging"
     )

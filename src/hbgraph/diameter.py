@@ -183,7 +183,10 @@ def ifub(
     highest-degree node), then examines the pivot's BFS levels outside
     in. A whole level is skipped when depth + pivot eccentricity cannot
     beat the bound; the scan stops, exact, once every remaining depth is
-    dominated. Worst case n + 2 searches, typically a few dozen.
+    dominated. Worst case n + 2 searches. Measured: 698 on a 5000-node
+    preferential-attachment graph (3 arcs per new node, seed 1); 3-4 on
+    the benchmark's band and scale-free graphs, which carry two 10-node
+    pendant paths.
     """
     _check_symmetric(g, allow_asymmetric)
     if g.n == 0:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import time
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +29,6 @@ from .graph import Graph
 from .hll import (
     CounterArray,
     estimate_registers,
-    pack_registers,
-    unpack_registers,
     words_per_counter,
     _mix64,
     _GOLDEN,
@@ -80,7 +77,7 @@ class NeighbourhoodRun:
         return np.maximum.accumulate(np.asarray(self.values, dtype=float)).tolist()
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "graph_id": self.graph_id,
             "n": self.n,
             "m_registers": self.m,
@@ -90,6 +87,10 @@ class NeighbourhoodRun:
             "iterations": self.iterations,
             "wall_time_s": 0.0,  # reserved; kept constant so replays are byte-stable
         }
+        if self.truncated:
+            # written only when set, so complete runs keep their old bytes
+            d["truncated"] = True
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "NeighbourhoodRun":
@@ -103,6 +104,7 @@ class NeighbourhoodRun:
             values=values,
             iterations=int(d["iterations"]),
             exact=(m == 0),
+            truncated=bool(d.get("truncated", False)),
         )
 
 
@@ -186,7 +188,7 @@ def _segments(indptr: np.ndarray, nodes: np.ndarray):
     return nodes, gather, starts
 
 
-def _slab_bounds(starts: np.ndarray, total_rows: int, row_cells: int):
+def _slab_bounds(starts: np.ndarray, row_cells: int):
     """Split segment list into slabs of bounded gathered size."""
     max_rows = max(_SLAB_CELLS // max(row_cells, 1), 1)
     bounds = [0]
@@ -199,43 +201,34 @@ def _slab_bounds(starts: np.ndarray, total_rows: int, row_cells: int):
     return bounds
 
 
-def _diffuse(state, indptr, indices, reduce_op, act, pool=None):
+def _diffuse(state, indptr, indices, reduce_op, act):
     """One synchronous step over `act` rows: new = old max/or successors.
 
-    Returns (changed node ids, their new rows). `state` is the packed
-    (n, w) matrix read for every successor; rows are never written here,
-    which is what lets slabs run on a thread pool. Results concatenate in
-    slab order, so the outcome is identical with and without a pool.
+    Returns (changed node ids, their new rows). `state` is only read
+    here, slab by slab; the caller writes the changed rows back once all
+    slabs are done, so every row is reduced with its successors' values
+    from the previous step.
     """
     nodes, gather, starts = _segments(indptr, act)
     if nodes.size == 0:
         return nodes, state[:0]
-    bounds = _slab_bounds(starts, gather.size, state.shape[1])
-
-    def one_slab(lo, hi):
+    bounds = _slab_bounds(starts, state.shape[1])
+    ids, rows = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         seg_nodes = nodes[lo:hi]
         g_lo = starts[lo]
         g_hi = starts[hi] if hi < starts.size else gather.size
         vals = state[indices[gather[g_lo:g_hi]]]
-        offs = (starts[lo:hi] - g_lo).astype(np.int64)
-        red = reduce_op.reduceat(vals, offs, axis=0)
+        red = reduce_op.reduceat(vals, starts[lo:hi] - g_lo, axis=0)
         old_rows = state[seg_nodes]
         new_rows = reduce_op(old_rows, red)
         diff = (new_rows != old_rows).any(axis=1)
-        if not diff.any():
-            return None
-        return seg_nodes[diff], new_rows[diff]
-
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    if pool is None or len(spans) == 1:
-        results = [one_slab(lo, hi) for lo, hi in spans]
-    else:
-        results = list(pool.map(lambda s: one_slab(*s), spans))
-    results = [r for r in results if r is not None]
-    if not results:
+        if diff.any():
+            ids.append(seg_nodes[diff])
+            rows.append(new_rows[diff])
+    if not ids:
         return nodes[:0], state[:0]
-    changed_ids, changed_rows = zip(*results)
-    return np.concatenate(changed_ids), np.concatenate(changed_rows)
+    return np.concatenate(ids), np.concatenate(rows)
 
 
 def _dirty_from_changed(pred: Graph, changed: np.ndarray) -> np.ndarray:
@@ -244,6 +237,32 @@ def _dirty_from_changed(pred: Graph, changed: np.ndarray) -> np.ndarray:
     if gather.size == 0:
         return gather
     return np.unique(pred.indices[gather])
+
+
+def _sweep(g, state, reduce_op, measure, pred, max_iters):
+    """Diffuse `state` in place until no row changes; (N(0..T), truncated).
+
+    `measure` maps rows to the sizes of the sets they describe; N(t) is
+    their sum after step t. With a predecessor graph `pred`, a step only
+    recomputes nodes with a successor that changed in the step before.
+    """
+    if max_iters is not None and max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    sizes = measure(state)
+    values = [float(sizes.sum())]
+    act = np.arange(g.n, dtype=np.int64)
+    while max_iters is None or len(values) <= max_iters:
+        changed, rows = _diffuse(state, g.indptr, g.indices, reduce_op, act)
+        if changed.size == 0:
+            return values, False
+        state[changed] = rows
+        sizes[changed] = measure(rows)
+        values.append(float(sizes.sum()))
+        if pred is not None:
+            act = _dirty_from_changed(pred, changed)
+            if act.size == 0:
+                return values, False
+    return values, True
 
 
 # ---- public entry points ----
@@ -256,10 +275,9 @@ def run(
     max_iters: int | None = None,
     budget_bytes: int | None = None,
     graph_id: str | None = None,
-    threads: int = 1,
 ) -> NeighbourhoodRun:
     """Estimate the neighbourhood function with one counter per node."""
-    return _run_counters(g, None, m, seed, max_iters, budget_bytes, graph_id, threads)
+    return _run_counters(g, None, m, seed, max_iters, budget_bytes, graph_id)
 
 
 def run_systolic(
@@ -270,7 +288,6 @@ def run_systolic(
     max_iters: int | None = None,
     budget_bytes: int | None = None,
     graph_id: str | None = None,
-    threads: int = 1,
 ) -> NeighbourhoodRun:
     """Same values as run(), recomputing only nodes with changed successors.
 
@@ -279,61 +296,24 @@ def run_systolic(
     """
     if pred.n != g.n:
         raise ValueError("predecessor graph has a different node count")
-    return _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id, threads)
+    return _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id)
 
 
-def _pool(threads: int):
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-
-def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id, threads=1):
+def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id):
     n = g.n
-    w = words_per_counter(m)
-    state_bytes = 2 * n * w * 8
+    state_bytes = n * words_per_counter(m) * 8
     if budget_bytes is not None and state_bytes > budget_bytes:
         raise BudgetExceededError(
             f"counter state needs {state_bytes} bytes "
-            f"(2 buffers x {n} counters x {w} words), budget is {budget_bytes}"
+            f"({n} counters x {m} one-byte registers), budget is {budget_bytes}"
         )
-    if max_iters is not None and max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
     t0 = time.perf_counter()
     counters = CounterArray(n, m, seed)
     counters.init_singletons()
-    old = counters.words
-    new = old.copy()
-
-    est = estimate_registers(unpack_registers(old, m), m)
-    values = [float(est.sum())]
-    act = np.arange(n, dtype=np.int64)
-    truncated = False
-    pool = _pool(threads)
-    try:
-        t = 1
-        while True:
-            if max_iters is not None and t > max_iters:
-                truncated = True
-                break
-            changed, rows = _diffuse_registers(
-                old, g.indptr, g.indices, act, m, pool
-            )
-            if changed.size == 0:
-                break
-            new[:] = old
-            new[changed] = rows
-            est[changed] = estimate_registers(unpack_registers(rows, m), m)
-            values.append(float(est.sum()))
-            old, new = new, old
-            if pred is not None:
-                act = _dirty_from_changed(pred, changed)
-                if act.size == 0:
-                    break
-            t += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    values, truncated = _sweep(
+        g, counters.registers, np.maximum,
+        lambda rows: estimate_registers(rows, m), pred, max_iters,
+    )
     elapsed = time.perf_counter() - t0
     gid = graph_id if graph_id is not None else g.fingerprint()
     mode = "systolic" if pred is not None else "plain"
@@ -352,21 +332,11 @@ def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id, threads=1
     )
 
 
-def _diffuse_registers(old_words, indptr, indices, act, m, pool=None):
-    """Register-domain step: unpack once, segmented per-register max, repack."""
-    regs = unpack_registers(old_words, m)
-    changed, rows = _diffuse(regs, indptr, indices, np.maximum, act, pool)
-    if changed.size == 0:
-        return changed, old_words[:0]
-    return changed, pack_registers(rows)
-
-
 def run_exact(
     g: Graph,
     max_iters: int | None = None,
     max_nodes: int = 1_000_000,
     graph_id: str | None = None,
-    threads: int = 1,
 ) -> NeighbourhoodRun:
     """Exact N(t) by diffusing one-bit-per-node reach sets.
 
@@ -380,37 +350,16 @@ def run_exact(
         raise BudgetExceededError(
             f"exact mode on {n} nodes exceeds the max_nodes={max_nodes} guard"
         )
-    if max_iters is not None and max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
     t0 = time.perf_counter()
     wds = (n + 63) // 64
     state = np.zeros((n, max(wds, 1)), dtype=np.uint64)
     ids = np.arange(n)
     state[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
-
-    counts = np.bitwise_count(state).sum(axis=1).astype(np.float64)
-    values = [float(counts.sum())]
-    act = np.arange(n, dtype=np.int64)
-    truncated = False
-    pool = _pool(threads)
-    try:
-        t = 1
-        while True:
-            if max_iters is not None and t > max_iters:
-                truncated = True
-                break
-            changed, rows = _diffuse(
-                state, g.indptr, g.indices, np.bitwise_or, act, pool
-            )
-            if changed.size == 0:
-                break
-            state[changed] = rows
-            counts[changed] = np.bitwise_count(rows).sum(axis=1)
-            values.append(float(counts.sum()))
-            t += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    values, truncated = _sweep(
+        g, state, np.bitwise_or,
+        lambda rows: np.bitwise_count(rows).sum(axis=1, dtype=np.float64),
+        None, max_iters,
+    )
     elapsed = time.perf_counter() - t0
     gid = graph_id if graph_id is not None else g.fingerprint()
     log.info(

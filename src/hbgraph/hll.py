@@ -1,10 +1,9 @@
-"""Bit-packed HyperLogLog counter arrays.
+"""HyperLogLog counter arrays.
 
-A counter approximates the size of a node set with m 5-bit registers.
-Registers are packed 12 to a 64-bit word (bits 0..59, top 4 bits zero), so
-one counter spans ceil(m/12) words and a union runs on whole words: a
-carry-safe SWAR compare picks the per-lane maximum without touching
-registers one by one. The estimator is the classic harmonic mean with the
+A counter approximates the size of a node set with m registers of one
+byte each; a register never holds more than 31. A batch of counters is
+one C-contiguous (count, m) uint8 matrix, so a union is an elementwise
+maximum of rows. The estimator is the classic harmonic mean with the
 small-range correction; by design there is no large-range correction
 (64-bit hashes make collisions irrelevant at any realistic scale).
 
@@ -15,23 +14,17 @@ The relative standard deviation guarantee is eta_m = 1.06/sqrt(m): about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "CounterArray",
-    "ErrorProfile",
     "hash64",
     "alpha",
     "eta",
-    "LANES_PER_WORD",
-    "REGISTER_BITS",
 ]
 
-LANES_PER_WORD = 12
-REGISTER_BITS = 5
-_RHO_MAX = 31  # register ceiling; 5 bits
+_RHO_MAX = 31  # register ceiling
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -39,11 +32,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# per-lane constant masks (12 lanes x 5 bits in the low 60 bits)
-_LANE_LSB = _U64(sum(1 << (REGISTER_BITS * l) for l in range(LANES_PER_WORD)))
-_LANE_TOP = _U64(int(_LANE_LSB) << 4)            # bit 4 of every lane
-_LANE_LOW4 = _U64(int(_LANE_LSB) * 15)           # bits 0..3 of every lane
-_LANE_FULL = _U64(int(_LANE_LSB) * 31)           # all register bits
+# 2^-k for every register value k; indexing it by a register matrix
+# gives the harmonic-mean terms without a wider integer temporary
+_INV_POW2 = np.ldexp(1.0, -np.arange(_RHO_MAX + 1))
 
 
 def _mix64(z: np.ndarray | int):
@@ -84,72 +75,14 @@ def eta(m: int) -> float:
     return 1.06 / math.sqrt(m)
 
 
-@dataclass(frozen=True)
-class ErrorProfile:
-    """Accuracy/size trade-off implied by a register count."""
-
-    m: int
-    eta: float = field(init=False)
-    register_bits: int = field(init=False)
-
-    def __post_init__(self):
-        _check_m(self.m)
-        object.__setattr__(self, "eta", eta(self.m))
-        object.__setattr__(self, "register_bits", REGISTER_BITS * self.m)
-
-
 def _check_m(m: int) -> None:
     if m < 16 or m & (m - 1):
         raise ValueError(f"register count m={m} must be a power of two >= 16")
 
 
 def words_per_counter(m: int) -> int:
-    return -(-m // LANES_PER_WORD)
-
-
-# ---- packed-register kernels (shared with the diffusion engine) ----
-
-
-def unpack_registers(words: np.ndarray, m: int) -> np.ndarray:
-    """(N, words) packed uint64 -> (N, m) uint8 register values."""
-    n_rows = words.shape[0]
-    out = np.empty((n_rows, m), dtype=np.uint8)
-    for lane in range(LANES_PER_WORD):
-        cols = out[:, lane::LANES_PER_WORD]
-        take = cols.shape[1]
-        cols[:] = (
-            (words[:, :take] >> _U64(REGISTER_BITS * lane)) & _U64(31)
-        ).astype(np.uint8)
-    return out
-
-
-def pack_registers(regs: np.ndarray) -> np.ndarray:
-    """(N, m) uint8 register values -> (N, words) packed uint64."""
-    n_rows, m = regs.shape
-    words = np.zeros((n_rows, words_per_counter(m)), dtype=_U64)
-    for lane in range(LANES_PER_WORD):
-        vals = regs[:, lane::LANES_PER_WORD].astype(_U64)
-        take = vals.shape[1]
-        if take:
-            words[:, :take] |= vals << _U64(REGISTER_BITS * lane)
-    return words
-
-
-def swar_lane_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-lane max of packed 5-bit registers, whole words at a time.
-
-    Splits each lane's compare into its top bit and a borrow-safe
-    subtraction of the low four bits; lanes never interact because every
-    per-lane minuend is forced >= the subtrahend before subtracting.
-    """
-    ah = a & _LANE_TOP
-    bh = b & _LANE_TOP
-    gt_top = ah & ~bh
-    eq_top = ~(ah ^ bh) & _LANE_TOP
-    low_ge = ((a & _LANE_LOW4) | _LANE_TOP) - (b & _LANE_LOW4)
-    ge_flag = (gt_top | (eq_top & low_ge)) & _LANE_TOP
-    mask = (ge_flag >> _U64(4)) * _U64(31)
-    return (a & mask) | (b & ~mask)
+    """64-bit words that the m one-byte registers of one counter occupy."""
+    return m // 8
 
 
 def rho_values(hashes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +106,7 @@ def estimate_registers(regs: np.ndarray, m: int) -> np.ndarray:
     Harmonic mean alpha_m * m^2 / sum(2^-M_j), swapped for m*ln(m/V) when
     the raw value is <= 5m/2 and V registers are still zero.
     """
-    z = np.ldexp(1.0, -regs.astype(np.int64)).sum(axis=1)
+    z = _INV_POW2[regs].sum(axis=1)
     est = (alpha(m) * m * m) / z
     zeros = (regs == 0).sum(axis=1)
     small = (est <= 2.5 * m) & (zeros > 0)
@@ -186,9 +119,12 @@ def estimate_registers(regs: np.ndarray, m: int) -> np.ndarray:
 
 
 class CounterArray:
-    """A batch of HyperLogLog counters sharing one (m, seed) hash setup."""
+    """A batch of HyperLogLog counters sharing one (m, seed) hash setup.
 
-    __slots__ = ("count", "m", "seed", "words", "_b")
+    `registers` is the (count, m) uint8 matrix; row i is counter i.
+    """
+
+    __slots__ = ("count", "m", "seed", "registers", "_b")
 
     def __init__(self, count: int, m: int = 64, seed: int = 0):
         _check_m(m)
@@ -197,7 +133,7 @@ class CounterArray:
         self.count = int(count)
         self.m = int(m)
         self.seed = int(seed) & _MASK64
-        self.words = np.zeros((self.count, words_per_counter(m)), dtype=_U64)
+        self.registers = np.zeros((self.count, self.m), dtype=np.uint8)
         self._b = m.bit_length() - 1
 
     # ---- single-counter operations ----
@@ -208,46 +144,33 @@ class CounterArray:
         j = h & (self.m - 1)
         rem = h >> self._b
         rho = min((65 - self._b) if rem == 0 else (rem & -rem).bit_length(), _RHO_MAX)
-        word, lane = divmod(j, LANES_PER_WORD)
-        shift = REGISTER_BITS * lane
-        cur = (int(self.words[i, word]) >> shift) & 31
-        if rho > cur:
-            self.words[i, word] = _U64(
-                (int(self.words[i, word]) & ~(31 << shift)) | (rho << shift)
-            )
+        if rho > self.registers[i, j]:
+            self.registers[i, j] = rho
 
     def add_many(self, items: np.ndarray, i: int = 0) -> None:
         """Fold a whole array of items into counter i (vectorized)."""
         h = hash64(np.asarray(items), self.seed)
         j, rho = rho_values(h, self.m)
-        regs = unpack_registers(self.words[i : i + 1], self.m)[0]
-        np.maximum.at(regs, j, rho)
-        self.words[i] = pack_registers(regs[None, :])[0]
+        np.maximum.at(self.registers[i], j, rho)
 
     def init_singletons(self, keys: np.ndarray | None = None) -> None:
         """Counter i := {key_i} for all i in one shot (engine start state)."""
         keys = np.arange(self.count, dtype=np.int64) if keys is None else np.asarray(keys)
         if keys.shape != (self.count,):
             raise ValueError("need exactly one key per counter")
-        h = hash64(keys, self.seed)
-        j, rho = rho_values(h, self.m)
-        self.words[:] = 0
-        word, lane = np.divmod(j, LANES_PER_WORD)
-        shift = (REGISTER_BITS * lane).astype(_U64)
-        self.words[np.arange(self.count), word] = rho.astype(_U64) << shift
+        j, rho = rho_values(hash64(keys, self.seed), self.m)
+        self.registers[:] = 0
+        self.registers[np.arange(self.count), j] = rho
 
     def register_values(self, i: int | None = None) -> np.ndarray:
-        """Decode registers: (m,) for one counter or (count, m) for all."""
-        if i is None:
-            return unpack_registers(self.words, self.m)
-        return unpack_registers(self.words[i : i + 1], self.m)[0]
+        """Copy of the registers: (m,) for one counter or (count, m) for all."""
+        return (self.registers if i is None else self.registers[i]).copy()
 
     def estimate(self, i: int) -> float:
-        regs = unpack_registers(self.words[i : i + 1], self.m)
-        return float(estimate_registers(regs, self.m)[0])
+        return float(estimate_registers(self.registers[i : i + 1], self.m)[0])
 
     def estimate_all(self) -> np.ndarray:
-        return estimate_registers(unpack_registers(self.words, self.m), self.m)
+        return estimate_registers(self.registers, self.m)
 
     # ---- unions ----
 
@@ -259,14 +182,14 @@ class CounterArray:
             )
 
     def union_into(self, i: int, src: "CounterArray", k: int) -> bool:
-        """dst[i] |= src[k] word-parallel; True if any register grew."""
+        """dst[i] := max(dst[i], src[k]) per register; True if any grew."""
         self._check_compatible(src)
-        merged = swar_lane_max(self.words[i], src.words[k])
-        changed = bool((merged != self.words[i]).any())
-        self.words[i] = merged
+        dst, row = self.registers[i], src.registers[k]
+        changed = bool((row > dst).any())
+        np.maximum(dst, row, out=dst)
         return changed
 
     def copy(self) -> "CounterArray":
         dup = CounterArray(self.count, self.m, self.seed)
-        dup.words[:] = self.words
+        dup.registers[:] = self.registers
         return dup

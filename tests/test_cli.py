@@ -177,10 +177,14 @@ class TestAnfStats:
         runs = str(tmp_path / "one.json")
         ok(["anf", hbg, "-o", runs, "-r", "1"])
         out = str(tmp_path / "stats.json")
-        ok(["stats", runs, "-o", out])
+        tsv = str(tmp_path / "stats.tsv")
+        ok(["stats", runs, "-o", out, "--tsv", tsv])
         payload = json.loads(open(out).read())
         assert payload["runs"] == 1
         assert payload["mean_se"] is None
+        lines = open(tsv).read().splitlines()
+        assert lines[0] == "statistic\tvalue"
+        assert "mean_se\tn/a" in lines
 
     def test_bound_reports_run_length(self, tmp_path, edges_file):
         hbg = self._import(tmp_path, edges_file)
@@ -192,6 +196,19 @@ class TestAnfStats:
         assert payload["lower_bound"] >= 1
         assert len(payload["per_run"]) == 3
         assert payload["lower_bound"] == max(payload["per_run"])
+
+    def test_bound_and_stats_refuse_truncated_runs(self, tmp_path, capsys):
+        src = tmp_path / "path.txt"
+        src.write_text("".join(f"{i} {i + 1}\n" for i in range(20)))
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", str(src), "-o", hbg, "--symmetrize"])
+        runs = str(tmp_path / "runs.json")
+        ok(["anf", hbg, "-o", runs, "-m", "64", "-r", "2", "--max-iters", "3"])
+        assert all(r.truncated for r in RunSet.load(runs).runs)
+        capsys.readouterr()
+        for cmd in ("bound", "stats"):
+            assert main([cmd, runs]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
 
 class TestDiameterGaps:
@@ -266,6 +283,21 @@ class TestManifests:
                     continue
                 assert open(orig, "rb").read() == open(copy, "rb").read(), orig
 
+    def test_manifest_with_threads_flag_still_replays(self, tmp_path, edges_file):
+        hbg = str(tmp_path / "g.hbg")
+        runs = str(tmp_path / "runs.json")
+        ok(["import", edges_file, "-o", hbg])
+        ok(["anf", hbg, "-o", runs, "-m", "16", "-r", "2", "--seed", "3"])
+        man = runs + ".manifest.json"
+        payload = json.loads(open(man).read())
+        assert "--threads" not in payload["argv"]
+        # manifests from before the flag was retired all start this way
+        payload["argv"] = ["--threads", "1"] + payload["argv"]
+        with open(man, "w") as fh:
+            json.dump(payload, fh)
+        mapping = run_manifest(man, out_dir=str(tmp_path / "replay"))
+        assert open(runs, "rb").read() == open(mapping[runs], "rb").read()
+
     def test_tampered_input_refuses_replay(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
         ok(["import", edges_file, "-o", hbg])
@@ -287,6 +319,11 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_help_hides_threads(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "--threads" not in capsys.readouterr().out
 
     def test_errors_exit_one_not_traceback(self, tmp_path, capsys):
         rc = main(["anf", str(tmp_path / "missing.hbg"), "-o", str(tmp_path / "r.json")])

@@ -15,7 +15,7 @@ from hbgraph.engine import (
     seed_sequence,
 )
 from hbgraph.graph import transpose
-from util import exact_curve, from_pairs, mixed_suite, star, sym_from_pairs
+from util import exact_curve, from_pairs, mixed_suite, small_world, star, sym_from_pairs
 
 
 class TestExactRuns:
@@ -121,20 +121,67 @@ class TestSystolic:
             run_systolic(g, from_pairs(5, []), m=16, seed=0)
 
 
-class TestThreads:
-    def test_bit_identity_across_thread_counts(self, monkeypatch):
-        monkeypatch.setattr(engine, "_SLAB_CELLS", 256)  # force many slabs
-        for g in mixed_suite(seed=13, count=6, max_n=70):
-            base = run(g, m=64, seed=7, threads=1)
-            for t in (2, 4):
-                assert run(g, m=64, seed=7, threads=t).values == base.values
-            ex1 = run_exact(g, threads=1)
-            assert run_exact(g, threads=3).values == ex1.values
+class TestSlabs:
+    def test_slab_split_keeps_values(self, monkeypatch):
+        graphs = mixed_suite(seed=13, count=6, max_n=70)
+        def curves():
+            out = []
+            for g in graphs:
+                pred = transpose(g)
+                out.append((
+                    run(g, m=64, seed=7).values,
+                    run_systolic(g, pred, m=64, seed=7).values,
+                    run_exact(g).values,
+                ))
+            return out
+        whole = curves()
+        monkeypatch.setattr(engine, "_SLAB_CELLS", 256)  # many slabs per sweep
+        assert curves() == whole
 
-    def test_thread_count_validated(self):
-        g = from_pairs(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            run(g, m=16, seed=0, threads=0)
+
+# N(t) as float.hex() on small_world(40, 2, 0.2, 3), recorded with the
+# earlier packed 5-bit register layout; the uint8 layout must match it
+GOLDEN = {
+    (16, 1): [
+        "0x1.4a6fee305c888p+5", "0x1.93c7b40c91a5ap+7", "0x1.0304da09f2dbcp+9",
+        "0x1.176318e0442ecp+10", "0x1.9fc87527520acp+10", "0x1.bf1fb68ca8cdcp+10",
+        "0x1.bfe4415fe6fd4p+10", "0x1.c0005534efdf8p+10",
+    ],
+    (16, 2): [
+        "0x1.4a6fee305c888p+5", "0x1.a7502e1fc8f5ap+7", "0x1.12f925119ff68p+9",
+        "0x1.10d62f8ebbb55p+10", "0x1.71a471b7fc9b4p+10", "0x1.aee6e82d43704p+10",
+        "0x1.b8d7738bad3f8p+10", "0x1.bb9d3beb8c86bp+10",
+    ],
+    (64, 1): [
+        "0x1.4286beeb82e45p+5", "0x1.940f5de15e89fp+7", "0x1.07c73c94846b4p+9",
+        "0x1.e5ba7b8bfa313p+9", "0x1.5a6226a9ab1b2p+10", "0x1.8895a7ae6c93fp+10",
+        "0x1.9459c358c8ffcp+10", "0x1.94d07efb76cb6p+10",
+    ],
+    (64, 2): [
+        "0x1.4286beeb82e45p+5", "0x1.9635c65e81d64p+7", "0x1.07f43e226a6f8p+9",
+        "0x1.f8fd78a1bebcap+9", "0x1.7c4b5d812a780p+10", "0x1.bc66a0b3223cap+10",
+        "0x1.ceeadaff4f27cp+10", "0x1.cfeef0d7ed9c0p+10",
+    ],
+    "exact": [
+        "0x1.4000000000000p+5", "0x1.9000000000000p+7", "0x1.0300000000000p+9",
+        "0x1.e500000000000p+9", "0x1.5800000000000p+10", "0x1.8500000000000p+10",
+        "0x1.8f80000000000p+10", "0x1.9000000000000p+10",
+    ],
+}
+
+
+class TestGolden:
+    g = small_world(40, 2, 0.2, 3)
+
+    @pytest.mark.parametrize("m, seed", [(16, 1), (16, 2), (64, 1), (64, 2)])
+    def test_counter_runs(self, m, seed):
+        want = GOLDEN[(m, seed)]
+        assert [v.hex() for v in run(self.g, m=m, seed=seed).values] == want
+        sys_run = run_systolic(self.g, transpose(self.g), m=m, seed=seed)
+        assert [v.hex() for v in sys_run.values] == want
+
+    def test_exact_run(self):
+        assert [v.hex() for v in run_exact(self.g).values] == GOLDEN["exact"]
 
 
 class TestSeedSequence:
@@ -189,6 +236,21 @@ class TestRunSet:
         back = RunSet.load(p1)
         assert [r.values for r in back.runs] == [r.values for r in rs.runs]
         assert [r.seed for r in back.runs] == [r.seed for r in rs.runs]
+
+    def test_save_load_keeps_every_field(self, tmp_path):
+        g = from_pairs(6, [(i, i + 1) for i in range(5)])
+        sketched = [
+            run(g, m=16, seed=3, graph_id="g"),
+            run(g, m=16, seed=4, max_iters=2, graph_id="g"),
+        ]
+        exact = [run_exact(g, graph_id="g"), run_exact(g, max_iters=1, graph_id="g")]
+        # complete runs write no key, as in files from before it existed
+        assert "truncated" not in sketched[0].to_dict()
+        for runs in (sketched, exact):
+            assert [r.truncated for r in runs] == [False, True]
+            p = tmp_path / "runs.json"
+            RunSet(runs).save(p)
+            assert RunSet.load(p).runs == runs  # dataclass equality: all fields
 
     def test_exact_runs_allowed_alongside(self):
         g = from_pairs(3, [(0, 1), (1, 2)])

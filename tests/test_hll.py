@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hbgraph.hll import (
-    LANES_PER_WORD,
-    REGISTER_BITS,
     CounterArray,
-    ErrorProfile,
     alpha,
     estimate_registers,
     eta,
     hash64,
-    pack_registers,
     rho_values,
-    swar_lane_max,
-    unpack_registers,
     words_per_counter,
 )
 from util import ref_hash64, ref_register_update
@@ -85,42 +79,24 @@ class TestRho:
             assert rho.max() <= 31
 
 
-class TestPacking:
+class TestLayout:
     @pytest.mark.parametrize("m", [16, 32, 64, 128])
-    def test_pack_unpack_inverse(self, m):
-        rng = np.random.default_rng(m)
-        regs = rng.integers(0, 32, size=(7, m)).astype(np.uint8)
-        words = pack_registers(regs)
-        assert words.shape == (7, words_per_counter(m))
-        assert np.array_equal(unpack_registers(words, m), regs)
+    def test_register_matrix_shape(self, m):
+        c = CounterArray(7, m=m)
+        assert c.registers.shape == (7, m)
+        assert c.registers.dtype == np.uint8
+        assert c.registers.flags.c_contiguous
+        assert words_per_counter(m) * 8 == c.registers[0].nbytes
 
-    def test_lane_layout(self):
-        # register r lives in word r // 12 at lane r % 12
-        regs = np.zeros((1, 24), dtype=np.uint8)
-        regs[0, 0] = 5
-        regs[0, 1] = 9
-        regs[0, 12] = 17
-        words = pack_registers(regs)
-        assert words[0, 0] & 0x1F == 5
-        assert (int(words[0, 0]) >> REGISTER_BITS) & 0x1F == 9
-        assert words[0, 1] & 0x1F == 17
-
-    def test_swar_matches_scalar_max(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 32, size=(200, LANES_PER_WORD)).astype(np.uint8)
-        b = rng.integers(0, 32, size=(200, LANES_PER_WORD)).astype(np.uint8)
-        out = unpack_registers(
-            swar_lane_max(pack_registers(a), pack_registers(b)), LANES_PER_WORD
-        )
-        assert np.array_equal(out, np.maximum(a, b))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 31), min_size=24, max_size=24))
-    def test_swar_property(self, vals):
-        a = np.array(vals[:12], dtype=np.uint8).reshape(1, 12)
-        b = np.array(vals[12:], dtype=np.uint8).reshape(1, 12)
-        got = swar_lane_max(pack_registers(a), pack_registers(b))
-        assert np.array_equal(unpack_registers(got, 12), np.maximum(a, b))
+    def test_register_index_is_column(self):
+        # an item lands in the column its hash's low log2(m) bits name
+        m, seed = 16, 4
+        c = CounterArray(2, m=m, seed=seed)
+        c.add(1, 99)
+        j, rho = rho_values(np.array([hash64(99, seed)], dtype=np.uint64), m)
+        want = np.zeros((2, m), dtype=np.uint8)
+        want[1, j[0]] = rho[0]
+        assert np.array_equal(c.registers, want)
 
 
 class TestConstants:
@@ -134,13 +110,6 @@ class TestConstants:
     def test_eta(self):
         assert eta(16) == pytest.approx(1.06 / 4)
         assert eta(64) == pytest.approx(1.06 / 8)
-
-    def test_error_profile(self):
-        p = ErrorProfile(64)
-        assert p.eta == eta(64)
-        assert p.register_bits == 64 * REGISTER_BITS
-        with pytest.raises(ValueError):
-            ErrorProfile(48)
 
     def test_m_validation(self):
         for bad in (8, 0, 15, 48, 100):
@@ -167,7 +136,7 @@ class TestCounterArray:
         a.add_many(items)
         for x in items.tolist():
             b.add(0, x)
-        assert np.array_equal(a.words, b.words)
+        assert np.array_equal(a.registers, b.registers)
 
     def test_single_item_small_range_estimate(self):
         # one occupied register: the occupancy correction m*ln(m/(m-1))
@@ -185,7 +154,7 @@ class TestCounterArray:
         d = CounterArray(n, m=m, seed=3)
         for i in range(n):
             d.add(i, i)
-        assert np.array_equal(c.words, d.words)
+        assert np.array_equal(c.registers, d.registers)
 
     def test_init_singletons_custom_keys(self):
         keys = np.array([100, 200, 300], dtype=np.uint64)
@@ -194,7 +163,7 @@ class TestCounterArray:
         d = CounterArray(3, m=16, seed=1)
         for i, k in enumerate(keys.tolist()):
             d.add(i, k)
-        assert np.array_equal(c.words, d.words)
+        assert np.array_equal(c.registers, d.registers)
 
     def test_estimate_tracks_cardinality(self):
         c = CounterArray(1, m=1024, seed=7)
@@ -217,7 +186,7 @@ class TestCounterArray:
         assert merged.union_into(0, a, 1) is True
         whole = CounterArray(1, m=m, seed=seed)
         whole.add_many(np.arange(0, 1000, dtype=np.uint64))
-        assert np.array_equal(merged.words[0], whole.words[0])
+        assert np.array_equal(merged.registers[0], whole.registers[0])
 
     def test_union_reports_no_change(self):
         a = CounterArray(2, m=16, seed=0)
@@ -248,3 +217,11 @@ class TestCounterArray:
         est = estimate_registers(regs, 64)
         assert est[1] == pytest.approx(c.estimate(1))
         assert est[0] == 0.0
+
+    def test_estimate_sums_powers_of_two_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        # no zero register, so the small-range correction stays out of it
+        regs = rng.integers(1, 32, size=(300, 128)).astype(np.uint8)
+        z = np.ldexp(1.0, -regs.astype(np.int64)).sum(axis=1)
+        want = alpha(128) * 128 * 128 / z
+        assert np.array_equal(estimate_registers(regs, 128), want)
