@@ -41,7 +41,6 @@ from .distance import (
     DistanceStats,
     JackknifeResult,
     jackknife,
-    kendall_tau,
     summarize,
     to_distribution,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "to_distribution",
     "jackknife",
     "summarize",
-    "kendall_tau",
     # diameters
     "bfs",
     "eccentricity",

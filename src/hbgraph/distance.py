@@ -29,7 +29,6 @@ __all__ = [
     "to_distribution",
     "jackknife",
     "summarize",
-    "kendall_tau",
 ]
 
 STATISTIC_NAMES = (
@@ -311,30 +310,3 @@ def summarize(
         within_ceiling_pct=results["within_ceiling_pct"].estimate,
         within_ceiling_se=results["within_ceiling_pct"].se,
     )
-
-
-def kendall_tau(x, y) -> float:
-    """Tie-corrected rank correlation (tau-b) between two value sequences.
-
-    Quadratic in length; meant for comparing node rankings (thousands of
-    entries), not millions.
-    """
-    a = np.asarray(x, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("expected two equal-length 1-d sequences")
-    if a.size < 2:
-        raise ValueError("need at least two entries")
-    sa = np.sign(a[:, None] - a[None, :])
-    sb = np.sign(b[:, None] - b[None, :])
-    iu = np.triu_indices(a.size, k=1)
-    sa = sa[iu]
-    sb = sb[iu]
-    concordant_minus_discordant = float((sa * sb).sum())
-    n0 = a.size * (a.size - 1) / 2
-    ties_a = n0 - float((sa != 0).sum())
-    ties_b = n0 - float((sb != 0).sum())
-    denom = np.sqrt((n0 - ties_a) * (n0 - ties_b))
-    if denom == 0:
-        return float("nan")
-    return concordant_minus_discordant / denom

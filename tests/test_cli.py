@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from hbgraph.cli import main, run_manifest
+from hbgraph.cli import _load_graph, main, run_manifest
+from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet
 from hbgraph.storage import load as load_compressed
 from util import er
@@ -230,6 +231,45 @@ class TestDiameterGaps:
         payload = json.loads(open(out).read())
         assert payload["exact"] is False
         assert payload["bfs_count"] == 3
+
+    def test_giant_on_dusty_graph_is_golden(self, tmp_path):
+        # a 12-node core with a 6-node pendant path, hidden among 300
+        # two- and three-node components; the bytes and ids were recorded
+        # from the BFS-per-component labeller
+        core = [(i, (i + 1) % 12) for i in range(12)]
+        core += [(i, (i + 5) % 12) for i in range(0, 12, 2)]
+        core += [(0, 12)] + [(i, i + 1) for i in range(12, 17)]
+        dust, nxt = [], 18
+        for k in range(300):
+            size = 2 + k % 2
+            dust += [(nxt + j, nxt + j + 1) for j in range(size - 1)]
+            nxt += size
+        # dust first, then the core interleaved, so the giant gets no
+        # low ids when import relabels by first appearance
+        lines, rest = dust[:100], dust[100:]
+        for i, e in enumerate(core):
+            lines += [e] + rest[i * 14 : (i + 1) * 14]
+        lines += rest[len(core) * 14 :]
+        src = tmp_path / "e.txt"
+        src.write_text("".join(
+            f"{5000 + u * 97 % 769} {5000 + v * 97 % 769}\n" for u, v in lines))
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", str(src), "-o", hbg, "--symmetrize"])
+        out = str(tmp_path / "d.json")
+        ok(["diameter", hbg, "--giant", "-o", out])
+        assert open(out, "rb").read() == (
+            b'{\n  "bfs_count": 6,\n  "component_size": 18,\n  "diameter": 9,\n'
+            b'  "exact": true,\n  "lower": 9,\n  "upper": 9\n}\n')
+        ok(["diameter", hbg, "--giant", "--sweep-only", "-o", out])
+        assert open(out, "rb").read() == (
+            b'{\n  "bfs_count": 3,\n  "component_size": null,\n  "exact": false,\n'
+            b'  "far_pair": [\n    17,\n    3\n  ],\n  "lower": 9,\n'
+            b'  "midpoint": 13,\n  "midpoint_ecc": 5,\n  "upper": null\n}\n')
+        g, _ = _load_graph(hbg)
+        assert giant_component(g).original_ids.tolist() == [
+            5000, 5097, 5194, 5291, 5388, 5485, 5582, 5679, 5007,
+            5104, 5201, 5298, 5395, 5492, 5589, 5686, 5014, 5111,
+        ]
 
     def test_gaps_tsv(self, tmp_path, edges_file, capsys):
         hbg = str(tmp_path / "g.hbg")

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbgraph.diameter import (
     bfs,
@@ -11,7 +14,7 @@ from hbgraph.diameter import (
     run_length_lower_bound,
 )
 from hbgraph.engine import NeighbourhoodRun, run, run_exact
-from hbgraph.graph import parse_edges
+from hbgraph.graph import Graph, parse_edges
 from util import (
     bfs_oracle,
     cycle,
@@ -154,6 +157,47 @@ class TestComponents:
     def test_labels_in_seed_order(self):
         g = sym_from_pairs(6, [(0, 1), (2, 3), (4, 5)])
         assert component_labels(g).tolist() == [0, 0, 1, 1, 2, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_bfs_per_component(self, data):
+        # labels from one oracle BFS per unlabelled seed, in id order
+        n = data.draw(st.integers(0, 40))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=60)) if n else []
+        g = sym_from_pairs(n, [(a, b) for a, b in pairs if a != b])
+        want = np.full(n, -1, dtype=np.int64)
+        for seed in range(n):
+            if want[seed] < 0:
+                want[bfs_oracle(g, seed) >= 0] = want.max() + 1
+        got = component_labels(g)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+    def test_one_way_arcs_end_in_weak_components(self):
+        g = from_pairs(5, [(1, 0), (2, 1), (3, 4)])
+        labels = component_labels(g, allow_asymmetric=True)
+        assert labels.tolist() == [0, 0, 0, 1, 1]
+
+    def test_long_path_with_shuffled_ids_is_fast(self):
+        # min-label propagation needs one round per hop here: minutes
+        n = 200_000
+        ids = np.random.default_rng(0).permutation(n)
+        src = np.concatenate([ids[:-1], ids[1:]])
+        dst = np.concatenate([ids[1:], ids[:-1]])
+        g = Graph.from_arcs(n, src, dst, symmetric=True)
+        t0 = time.perf_counter()
+        labels = component_labels(g)
+        assert time.perf_counter() - t0 < 2.0
+        assert not labels.any()
+
+    def test_million_isolated_nodes_under_a_second(self):
+        g = from_pairs(1_000_000, [], symmetric=True)
+        t0 = time.perf_counter()
+        labels = component_labels(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert np.array_equal(labels, np.arange(1_000_000))
 
     def test_giant_component_picks_largest(self):
         g = sym_from_pairs(7, [(0, 1), (2, 3), (3, 4), (4, 2)])

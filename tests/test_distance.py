@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from hbgraph.distance import (
     STATISTIC_NAMES,
     jackknife,
-    kendall_tau,
     summarize,
     to_distribution,
 )
@@ -204,25 +202,3 @@ class TestSummarize:
         assert set(d) >= {"mean", "variance", "spid", "effective_diameter"}
         text = stats.to_text()
         assert "mean distance" in text and "+-" in text
-
-
-class TestKendallTau:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(5)
-        for trial in range(20):
-            x = rng.integers(0, 8, size=30).astype(float)
-            y = x + rng.normal(0, trial % 5 + 0.5, size=30)
-            want = scipy.stats.kendalltau(x, y).statistic
-            assert kendall_tau(x, y) == pytest.approx(want, abs=1e-12)
-
-    def test_perfect_orders(self):
-        x = np.arange(10, dtype=float)
-        assert kendall_tau(x, x) == pytest.approx(1.0)
-        assert kendall_tau(x, -x) == pytest.approx(-1.0)
-
-    def test_constant_input_is_nan(self):
-        assert math.isnan(kendall_tau(np.ones(5), np.arange(5.0)))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            kendall_tau(np.ones(3), np.ones(4))
