@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .distance import to_distribution, summarize
+from .distance import summarize
 from .diameter import double_sweep, giant_component, ifub, run_length_lower_bound
 from .engine import (
     BudgetExceededError,
@@ -371,35 +371,7 @@ def cmd_anf(ns) -> int:
 
 
 def _stats_payload(rs: RunSet, include_self: bool, q: float) -> dict:
-    if len(rs) >= 2:
-        payload = summarize(rs, include_self_pairs=include_self, q=q).to_dict()
-    else:
-        r = rs.runs[0]
-        curve = np.asarray(r.monotone_values)
-        dist = to_distribution(curve, rs.n, include_self_pairs=include_self)
-        try:
-            excl = to_distribution(curve, rs.n, include_self_pairs=False)
-            excl_mean = excl.mean()
-        except ValueError:  # nothing but self-pairs
-            excl_mean = float("nan")
-        nan = float("nan")
-        payload = {
-            "n": rs.n,
-            "runs": 1,
-            "iterations": r.iterations,
-            "reachable_pct": 100.0 * float(curve[-1]) / (rs.n * float(rs.n)),
-            "mean": dist.mean(),
-            "mean_se": nan,
-            "mean_excl_self": excl_mean,
-            "variance": dist.variance(),
-            "variance_se": nan,
-            "spid": dist.spid(),
-            "spid_se": nan,
-            "effective_diameter": dist.effective_diameter(q),
-            "effective_diameter_se": nan,
-            "within_ceiling_pct": dist.within_ceiling_pct(),
-            "within_ceiling_se": nan,
-        }
+    payload = summarize(rs, include_self_pairs=include_self, q=q).to_dict()
     payload["include_self_pairs"] = include_self
     payload["quantile"] = q
     return payload
@@ -641,7 +613,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="bit-set diffusion: exact values, quadratic memory")
     sp.add_argument("--max-iters", type=int, default=None)
     sp.add_argument("--budget-bytes", type=int, default=None,
-                    help="refuse to run if counter state would exceed this")
+                    help="refuse to run if a run could allocate more bytes "
+                         "than this (bound in README)")
     sp.set_defaults(func=cmd_anf)
 
     sp = sub.add_parser("stats", help="distance statistics from a run file")

@@ -209,7 +209,8 @@ def jackknife(
 
 @dataclass(frozen=True)
 class DistanceStats:
-    """Point estimates with jackknife standard errors for one run set."""
+    """Point estimates with jackknife standard errors for one run set
+    (NaN errors when the set holds a single run)."""
 
     n: int
     runs: int
@@ -277,18 +278,29 @@ def summarize(
 ) -> DistanceStats:
     """Jackknifed distance statistics for repeated runs on one graph.
 
-    Needs at least two runs. The mean under the opposite self-pair
-    convention rides along for easy comparison with published tables.
+    A single run gives its plug-in statistics with NaN standard errors.
+    The mean under the opposite self-pair convention rides along for
+    easy comparison with published tables.
     """
     n = runs.n
     matrix = runs.to_matrix(monotone=True)
     mean_curve = np.maximum.accumulate(matrix.mean(axis=0))
     reachable = 100.0 * float(mean_curve[-1]) / (float(n) * float(n))
 
-    results = {
-        name: jackknife(matrix, name, n=n, include_self_pairs=include_self_pairs, q=q)
-        for name in STATISTIC_NAMES
-    }
+    if len(runs) == 1:
+        plug_in = {
+            name: _resolve_statistic(name, n, include_self_pairs, q)(mean_curve)
+            for name in STATISTIC_NAMES
+        }
+        results = {
+            name: JackknifeResult(estimate=float(v), se=float("nan"), runs=1)
+            for name, v in plug_in.items()
+        }
+    else:
+        results = {
+            name: jackknife(matrix, name, n=n, include_self_pairs=include_self_pairs, q=q)
+            for name in STATISTIC_NAMES
+        }
     try:
         excl_mean = to_distribution(mean_curve, n, include_self_pairs=False).mean()
     except ValueError:  # no positive-distance pairs at all

@@ -6,11 +6,20 @@ so after t rounds counter x describes the ball B(x, t). The sum of the
 per-counter estimates traces the neighbourhood function N(t), and the
 process stops the first time no register anywhere moves.
 
+Every mode runs one sweep kernel in the layout of SELL-C-sigma sparse
+matrices: successor lists are cut into chunks of at most _WIDTH arcs,
+sorted by length once per run, so the chunks longer than j are a prefix
+and a step is one row gather and one in-place max (or or) per column j,
+then one fold per extra chunk index for nodes past _WIDTH successors.
+max and or are commutative and idempotent, so neither the column order
+nor the chunking changes a bit of the result.
+
 Two refinements from the same playbook:
 
 * **systolic mode** keeps a dirty set: a node is recomputed at step t only
   if one of its successors changed at step t - 1 (tracked through the
-  predecessor graph). Results are bit-identical to the plain sweep.
+  predecessor graph, as a boolean mask that selects the kernel's
+  chunks). Results are bit-identical to the plain sweep.
 * **exact mode** runs the identical diffusion with one-bit-per-node sets
   instead of sketches, giving exact N(t) at O(n^2/64) words of state;
   it is the oracle the estimates are judged against.
@@ -26,14 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .hll import (
-    CounterArray,
-    estimate_registers,
-    words_per_counter,
-    _mix64,
-    _GOLDEN,
-    _MASK64,
-)
+from .hll import CounterArray, estimate_registers, _mix64, _GOLDEN, _MASK64
 
 __all__ = [
     "NeighbourhoodRun",
@@ -48,12 +50,9 @@ __all__ = [
 
 log = logging.getLogger("hbgraph.engine")
 
-# cap on gathered matrix cells per slab; keeps transient memory flat
-_SLAB_CELLS = 4_000_000
-
 
 class BudgetExceededError(RuntimeError):
-    """Raised when counter state would exceed the caller's byte budget."""
+    """Raised when a run could allocate more than the caller's byte budget."""
 
 
 @dataclass
@@ -168,6 +167,10 @@ def seed_sequence(master_seed: int, count: int) -> list[int]:
 
 # ---- gather/reduce plumbing ----
 
+# most arcs in one chunk: a successor list is cut into chunks of at most
+# this many arcs, and a sweep makes at most this many column steps
+_WIDTH = 32
+
 
 def _segments(indptr: np.ndarray, nodes: np.ndarray):
     """Arc gather indices and segment starts for the given nodes.
@@ -183,60 +186,74 @@ def _segments(indptr: np.ndarray, nodes: np.ndarray):
         return nodes, np.empty(0, np.int64), np.empty(0, np.int64)
     starts = np.zeros(nodes.size, dtype=np.int64)
     np.cumsum(lens[:-1], out=starts[1:])
-    ramp = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(starts, lens)
-    gather = np.repeat(indptr[nodes], lens) + ramp
+    gather = np.arange(int(lens.sum()), dtype=np.int64)
+    gather += np.repeat(indptr[nodes] - starts, lens)
     return nodes, gather, starts
 
 
-def _slab_bounds(starts: np.ndarray, row_cells: int):
-    """Split segment list into slabs of bounded gathered size."""
-    max_rows = max(_SLAB_CELLS // max(row_cells, 1), 1)
-    bounds = [0]
-    k = 0
-    while k < starts.size:
-        hi = int(np.searchsorted(starts, starts[k] + max_rows, side="left"))
-        hi = max(hi, k + 1)
-        bounds.append(min(hi, starts.size))
-        k = bounds[-1]
-    return bounds
+def _plan(indptr: np.ndarray):
+    """Successor lists cut into chunks of <= _WIDTH arcs, longest first.
 
-
-def _diffuse(state, indptr, indices, reduce_op, act):
-    """One synchronous step over `act` rows: new = old max/or successors.
-
-    Returns (changed node ids, their new rows). `state` is only read
-    here, slab by slab; the caller writes the changed rows back once all
-    slabs are done, so every row is reduced with its successors' values
-    from the previous step.
+    Returns (owner, base, length, part): chunk c holds the arcs
+    base[c] .. base[c] + length[c] - 1 of node owner[c], and is that
+    node's part[c]-th chunk. The sort is stable, so a node's chunks keep
+    their order; nodes without successors get no chunk.
     """
-    nodes, gather, starts = _segments(indptr, act)
-    if nodes.size == 0:
-        return nodes, state[:0]
-    bounds = _slab_bounds(starts, state.shape[1])
-    ids, rows = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg_nodes = nodes[lo:hi]
-        g_lo = starts[lo]
-        g_hi = starts[hi] if hi < starts.size else gather.size
-        vals = state[indices[gather[g_lo:g_hi]]]
-        red = reduce_op.reduceat(vals, starts[lo:hi] - g_lo, axis=0)
-        old_rows = state[seg_nodes]
-        new_rows = reduce_op(old_rows, red)
-        diff = (new_rows != old_rows).any(axis=1)
-        if diff.any():
-            ids.append(seg_nodes[diff])
-            rows.append(new_rows[diff])
-    if not ids:
-        return nodes[:0], state[:0]
-    return np.concatenate(ids), np.concatenate(rows)
+    deg = np.diff(indptr)
+    parts = -(-deg // _WIDTH)
+    owner = np.repeat(np.arange(deg.size, dtype=np.int64), parts)
+    part = np.arange(owner.size, dtype=np.int64)
+    part -= np.repeat(np.cumsum(parts) - parts, parts)
+    base = indptr[owner] + part * _WIDTH
+    length = np.minimum(indptr[owner + 1] - base, _WIDTH)
+    order = np.argsort(-length, kind="stable")
+    return owner[order], base[order], length[order], part[order]
+
+
+def _diffuse(state, indices, plan, reduce_op, mask=None):
+    """One synchronous step over the nodes in `mask` (all when None).
+
+    Returns (changed node ids, their new rows), the ids in chunk order.
+    `state` is only read, so every row is reduced with its successors'
+    values from the previous step; the module docstring explains the
+    column order and why it gives the same rows as any other.
+    """
+    owner, base, length, part = plan
+    if mask is not None:
+        pick = mask[owner]
+        owner, base, length, part = owner[pick], base[pick], length[pick], part[pick]
+    if owner.size == 0:
+        return owner, state[:0]
+    acc = state[indices[base]]
+    longer = owner.size - np.cumsum(np.bincount(length))  # chunks longer than j
+    for j in range(1, int(length[0])):
+        k = longer[j]
+        reduce_op(acc[:k], state[indices[base[:k] + j]], out=acc[:k])
+    extra = np.flatnonzero(part)
+    if extra.size:
+        heads = np.flatnonzero(part == 0)
+        slot = np.empty(state.shape[0], dtype=np.int64)
+        slot[owner[heads]] = heads
+        extra = extra[np.argsort(part[extra], kind="stable")]
+        cuts = np.cumsum(np.bincount(part[extra]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            h = slot[owner[extra[lo:hi]]]
+            merged = acc[h]
+            reduce_op(merged, acc[extra[lo:hi]], out=merged)
+            acc[h] = merged
+        owner, acc = owner[heads], acc[heads]
+    old = state[owner]
+    reduce_op(acc, old, out=acc)
+    diff = (acc != old).any(axis=1)
+    return owner[diff], acc[diff]
 
 
 def _dirty_from_changed(pred: Graph, changed: np.ndarray) -> np.ndarray:
-    """Nodes whose successor sets intersect the changed set (via pred graph)."""
+    """Mask of the nodes with a successor in the changed set (via pred graph)."""
     _, gather, _ = _segments(pred.indptr, changed)
-    if gather.size == 0:
-        return gather
-    return np.unique(pred.indices[gather])
+    mark = np.zeros(pred.n, dtype=bool)
+    mark[pred.indices[gather]] = True
+    return mark
 
 
 def _sweep(g, state, reduce_op, measure, pred, max_iters):
@@ -250,17 +267,19 @@ def _sweep(g, state, reduce_op, measure, pred, max_iters):
         raise ValueError("max_iters must be >= 0")
     sizes = measure(state)
     values = [float(sizes.sum())]
-    act = np.arange(g.n, dtype=np.int64)
+    plan = _plan(g.indptr)
+    dirty = None
     while max_iters is None or len(values) <= max_iters:
-        changed, rows = _diffuse(state, g.indptr, g.indices, reduce_op, act)
+        changed, rows = _diffuse(state, g.indices, plan, reduce_op, dirty)
         if changed.size == 0:
             return values, False
         state[changed] = rows
         sizes[changed] = measure(rows)
+        del rows  # free before the next step allocates its own
         values.append(float(sizes.sum()))
         if pred is not None:
-            act = _dirty_from_changed(pred, changed)
-            if act.size == 0:
+            dirty = _dirty_from_changed(pred, changed)
+            if not dirty.any():
                 return values, False
     return values, True
 
@@ -299,36 +318,40 @@ def run_systolic(
     return _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id)
 
 
+def _peak_bytes(g: Graph, m: int, systolic: bool) -> int:
+    """Upper bound on the bytes a counter run allocates; see _run_counters."""
+    n, rows = g.n, g.n * m
+    chunks = int((-(-np.diff(g.indptr) // _WIDTH)).sum())
+    step = max(2 * chunks * m, 5 * rows)
+    if systolic:
+        step = max(step, 2 * chunks * m + 33 * chunks, rows + 16 * g.num_arcs)
+    return rows + 32 * chunks + 80 * n + 68 * 1024 + step
+
+
 def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id):
-    n = g.n
-    state_bytes = n * words_per_counter(m) * 8
-    if budget_bytes is not None and state_bytes > budget_bytes:
+    """Counter diffusion, refused if it could allocate over `budget_bytes`.
+
+    With S = n*m register bytes, C chunks (the sum of ceil(d/_WIDTH) over
+    out-degrees d) and A arcs, a run allocates at most
+    S + 32*C + 80*n + 68 KiB + max(2*C*m, 5*S) bytes: the registers, the
+    chunk plan, per-node arrays, numpy's index-cast buffer and array
+    headers, plus the larger of the accumulator with one column gather
+    and the changed rows with the estimate's float64 temporary (4*S).
+    Systolic mode widens the max with 2*C*m + 33*C (the selected plan)
+    and S + 16*A (the dirty set's gather of predecessor arcs).
+    """
+    need = _peak_bytes(g, m, pred is not None)
+    if budget_bytes is not None and need > budget_bytes:
         raise BudgetExceededError(
-            f"counter state needs {state_bytes} bytes "
-            f"({n} counters x {m} one-byte registers), budget is {budget_bytes}"
+            f"counter run needs up to {need} bytes = S + 32*C + 80*n + 68 KiB + "
+            f"max(2*C*m, 5*S), more in systolic mode, with S = n*m = {g.n}*{m} "
+            f"and C sweep chunks; budget is {budget_bytes}"
         )
-    t0 = time.perf_counter()
-    counters = CounterArray(n, m, seed)
+    counters = CounterArray(g.n, m, seed)
     counters.init_singletons()
-    values, truncated = _sweep(
-        g, counters.registers, np.maximum,
-        lambda rows: estimate_registers(rows, m), pred, max_iters,
-    )
-    elapsed = time.perf_counter() - t0
-    gid = graph_id if graph_id is not None else g.fingerprint()
-    mode = "systolic" if pred is not None else "plain"
-    log.info(
-        "anf %s run graph=%s n=%d m=%d seed=%#x iters=%d wall=%.3fs",
-        mode, gid, n, m, seed, len(values) - 1, elapsed,
-    )
-    return NeighbourhoodRun(
-        graph_id=gid,
-        n=n,
-        m=m,
-        seed=seed,
-        values=values,
-        iterations=len(values) - 1,
-        truncated=truncated,
+    return _diffusion(
+        g, counters.registers, np.maximum, lambda rows: estimate_registers(rows, m),
+        pred, max_iters, graph_id, m, seed,
     )
 
 
@@ -350,31 +373,30 @@ def run_exact(
         raise BudgetExceededError(
             f"exact mode on {n} nodes exceeds the max_nodes={max_nodes} guard"
         )
-    t0 = time.perf_counter()
     wds = (n + 63) // 64
     state = np.zeros((n, max(wds, 1)), dtype=np.uint64)
     ids = np.arange(n)
     state[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
-    values, truncated = _sweep(
+    return _diffusion(
         g, state, np.bitwise_or,
         lambda rows: np.bitwise_count(rows).sum(axis=1, dtype=np.float64),
-        None, max_iters,
+        None, max_iters, graph_id, 0, 0,
     )
-    elapsed = time.perf_counter() - t0
+
+
+def _diffusion(g, state, reduce_op, measure, pred, max_iters, graph_id, m, seed):
+    """`_sweep` wrapped as a logged NeighbourhoodRun; m == 0 marks exact mode."""
+    t0 = time.perf_counter()
+    values, truncated = _sweep(g, state, reduce_op, measure, pred, max_iters)
     gid = graph_id if graph_id is not None else g.fingerprint()
+    mode = "exact" if m == 0 else "plain" if pred is None else "systolic"
     log.info(
-        "anf exact run graph=%s n=%d iters=%d wall=%.3fs",
-        gid, n, len(values) - 1, elapsed,
+        "anf %s run graph=%s n=%d m=%d seed=%#x iters=%d wall=%.3fs",
+        mode, gid, g.n, m, seed, len(values) - 1, time.perf_counter() - t0,
     )
     return NeighbourhoodRun(
-        graph_id=gid,
-        n=n,
-        m=0,
-        seed=0,
-        values=values,
-        iterations=len(values) - 1,
-        exact=True,
-        truncated=truncated,
+        graph_id=gid, n=g.n, m=m, seed=seed, values=values,
+        iterations=len(values) - 1, exact=(m == 0), truncated=truncated,
     )
 
 

@@ -97,8 +97,8 @@ class Graph:
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(f"{self.n}:{self.num_arcs}:{int(self.symmetric)}:".encode())
-            h.update(self.indptr.tobytes())
-            h.update(self.indices.tobytes())
+            h.update(self.indptr)  # C-contiguous: hashed in place, no copy
+            h.update(self.indices)
             self._fingerprint = h.hexdigest()[:12]
         return self._fingerprint
 

@@ -32,9 +32,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# 2^-k for every register value k; indexing it by a register matrix
-# gives the harmonic-mean terms without a wider integer temporary
-_INV_POW2 = np.ldexp(1.0, -np.arange(_RHO_MAX + 1))
+# 2^-k for every byte value k (registers stay <= 31)
+_INV_POW2 = np.ldexp(1.0, -np.arange(256))
+# 2^-a + 2^-b at index 256*a + b: a register matrix viewed as uint16
+# looks up two terms at once, in either byte order since the table is
+# symmetric
+_PAIR_INV_POW2 = np.add.outer(_INV_POW2, _INV_POW2).ravel()
 
 
 def _mix64(z: np.ndarray | int):
@@ -100,13 +103,23 @@ def rho_values(hashes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return j, rho.astype(np.uint8)
 
 
+def _inverse_sum(regs: np.ndarray) -> np.ndarray:
+    """sum(2^-M_j) of every (N, m) register row, two registers a lookup.
+
+    Every term is a multiple of 2^-31 and a row sums to at most m, so
+    for m <= 2^21 the sum is exact in float64 and no order of addition
+    changes a bit.
+    """
+    return _PAIR_INV_POW2[np.ascontiguousarray(regs).view(np.uint16)].sum(axis=1)
+
+
 def estimate_registers(regs: np.ndarray, m: int) -> np.ndarray:
     """Cardinality estimates for (N, m) register rows.
 
     Harmonic mean alpha_m * m^2 / sum(2^-M_j), swapped for m*ln(m/V) when
     the raw value is <= 5m/2 and V registers are still zero.
     """
-    z = _INV_POW2[regs].sum(axis=1)
+    z = _inverse_sum(regs)
     est = (alpha(m) * m * m) / z
     zeros = (regs == 0).sum(axis=1)
     small = (est <= 2.5 * m) & (zeros > 0)

@@ -190,6 +190,23 @@ class TestSummarize:
         # reachable pairs: 4 self + 2 arcs = 6 of 16
         assert stats.reachable_pct == pytest.approx(100.0 * 6 / 16)
 
+    def test_single_run_gives_plug_in_values_and_nan_errors(self):
+        g = grid(5, 6)
+        one = run(g, m=64, seed=3, graph_id="g")
+        stats = summarize(RunSet([one]), q=0.8)
+        dist = to_distribution(one.monotone_values, g.n)
+        assert stats.runs == 1 and stats.iterations == one.iterations
+        assert stats.mean == dist.mean() and stats.variance == dist.variance()
+        assert stats.spid == dist.spid()
+        assert stats.effective_diameter == dist.effective_diameter(0.8)
+        assert stats.within_ceiling_pct == dist.within_ceiling_pct()
+        for name in ("mean_se", "variance_se", "spid_se", "effective_diameter_se",
+                     "within_ceiling_se"):
+            assert math.isnan(getattr(stats, name))
+        # a self-pairs-only curve has no mean without them
+        lone = run_exact(from_pairs(3, []), graph_id="h")
+        assert math.isnan(summarize(RunSet([lone])).mean_excl_self)
+
     def test_text_and_dict_round_out(self):
         rs = RunSet(
             [

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hbgraph.engine as engine
 from hbgraph.engine import (
@@ -121,8 +123,33 @@ class TestSystolic:
             run_systolic(g, from_pairs(5, []), m=16, seed=0)
 
 
-class TestSlabs:
-    def test_slab_split_keeps_values(self, monkeypatch):
+def hub_graph():
+    """Directed: node 0 points at 110 nodes (4 chunks at width 32), node 1
+    at 40; 121..129 are sinks and 130..149 isolated."""
+    pairs = [(0, j) for j in range(1, 111)]
+    pairs += [(1, j) for j in range(60, 100)]
+    pairs += [(i, (7 * i + 3) % 130) for i in range(2, 121)]
+    pairs += [(i, (13 * i + 5) % 130) for i in range(50, 121)]
+    pairs += [(5, 0), (77, 0), (120, 1)]
+    return from_pairs(150, sorted({(a, b) for a, b in pairs if a != b}))
+
+
+def step_by_loop(g, state, reduce_op, active):
+    """One step over `active`, one node and one successor at a time."""
+    ids, rows = [], []
+    for x in active:
+        row = state[x].copy()
+        for y in g.successors(x):
+            row = reduce_op(row, state[y])
+        if (row != state[x]).any():
+            ids.append(x)
+            rows.append(row)
+    return ids, np.array(rows, dtype=state.dtype).reshape(len(ids), state.shape[1])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_chunk_width_keeps_values(self, monkeypatch, width):
         graphs = mixed_suite(seed=13, count=6, max_n=70)
         def curves():
             out = []
@@ -135,8 +162,71 @@ class TestSlabs:
                 ))
             return out
         whole = curves()
-        monkeypatch.setattr(engine, "_SLAB_CELLS", 256)  # many slabs per sweep
+        monkeypatch.setattr(engine, "_WIDTH", width)  # most nodes become hubs
         assert curves() == whole
+
+    def test_plan_covers_every_arc_once(self):
+        g = hub_graph()
+        owner, base, length, part = engine._plan(g.indptr)
+        assert np.all(np.diff(length) <= 0) and length.max() == engine._WIDTH
+        assert np.all(length >= 1)
+        arcs = np.concatenate([np.arange(b, b + k) for b, k in zip(base, length)])
+        assert np.array_equal(np.sort(arcs), np.arange(g.num_arcs))
+        assert np.array_equal(np.bincount(owner, minlength=g.n) > 0, g.out_degrees() > 0)
+        assert part[owner == 0].tolist() == [0, 1, 2, 3]  # stable: node order kept
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_step_matches_per_node_loop(self, data):
+        n = data.draw(st.integers(0, 40))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+            max_size=0 if n == 0 else 300,
+        ))
+        g = from_pairs(n, sorted({(a, b) for a, b in pairs if a != b}))
+        width = data.draw(st.sampled_from([1, 2, 3, 32]))
+        seed = data.draw(st.integers(0, 2**32))
+        rng = np.random.default_rng(seed)
+        mask = rng.random(n) < 0.5 if data.draw(st.booleans()) else None
+        active = np.arange(n) if mask is None else np.flatnonzero(mask)
+        cases = (
+            (np.maximum, rng.integers(0, 32, (n, 16)).astype(np.uint8)),
+            (np.bitwise_or, rng.integers(0, 2**64, (n, 2), dtype=np.uint64)),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_WIDTH", width)
+            plan = engine._plan(g.indptr)
+            for reduce_op, state in cases:
+                before = state.copy()
+                ids, rows = engine._diffuse(state, g.indices, plan, reduce_op, mask)
+                assert np.array_equal(state, before)  # read only
+                want_ids, want_rows = step_by_loop(g, state, reduce_op, active)
+                order = np.argsort(ids)
+                assert ids[order].tolist() == want_ids
+                assert np.array_equal(rows[order], want_rows)
+
+
+class TestBudget:
+    g = small_world(2000, 5, 0.1, 1)
+
+    @pytest.mark.parametrize("m", [64, 256])
+    @pytest.mark.parametrize("systolic", [False, True])
+    def test_formula_bounds_the_traced_peak(self, m, systolic):
+        pred = transpose(self.g) if systolic else None
+        bound = engine._peak_bytes(self.g, m, systolic)
+        def go(budget):
+            if systolic:
+                return run_systolic(self.g, pred, m=m, seed=1, budget_bytes=budget)
+            return run(self.g, m=m, seed=1, budget_bytes=budget)
+        tracemalloc.start()
+        try:
+            go(bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound <= 1.5 * peak
+        with pytest.raises(BudgetExceededError, match=f"needs up to {bound} bytes"):
+            go(bound - 1)
 
 
 # N(t) as float.hex() on small_world(40, 2, 0.2, 3), recorded with the
@@ -170,6 +260,33 @@ GOLDEN = {
 }
 
 
+# N(t) as float.hex() on hub_graph(), recorded with the slab-and-reduceat
+# sweep before the column kernel replaced it
+GOLDEN_HUB = {
+    "plain 64": [
+        "0x1.2e5e52fccab61p+7", "0x1.ec6091c3f922ep+8", "0x1.39bd8132f5877p+10",
+        "0x1.70b6b588eb75cp+11", "0x1.54d91cded128cp+12", "0x1.077853209c514p+13",
+        "0x1.6a118ccbf05eep+13", "0x1.b1f456ea27ad8p+13", "0x1.dc7bdd8ffa886p+13",
+        "0x1.fc15102f414a3p+13", "0x1.054c56df7ebf6p+14", "0x1.080f71001b8c9p+14",
+        "0x1.09b3da098b100p+14", "0x1.0a1ba6993e0e6p+14",
+    ],
+    "systolic 128": [
+        "0x1.2d2d925bc64a4p+7", "0x1.ec7339ae07842p+8", "0x1.3364a884883fap+10",
+        "0x1.629849fb13bfbp+11", "0x1.419f3861cd534p+12", "0x1.e8facd971363ep+12",
+        "0x1.4b144e2f8565ap+13", "0x1.86fba59a433f0p+13", "0x1.a998a2f8713d3p+13",
+        "0x1.c4089dfaa41a3p+13", "0x1.cf2d464fc73b6p+13", "0x1.d32c060da957cp+13",
+        "0x1.d6085010fedb6p+13", "0x1.d65f83acc623cp+13",
+    ],
+    "exact": [
+        "0x1.2c00000000000p+7", "0x1.ec00000000000p+8", "0x1.2f00000000000p+10",
+        "0x1.59e0000000000p+11", "0x1.3620000000000p+12", "0x1.d4c0000000000p+12",
+        "0x1.3b78000000000p+13", "0x1.7328000000000p+13", "0x1.93d0000000000p+13",
+        "0x1.acf8000000000p+13", "0x1.b7b0000000000p+13", "0x1.bb68000000000p+13",
+        "0x1.be38000000000p+13", "0x1.be80000000000p+13",
+    ],
+}
+
+
 class TestGolden:
     g = small_world(40, 2, 0.2, 3)
 
@@ -182,6 +299,14 @@ class TestGolden:
 
     def test_exact_run(self):
         assert [v.hex() for v in run_exact(self.g).values] == GOLDEN["exact"]
+
+    def test_hub_graph(self):
+        g = hub_graph()
+        plain = run(g, m=64, seed=1).values
+        systolic = run_systolic(g, transpose(g), m=128, seed=1).values
+        assert [v.hex() for v in plain] == GOLDEN_HUB["plain 64"]
+        assert [v.hex() for v in systolic] == GOLDEN_HUB["systolic 128"]
+        assert [v.hex() for v in run_exact(g).values] == GOLDEN_HUB["exact"]
 
 
 class TestSeedSequence:

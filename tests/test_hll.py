@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hbgraph.hll import (
+    _INV_POW2,
+    _inverse_sum,
     CounterArray,
     alpha,
     estimate_registers,
@@ -225,3 +227,15 @@ class TestCounterArray:
         z = np.ldexp(1.0, -regs.astype(np.int64)).sum(axis=1)
         want = alpha(128) * 128 * 128 / z
         assert np.array_equal(estimate_registers(regs, 128), want)
+
+    @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
+    def test_pair_sum_equals_register_sum_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        regs = rng.integers(0, 32, size=(500, m)).astype(np.uint8)
+        regs[0], regs[1] = 0, 31  # the extremes of the table
+        regs[2, ::2], regs[2, 1::2] = 31, 0
+        assert np.array_equal(_inverse_sum(regs), _INV_POW2[regs].sum(axis=1))
+        # a strided view reads the same registers
+        wide = np.zeros((500, 2 * m), dtype=np.uint8)
+        wide[:, ::2] = regs
+        assert np.array_equal(_inverse_sum(wide[:, ::2]), _INV_POW2[regs].sum(axis=1))
