@@ -1,3 +1,4 @@
+import hashlib
 import zlib
 
 import numpy as np
@@ -15,7 +16,7 @@ from hbgraph.storage import (
     save,
     _split_runs,
 )
-from util import ba, er, from_pairs, mixed_suite
+from util import ba, band, er, from_pairs, mixed_suite
 
 CONFIGS = [
     CodecConfig(),
@@ -24,6 +25,10 @@ CONFIGS = [
     CodecConfig(window=1, min_interval=0, residual_code="zeta", zeta_k=2),
     CodecConfig(window=16, min_interval=8, residual_code="zeta", zeta_k=5),
 ]
+
+
+def _cfg_id(c: CodecConfig) -> str:
+    return f"w{c.window}-i{c.min_interval}-{c.residual_code}{c.zeta_k}"
 
 
 def _assert_same_graph(g: Graph, h: Graph):
@@ -56,9 +61,7 @@ class TestIntervalisation:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "cfg", CONFIGS, ids=lambda c: f"w{c.window}-i{c.min_interval}-{c.residual_code}{c.zeta_k}"
-    )
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     def test_random_graphs(self, cfg):
         for i, g in enumerate(mixed_suite(seed=900, count=12, max_n=80)):
             _assert_same_graph(g, encode(g, cfg).decode())
@@ -219,3 +222,157 @@ class TestCodecConfig:
             CodecConfig(residual_code="huffman")
         with pytest.raises(ValueError):
             CodecConfig(residual_code="zeta", zeta_k=0)
+
+
+# Node 4 costs 13 bits with no copy, r=1 and r=2 under CodecConfig(), so
+# no-copy must win; node 7 costs 22 bits with r=1 and r=4 against 24
+# without copying, so r=1 must win.
+TIE_PAIRS = [
+    (0, 1), (0, 7), (0, 10), (0, 11), (1, 1), (2, 1), (2, 6), (2, 7), (2, 9),
+    (3, 6), (3, 9), (4, 1), (4, 9), (5, 1), (6, 0), (6, 3), (6, 6), (7, 0),
+    (7, 4), (7, 6), (7, 9), (7, 10),
+]
+
+GOLDEN_GRAPHS = {
+    "mixed": lambda: mixed_suite(seed=900, count=16, max_n=80),
+    "worked": lambda: [from_pairs(21, [(0, t) for t in (13, 15, 16, 17, 20)])],
+    "self_loops": lambda: [Graph.from_arcs(5, [0, 2, 2, 4], [0, 2, 3, 4])],
+    "empty": lambda: [from_pairs(0, [])],
+    "arcless": lambda: [from_pairs(50, [])],
+    "band": lambda: [band(1500, 7)],
+    "ties": lambda: [from_pairs(12, TIE_PAIRS)],
+}
+
+
+def _golden_record(graphs, cfg, tmp_path):
+    """sha256 over the saved files of `graphs`, in order, and the summed
+    copied and interval arc counts."""
+    digest = hashlib.sha256()
+    copied = interval = 0
+    for i, g in enumerate(graphs):
+        enc = encode(g, cfg)
+        path = tmp_path / f"{i}.hbg"
+        save(enc, path)
+        digest.update(path.read_bytes())
+        copied += enc.copied_arcs
+        interval += enc.interval_arcs
+    return digest.hexdigest(), copied, interval
+
+
+# (sha256, copied_arcs, interval_arcs), recorded with the per-node
+# encoder that the array encoder replaced; never regenerate these
+GOLDEN = {
+    ("arcless", "w7-i4-zeta3"): (
+        "2920db3132dafb743618916ab83f56e62b112855e11ec7dfef58666dd5002be2", 0, 0,
+    ),
+    ("arcless", "w0-i0-gamma3"): (
+        "cc5491c0697139b8e6508f48a6910a6b45bcb699e26fdc532576af94e935f631", 0, 0,
+    ),
+    ("arcless", "w4-i2-delta3"): (
+        "dc42cbab47a62608f244f3e41248bdda3e6d4dfabc0d9d3763bb1138ae1c8def", 0, 0,
+    ),
+    ("arcless", "w1-i0-zeta2"): (
+        "bcba4c9b201878d95efe4c05c165f8ad7f56c888b377a7502e1ad3472fc5b142", 0, 0,
+    ),
+    ("arcless", "w16-i8-zeta5"): (
+        "6b7ae2a093b1dcd1d6fa2aa704fb5f55e821265790e577b68404b8cf953c6927", 0, 0,
+    ),
+    ("band", "w7-i4-zeta3"): (
+        "029446e029a981655d33e110c8859759b1e322f356d42a87886ced1417aa7b2b", 276, 350,
+    ),
+    ("band", "w0-i0-gamma3"): (
+        "a45d4e4a5fb76ff941d8468d1dc7cbff6a3ad7a762b6e2402b7005df4a7779d7", 0, 0,
+    ),
+    ("band", "w4-i2-delta3"): (
+        "f534101b987c21676d10eca1a825b119264a9e4b6c2c9fdf197837ac0dda6087", 1571, 5870,
+    ),
+    ("band", "w1-i0-zeta2"): (
+        "8e9c42c8acb3b8caf098608ded550d818a1cd69191369b10289e36754518b2c1", 18, 0,
+    ),
+    ("band", "w16-i8-zeta5"): (
+        "08012ee859fa76bd44f88db183e35a5a1e1f6ba551617ae05360a131a8758968", 4479, 0,
+    ),
+    ("empty", "w7-i4-zeta3"): (
+        "c36fbc661faa0d06b32bb69e07753c4c13098d4a3dfcf64212f4784037820b36", 0, 0,
+    ),
+    ("empty", "w0-i0-gamma3"): (
+        "a31cca00c1755f46daaeb7737784b77e6b02c1ee544e3e0e97628b2f77895122", 0, 0,
+    ),
+    ("empty", "w4-i2-delta3"): (
+        "c6d80d28091d04232f29038bf84e3d3b306f21bb14ccbaecaecebb327f34bb0f", 0, 0,
+    ),
+    ("empty", "w1-i0-zeta2"): (
+        "698c738b390d17a9a1a0c67a26e1d6eb149486cceaf86b02e848b16b2fd7fd36", 0, 0,
+    ),
+    ("empty", "w16-i8-zeta5"): (
+        "f9af5b0bf3667e976acec60cdddba9a24a5a879c7552b97a3db3da91596f93f2", 0, 0,
+    ),
+    ("mixed", "w7-i4-zeta3"): (
+        "609c4f9218c3b06c153bb5f7bee7e1c5cb28fea1d3ddfd8a88ec41919c37b237", 174, 129,
+    ),
+    ("mixed", "w0-i0-gamma3"): (
+        "98dd5033a48c8db5a21f2db31f98c08231f54fe2dbba4a26fd07ec28dc3b6a63", 0, 0,
+    ),
+    ("mixed", "w4-i2-delta3"): (
+        "d7cd45b589bd2fdfd9787db42e96ee21dce03230834c8fcc1703fbea3bfad5d2", 172, 390,
+    ),
+    ("mixed", "w1-i0-zeta2"): (
+        "c34d979df76d29662ff6c847f56a938ed8ab30b04497622a6cdd59fcfe34f4fe", 62, 0,
+    ),
+    ("mixed", "w16-i8-zeta5"): (
+        "8d09ea033f63705845250cc7dbfc09fbe7188881d551355f021a479bd70dd141", 345, 106,
+    ),
+    ("self_loops", "w7-i4-zeta3"): (
+        "65d73727af12d9c08ab52a2db38ea32085b977c8270d192e6f4550335b02a082", 0, 0,
+    ),
+    ("self_loops", "w0-i0-gamma3"): (
+        "0c9ac8a7e27f44adbddbbaa0cf0ab1003700e2037abe1dfd9f8aca84c9649cc0", 0, 0,
+    ),
+    ("self_loops", "w4-i2-delta3"): (
+        "a405a448187c94c08e71dfbf038825468fd9a11db8d4345464928f11b4edff53", 0, 2,
+    ),
+    ("self_loops", "w1-i0-zeta2"): (
+        "25776812ce48f511d69c06b83ad03e5900251a590916c33cfb7e8d496179027e", 0, 0,
+    ),
+    ("self_loops", "w16-i8-zeta5"): (
+        "6e1f808c2817426c103306281b578f0bb2a9b1dd8248934a8c7998e9bd3bc317", 0, 0,
+    ),
+    ("ties", "w7-i4-zeta3"): (
+        "d7118e642f2cc0d262d53b2db4e509885fa1508eb80d5795017da37dc3ca72e3", 3, 0,
+    ),
+    ("ties", "w0-i0-gamma3"): (
+        "9a0e5aad9a0c8488bc4029b85fdeb9b37039a986f97b038a10ff7f5f7c45274d", 0, 0,
+    ),
+    ("ties", "w4-i2-delta3"): (
+        "64d3b1b08cf6f023c83380855d0d56e231bb43c04fc88fd4601b76a4b802cb56", 7, 4,
+    ),
+    ("ties", "w1-i0-zeta2"): (
+        "2b09860350641746a558f86d79c7de7329ce74d5b07aa744bb819e35d73b8fe6", 0, 0,
+    ),
+    ("ties", "w16-i8-zeta5"): (
+        "14827a70f129f404b5fe39d42731c65540ef644a12cc85b80a12e9b3f92761a4", 8, 0,
+    ),
+    ("worked", "w7-i4-zeta3"): (
+        "ae302c091365ff740524e1fc050c8fab3029bf28af324f1b4d1866e08883db7d", 0, 0,
+    ),
+    ("worked", "w0-i0-gamma3"): (
+        "1d74a316e6b91f338db150e2a563c58029606e6ff88c5b994f798209c3235a1a", 0, 0,
+    ),
+    ("worked", "w4-i2-delta3"): (
+        "3470b548571e40d3bb1dd3c66f4421ed37e1496dac1cba8edcb4923a6d660bef", 0, 3,
+    ),
+    ("worked", "w1-i0-zeta2"): (
+        "272a09d345f469cc81103c74797e0d68ae716fe9c577a170b483c85622d18ae7", 0, 0,
+    ),
+    ("worked", "w16-i8-zeta5"): (
+        "c6a603ab8e17d1abbab829a7919ce7aaae5c88ce5c4ec804b79c05531df61e04", 0, 0,
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_saved_bytes_and_tallies(self, name, cfg, tmp_path):
+        got = _golden_record(GOLDEN_GRAPHS[name](), cfg, tmp_path)
+        assert got == GOLDEN[name, _cfg_id(cfg)]

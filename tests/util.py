@@ -113,6 +113,19 @@ def star(n, directed=False):
     return sym_from_pairs(n, pairs)
 
 
+def band(n, seed):
+    """Band graph in the shape of the benchmark's locality workload: each
+    node links to 8 random later ids less than 40 ahead (no wrap), stored
+    in both directions. Neighbouring lists overlap, so copying and
+    intervals both fire."""
+    rng = np.random.default_rng(seed)
+    x = np.repeat(np.arange(n, dtype=np.int64), 8)
+    y = x + rng.integers(1, 40, size=x.size)
+    keep = y < n
+    x, y = x[keep], y[keep]
+    return Graph.from_arcs(n, np.concatenate([x, y]), np.concatenate([y, x]), symmetric=True)
+
+
 def mixed_suite(seed, count, max_n=150):
     """A varied batch for bulk property tests: random, scale-free,
     lattices, trees, degenerate shapes, directed and symmetric."""
