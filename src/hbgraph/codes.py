@@ -11,9 +11,15 @@ three self-delimiting codes:
 All public read/write helpers operate on *naturals* (n >= 0) by coding
 n + 1 internally, so callers never special-case zero. Streams are MSB-first
 within each byte.
+
+`nat_lengths`, `nat_words` and `pack_words` are the array forms of
+`nat_length`, `write_nat` and `BitWriter`: they code a whole numpy array
+of naturals at once and produce the same bits.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "BitWriter",
@@ -21,6 +27,9 @@ __all__ = [
     "write_nat",
     "read_nat",
     "nat_length",
+    "nat_lengths",
+    "nat_words",
+    "pack_words",
     "coder",
     "CODE_NAMES",
 ]
@@ -232,6 +241,91 @@ def nat_length(n: int, code: str = "gamma", k: int = 3) -> int:
         _check_zeta_k(k)
         return _zeta_pos_length(n + 1, k)
     raise ValueError(f"unknown code {code!r}")
+
+
+# ---- array forms ----
+
+_ONE = np.uint64(1)
+
+
+def _bit_lengths(x: np.ndarray) -> np.ndarray:
+    """Bit length of every positive uint64, exact past 2^53."""
+    b = np.frexp(x.astype(np.float64))[1].astype(np.uint64)
+    # the float conversion can round up to the next power of two
+    return b - ((x >> (b - _ONE)) == 0)
+
+
+def _check_fits(bits: np.ndarray) -> None:
+    if bits.size and int(bits.max()) > 64:
+        raise ValueError("a codeword has more than 64 significant bits")
+
+
+def nat_words(values, code: str = "gamma", k: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of write_nat: the (words, widths) of every value.
+
+    Codeword i is the low widths[i] bits of words[i], MSB-first. A word
+    wider than 64 bits (gamma of 2^32 or more) starts with zeros, which
+    its width counts. A codeword with more than 64 significant bits
+    (delta or zeta of values near 2^63) raises ValueError.
+    """
+    v = np.asarray(values)
+    if v.size and v.min() < 0:
+        raise ValueError("cannot code negative values")
+    x = v.astype(np.uint64) + _ONE
+    b = _bit_lengths(x)
+    if code == "gamma":
+        return x, (2 * b - _ONE).astype(np.int64)
+    if code == "delta":
+        lb = _bit_lengths(b)
+        low = b - _ONE
+        _check_fits(lb + low)
+        return (b << low) | (x ^ (_ONE << low)), (2 * lb + low - _ONE).astype(np.int64)
+    if code == "zeta":
+        _check_zeta_k(k)
+        kk = np.uint64(k)
+        hk = (b - _ONE) // kk * kk
+        base = _ONE << hk
+        rem = x - base
+        # minimal binary code over [0, 2^hk (2^k - 1)): for k > 1 the first
+        # 2^hk values take hk + k - 1 bits and the rest hk + k bits shifted
+        # up by 2^hk; for k = 1 every value takes hk bits
+        short = base if k > 1 else np.zeros_like(base)
+        is_short = rem < short
+        width = (hk + kk if k > 1 else hk) - is_short
+        _check_fits(width + _ONE)
+        payload = np.where(is_short, rem, rem + short)
+        return (_ONE << width) | payload, (hk // kk + _ONE + width).astype(np.int64)
+    raise ValueError(f"unknown code {code!r}")
+
+
+def nat_lengths(values, code: str = "gamma", k: int = 3) -> np.ndarray:
+    """Array form of nat_length: the bit length of every value's codeword."""
+    return nat_words(values, code, k)[1]
+
+
+def pack_words(words: np.ndarray, widths: np.ndarray, lead: int = 0) -> bytes:
+    """Array form of BitWriter: codewords in order, MSB-first, zero-padded.
+
+    The first word starts after `lead` zero bits. Each word's significant
+    bits (at most 64, the last of its width) are ORed into one or two
+    big-endian 64-bit output words.
+    """
+    end = np.cumsum(widths, dtype=np.int64)
+    end += lead
+    total = int(end[-1]) if end.size else lead
+    size = np.minimum(widths, 64)
+    start = end - size
+    del end
+    slot = start >> 6
+    spare = 64 - (start & 63) - size  # free bits after the word in its slot
+    del start, size
+    out = np.zeros(total // 64 + 2, dtype=np.uint64)
+    left = np.maximum(spare, 0).astype(np.uint64)
+    right = np.maximum(-spare, 0).astype(np.uint64)
+    np.bitwise_or.at(out, slot, words << left >> right)
+    split = spare < 0
+    np.bitwise_or.at(out, slot[split] + 1, words[split] << (64 + spare[split]).astype(np.uint64))
+    return out.astype(">u8").tobytes()[: (total + 7) // 8]
 
 
 def coder(code: str, k: int = 3):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BitReader, BitWriter, CODE_NAMES, coder, nat_length, read_nat, write_nat
+from .codes import BitReader, CODE_NAMES, coder, nat_lengths, nat_words, pack_words, read_nat
 from .graph import Graph
 
 __all__ = [
@@ -74,155 +74,224 @@ class CodecConfig:
             raise ValueError("zeta_k out of range [1, 31]")
 
 
-def _fold(diff: int) -> int:
-    # sign fold favouring forward references; 0 only for self-loops
-    return 2 * diff - 1 if diff > 0 else -2 * diff
-
-
 def _unfold(val: int) -> int:
     return (val + 1) // 2 if val & 1 else -(val // 2)
 
 
-class _NodeParts:
-    """One node's list split into copy/interval/residual parts."""
-
-    __slots__ = ("ref", "blocks", "intervals", "residuals", "copied_count")
-
-    def __init__(self, ref, blocks, intervals, residuals, copied_count):
-        self.ref = ref
-        self.blocks = blocks
-        self.intervals = intervals
-        self.residuals = residuals
-        self.copied_count = copied_count
+def _heads(nodes: np.ndarray) -> np.ndarray:
+    """Mask of the first item of each node in a node-sorted array."""
+    head = np.ones(nodes.size, dtype=bool)
+    head[1:] = nodes[1:] != nodes[:-1]
+    return head
 
 
-def _split_runs(values: np.ndarray, min_interval: int):
-    """Partition sorted ids into interval (left, length) pairs + residuals."""
-    if min_interval == 0 or values.size == 0:
-        return [], values
-    breaks = np.flatnonzero(np.diff(values) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [values.size]))
-    intervals = []
-    residual_mask = np.ones(values.size, dtype=bool)
-    for s, e in zip(starts, ends):
-        if e - s >= min_interval:
-            intervals.append((int(values[s]), int(e - s)))
-            residual_mask[s:e] = False
-    return intervals, values[residual_mask]
+def _split_runs(nodes: np.ndarray, ids: np.ndarray, min_interval: int):
+    """Intervals among node-sorted successor ids.
 
-
-def _blocks_from_mask(mask: np.ndarray) -> list[int]:
-    """Run-length blocks over a reference list, alternating copy/skip.
-
-    The first block is a copy length (possibly 0) and the final run is
-    implicit: the decoder extends the alternation to the end of the
-    reference list.
+    Returns the positions where intervals start, their lengths and the
+    mask of the ids left as residuals. Intervals are the maximal runs of
+    consecutive ids within one node's list that are at least
+    `min_interval` long; 0 disables them.
     """
-    runs = [0]  # first run counts copies
-    current = True
-    for bit in mask:
-        if bit == current:
-            runs[-1] += 1
-        else:
-            runs.append(1)
-            current = bool(bit)
-    if len(runs) > 1:
-        runs.pop()  # implicit trailing run
-    elif current:
-        runs = []  # whole list copied: zero explicit blocks
-    return runs
+    if min_interval == 0:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, np.ones(ids.size, dtype=bool)
+    brk = np.ones(ids.size, dtype=bool)
+    brk[1:] = (ids[1:] != ids[:-1] + 1) | (nodes[1:] != nodes[:-1])
+    starts = np.flatnonzero(brk)
+    lengths = np.diff(starts, append=ids.size)
+    long = lengths >= min_interval
+    return starts[long], lengths[long], np.repeat(~long, lengths)
 
 
-def _apply_blocks(ref_list: np.ndarray, blocks: list[int]) -> np.ndarray:
-    take = np.zeros(ref_list.size, dtype=bool)
-    pos = 0
-    copying = True
-    for b in blocks:
-        take[pos : pos + b] = copying
-        pos += b
-        copying = not copying
-    take[pos:] = copying
-    return ref_list[take]
+def _gaps(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
+    """Gap fields of node-sorted items spanning ids [lo, hi].
+
+    A node's first item is stored as fold(lo - x), x = base + node, with
+    fold(d) = 2d - 1 for d > 0 and -2d otherwise; a later item as lo
+    minus the previous item's hi minus 1. Returns the fields and the
+    mask of first items.
+    """
+    gaps = np.empty(lo.size, dtype=np.int64)
+    gaps[1:] = lo[1:] - hi[:-1] - 1
+    head = _heads(nodes)
+    d = lo[head] - nodes[head] - base
+    gaps[head] = np.where(d > 0, 2 * d - 1, -2 * d)
+    return gaps, head
 
 
-def _measure_parts(parts: _NodeParts, x: int, res_len, cfg: CodecConfig) -> int:
-    bits = 0
-    if cfg.window > 0:
-        bits += nat_length(parts.ref)
-    if parts.ref:
-        bits += nat_length(len(parts.blocks))
-        for i, b in enumerate(parts.blocks):
-            bits += nat_length(b if i == 0 else b - 1)
-    if cfg.min_interval > 0:
-        bits += nat_length(len(parts.intervals))
-        prev_end = None
-        for left, length in parts.intervals:
-            if prev_end is None:
-                bits += nat_length(_fold(left - x))
-            else:
-                bits += nat_length(left - prev_end - 2)
-            bits += nat_length(length - cfg.min_interval)
-            prev_end = left + length - 1
-    res = parts.residuals
-    if res.size:
-        bits += res_len(_fold(int(res[0]) - x))
-        for i in range(1, res.size):
-            bits += res_len(int(res[i]) - int(res[i - 1]) - 1)
+def _rest_fields(nodes: np.ndarray, ids: np.ndarray, base: int, min_interval: int):
+    """Interval and residual fields of the ids that copying left over.
+
+    Returns the interval nodes (one per interval), the interval fields
+    (left extreme then length, per interval), the residual nodes and the
+    residual fields, all in stream order within each node.
+    """
+    starts, lengths, resid = _split_runs(nodes, ids, min_interval)
+    inodes, left = nodes[starts], ids[starts]
+    lgap, head = _gaps(inodes, left, left + lengths - 1, base)
+    lgap[~head] -= 1
+    ivals = np.empty(2 * starts.size, dtype=np.int64)
+    ivals[0::2] = lgap
+    ivals[1::2] = lengths - min_interval
+    rnodes, rids = nodes[resid], ids[resid]
+    return inodes, ivals, rnodes, _gaps(rnodes, rids, rids, base)[0]
+
+
+class _Reference:
+    """Every node x copying from x - r: its block fields and copied arcs.
+
+    `keys` are the sorted arc keys u*n + y of a CSR slice with row
+    pointers `indptr`. Arc (u, y) is in the copy mask of x = u + r when
+    key (u + r)*n + y exists; the arc it finds is an arc of x that
+    copying covers. Blocks are the runs of the mask over u's list,
+    alternating copy and skip and starting with a copy run that may be
+    empty; the last run is implicit. Per node x (x < r reads as no
+    reference) the fields are `nblocks`, then a 0 block where the mask
+    starts with a skip (`lead0`), then the runs but the last
+    (`run_nodes`, `run_vals`: the first run as-is, later ones minus 1).
+    `count` is the number of arcs copied.
+    """
+
+    def __init__(self, keys: np.ndarray, indptr: np.ndarray, n: int, r: int):
+        m, arcs = indptr.size - 1, keys.size
+        query = keys + r * n
+        pos = np.searchsorted(keys, query)
+        np.minimum(pos, arcs - 1, out=pos)
+        hit = keys[pos] == query
+        del query
+        self.copied = np.zeros(arcs, dtype=bool)
+        self.copied[pos[hit]] = True
+        del pos
+        first = indptr[:-1]
+        listed = indptr[1:] > first
+        brk = np.ones(arcs, dtype=bool)
+        brk[1:] = hit[1:] != hit[:-1]
+        brk[first[listed]] = True
+        run_starts = np.flatnonzero(brk)
+        del brk
+        run_len = np.diff(run_starts, append=arcs)
+        run_hit = hit[run_starts]
+        del hit
+        lo = np.searchsorted(run_starts, first)
+        runs = np.searchsorted(run_starts, indptr[1:]) - lo
+        count = np.bincount(
+            np.repeat(np.arange(m), runs), weights=run_len * run_hit, minlength=m
+        ).astype(np.int64)
+        opens_hit = np.zeros(m, dtype=bool)
+        opens_hit[listed] = run_hit[lo[listed]]
+        lead0 = listed & ~opens_hit
+        nblocks = np.maximum(runs - 1, 0) + lead0
+        run_vals = run_len - 1
+        run_vals[lo[opens_hit]] += 1
+        explicit = np.ones(run_starts.size, dtype=bool)
+        explicit[lo[listed] + runs[listed] - 1] = False
+        # shift from the reference u to the node x = u + r
+        self.count = np.zeros(m, dtype=np.int64)
+        self.count[r:] = count[: m - r]
+        self.nblocks = np.zeros(m, dtype=np.int64)
+        self.nblocks[r:] = nblocks[: m - r]
+        self.lead0 = np.zeros(m, dtype=bool)
+        self.lead0[r:] = lead0[: m - r]
+        self.run_nodes = np.repeat(np.arange(r, m + r), runs)[explicit]
+        self.run_vals = run_vals[explicit]
+
+
+def _node_bits_of(nodes: np.ndarray, widths: np.ndarray, m: int) -> np.ndarray:
+    """Sum of the widths of each node's fields."""
+    return np.bincount(nodes, weights=widths, minlength=m).astype(np.int64)
+
+
+def _node_bits(nodes: np.ndarray, values: np.ndarray, m: int, code="gamma", k=3) -> np.ndarray:
+    """Bits per node of coding each value in `values` for its node."""
+    return _node_bits_of(nodes, nat_lengths(values, code, k), m)
+
+
+def _rest_bits(nodes, ids, base: int, m: int, cfg: CodecConfig) -> np.ndarray:
+    """Bits per node of the interval and residual parts."""
+    inodes, ivals, rnodes, rvals = _rest_fields(nodes, ids, base, cfg.min_interval)
+    bits = _node_bits(rnodes, rvals, m, cfg.residual_code, cfg.zeta_k)
+    if cfg.min_interval:
+        bits += nat_lengths(np.bincount(inodes, minlength=m))
+        bits += _node_bits(np.repeat(inodes, 2), ivals, m)
     return bits
 
 
-def _write_parts(w: BitWriter, parts: _NodeParts, x: int, res_write, cfg: CodecConfig):
-    if cfg.window > 0:
-        write_nat(w, parts.ref)
-    if parts.ref:
-        write_nat(w, len(parts.blocks))
-        for i, b in enumerate(parts.blocks):
-            write_nat(w, b if i == 0 else b - 1)
-    if cfg.min_interval > 0:
-        write_nat(w, len(parts.intervals))
-        prev_end = None
-        for left, length in parts.intervals:
-            if prev_end is None:
-                write_nat(w, _fold(left - x))
-            else:
-                write_nat(w, left - prev_end - 2)
-            write_nat(w, length - cfg.min_interval)
-            prev_end = left + length - 1
-    res = parts.residuals
-    if res.size:
-        res_write(w, _fold(int(res[0]) - x))
-        for i in range(1, res.size):
-            res_write(w, int(res[i]) - int(res[i - 1]) - 1)
+# arcs plus nodes per encoder block; bounds the encoder's temporaries
+_BLOCK = 1 << 13
 
 
-def _plan_node(x: int, succ: np.ndarray, window_lists, cfg: CodecConfig, res_len) -> _NodeParts:
-    """Pick the cheapest encoding for one node (no copy vs each reference)."""
-    intervals, residuals = _split_runs(succ, cfg.min_interval)
-    best = _NodeParts(0, [], intervals, residuals, 0)
-    if cfg.window == 0 or succ.size == 0:
-        return best
-    best_bits = _measure_parts(best, x, res_len, cfg)
-    succ_set = set(succ.tolist())
-    for r in range(1, min(cfg.window, x) + 1):
-        ref_list = window_lists(x - r)
-        if ref_list is None or ref_list.size == 0:
-            continue
-        mask = np.fromiter((s in succ_set for s in ref_list.tolist()), dtype=bool, count=ref_list.size)
-        copied = int(mask.sum())
-        if copied == 0:
-            continue
-        blocks = _blocks_from_mask(mask)
-        leftover = succ[~np.isin(succ, ref_list[mask], assume_unique=True)]
-        ivals, resid = _split_runs(leftover, cfg.min_interval)
-        cand = _NodeParts(r, blocks, ivals, resid, copied)
-        bits = _measure_parts(cand, x, res_len, cfg)
-        if bits < best_bits:
-            best, best_bits = cand, bits
-    return best
+def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
+    """Code words of nodes a..b-1, with their bit counts and tallies.
+
+    The block also reads the lists of up to `window` nodes before a, as
+    references; local node i is node base + i.
+    """
+    base = max(a - cfg.window, 0)
+    ptr = g.indptr[base : b + 1]
+    indptr = ptr - ptr[0]
+    ids = g.indices[ptr[0] : ptr[-1]]
+    m, front = b - base, a - base
+    nodes = np.repeat(np.arange(m), np.diff(indptr))
+    keys = nodes * g.n + ids
+
+    # cheapest candidate per node: no copy (1 bit for reference 0) or
+    # r = 1..window, the first strictly cheaper one winning
+    best_r = np.zeros(m, dtype=np.int64)
+    best_bits = _rest_bits(nodes, ids, base, m, cfg) + 1
+    for r in range(1, min(cfg.window, m - 1) + 1) if keys.size else ():
+        ref = _Reference(keys, indptr, g.n, r)
+        keep = ~ref.copied
+        bits = _rest_bits(nodes[keep], ids[keep], base, m, cfg)
+        del keep
+        bits += nat_lengths([r])[0] + nat_lengths(ref.nblocks) + ref.lead0
+        bits += _node_bits(ref.run_nodes, ref.run_vals, m)
+        better = (ref.count > 0) & (bits < best_bits)
+        best_bits[better] = bits[better]
+        best_r[better] = r
+        del ref, bits, better
+    del best_bits
+    best_r[:front] = 0  # nodes before a are only references here
+
+    # gamma fields as (nodes, values) in chunk order: reference, blocks,
+    # interval count, intervals; residuals follow in the residual code
+    own = np.arange(front, m)
+    fields = [(own, best_r[front:])] if cfg.window else []
+    nblocks, lead0, runs = [], [], []
+    keep = np.ones(keys.size, dtype=bool)
+    keep[: indptr[front]] = False
+    for r in np.unique(best_r[best_r > 0]).tolist():
+        ref = _Reference(keys, indptr, g.n, r)
+        chose = best_r == r
+        keep &= ~(ref.copied & chose[nodes])
+        at = np.flatnonzero(chose)
+        nblocks.append((at, ref.nblocks[at]))
+        zero = at[ref.lead0[at]]
+        lead0.append((zero, np.zeros(zero.size, dtype=np.int64)))
+        take = chose[ref.run_nodes]
+        runs.append((ref.run_nodes[take], ref.run_vals[take]))
+        del ref
+    del keys
+    copied = int(indptr[-1] - indptr[front] - keep.sum())
+    inodes, ivals, rnodes, rvals = _rest_fields(nodes[keep], ids[keep], base, cfg.min_interval)
+    del nodes, keep
+    fields += nblocks + lead0 + runs
+    if cfg.min_interval:
+        fields += [(own, np.bincount(inodes, minlength=m)[front:]), (np.repeat(inodes, 2), ivals)]
+    intervals = int(ivals[1::2].sum()) + cfg.min_interval * inodes.size
+    gamma = [nat_words(vals) for _, vals in fields]
+    res_words, res_widths = nat_words(rvals, cfg.residual_code, cfg.zeta_k)
+    field_nodes = np.concatenate([f[0] for f in fields] + [rnodes])
+    words = np.concatenate([w for w, _ in gamma] + [res_words])
+    widths = np.concatenate([w for _, w in gamma] + [res_widths])
+    del fields, gamma, res_words, res_widths
+    node_bits = _node_bits_of(field_nodes, widths, m)[front:]
+    order = np.argsort(field_nodes, kind="stable")
+    return words[order], widths[order], node_bits, copied, intervals
 
 
 class EncodedGraph:
+
     """Compressed graph: code stream + per-node bit offsets + stats."""
 
     def __init__(self, n, num_arcs, symmetric, cfg, stream, offsets, copied_arcs, interval_arcs):
@@ -259,62 +328,71 @@ class EncodedGraph:
 
 
 def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
-    """Compress a graph's successor structure under `cfg`."""
+    """Compress a graph's successor structure under `cfg`.
+
+    Every node takes the cheapest of no copying and copying from each
+    x - r, r = 1..window; ties go to no copying, then to the smallest r.
+    Nodes are coded in blocks of about _BLOCK arcs plus nodes.
+    """
     cfg = cfg or CodecConfig()
-    res_write, _, res_len = coder(cfg.residual_code, cfg.zeta_k)
-    w = BitWriter()
-    offsets = np.zeros(g.n + 1, dtype=np.uint64)
-    # recent[-1] is node x-1's list, recent[-2] node x-2's, and so on
-    recent: deque = deque(maxlen=max(cfg.window, 1))
-    copied_total = 0
-    interval_total = 0
-
-    for x in range(g.n):
-        succ = g.successors(x)
-
-        def ref_list(node, _x=x):
-            offset = _x - node
-            return recent[-offset] if 1 <= offset <= len(recent) else None
-
-        parts = _plan_node(x, succ, ref_list, cfg, res_len)
-        _write_parts(w, parts, x, res_write, cfg)
-        offsets[x + 1] = w.bit_length
-        copied_total += parts.copied_count
-        interval_total += sum(length for _, length in parts.intervals)
-        if cfg.window:
-            recent.append(succ)
-    return EncodedGraph(
-        g.n, g.num_arcs, g.symmetric, cfg, w.getvalue(), offsets, copied_total, interval_total
-    )
+    n = g.n
+    weight = g.indptr + np.arange(n + 1)
+    offsets = np.zeros(n + 1, dtype=np.uint64)
+    stream = bytearray()
+    copied = intervals = 0
+    a = 0
+    while a < n:
+        b = max(int(np.searchsorted(weight, weight[a] + _BLOCK, side="right")) - 1, a + 1)
+        words, widths, node_bits, c, i = _encode_block(g, a, b, cfg)
+        offsets[a + 1 : b + 1] = offsets[a] + np.cumsum(node_bits).astype(np.uint64)
+        lead = int(offsets[a]) % 8
+        piece = pack_words(words, widths, lead)
+        if lead:
+            stream[-1] |= piece[0]
+            piece = piece[1:]
+        stream += piece
+        copied += c
+        intervals += i
+        a = b
+    return EncodedGraph(n, g.num_arcs, g.symmetric, cfg, bytes(stream), offsets, copied, intervals)
 
 
-def _parse_chunk(enc: EncodedGraph, x: int):
-    """Read one chunk into (ref, blocks, intervals, residuals)."""
+def _apply_blocks(ref_list: np.ndarray, blocks: list[int]) -> np.ndarray:
+    take = np.zeros(ref_list.size, dtype=bool)
+    pos = 0
+    copying = True
+    for b in blocks:
+        take[pos : pos + b] = copying
+        pos += b
+        copying = not copying
+    take[pos:] = copying
+    return ref_list[take]
+
+
+def _parse_chunk(enc: EncodedGraph, x: int, res_read):
+    """Read one chunk into (ref, blocks, intervals, residuals).
+
+    `res_read` reads one residual field; callers bind it once per decode.
+    """
     cfg = enc.cfg
-    start, end = int(enc.offsets[x]), int(enc.offsets[x + 1])
-    r = BitReader(enc.stream, start, end)
-    _, res_read, _ = coder(cfg.residual_code, cfg.zeta_k)
-
-    def rnat():
-        return read_nat(r, "gamma")
-
-    ref = rnat() if cfg.window > 0 else 0
+    r = BitReader(enc.stream, int(enc.offsets[x]), int(enc.offsets[x + 1]))
+    ref = read_nat(r) if cfg.window > 0 else 0
     blocks: list[int] = []
     if ref:
-        nblocks = rnat()
+        nblocks = read_nat(r)
         for i in range(nblocks):
-            b = rnat()
+            b = read_nat(r)
             blocks.append(b if i == 0 else b + 1)
     intervals: list[tuple[int, int]] = []
     if cfg.min_interval > 0:
-        nint = rnat()
+        nint = read_nat(r)
         prev_end = None
         for _ in range(nint):
             if prev_end is None:
-                left = x + _unfold(rnat())
+                left = x + _unfold(read_nat(r))
             else:
-                left = prev_end + 2 + rnat()
-            length = rnat() + cfg.min_interval
+                left = prev_end + 2 + read_nat(r)
+            length = read_nat(r) + cfg.min_interval
             intervals.append((left, length))
             prev_end = left + length - 1
     residuals: list[int] = []
@@ -332,10 +410,11 @@ def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
     """Successor list of one node, resolving copy chains iteratively."""
     if not 0 <= x < enc.n:
         raise IndexError(f"node {x} out of range [0, {enc.n})")
+    res_read = coder(enc.cfg.residual_code, enc.cfg.zeta_k)[1]
     chain = []
     node = x
     while True:
-        ref, blocks, intervals, residuals = _parse_chunk(enc, node)
+        ref, blocks, intervals, residuals = _parse_chunk(enc, node, res_read)
         chain.append((node, ref, blocks, intervals, residuals))
         if not ref:
             break
@@ -364,8 +443,9 @@ def decode(enc: EncodedGraph) -> Graph:
     recent: deque = deque(maxlen=window)
     indptr = np.zeros(enc.n + 1, dtype=np.int64)
     chunks = []
+    res_read = coder(enc.cfg.residual_code, enc.cfg.zeta_k)[1]
     for x in range(enc.n):
-        ref, blocks, intervals, residuals = _parse_chunk(enc, x)
+        ref, blocks, intervals, residuals = _parse_chunk(enc, x, res_read)
         parts = []
         if ref:
             if ref > len(recent):

@@ -43,14 +43,22 @@ class TestIntervalisation:
     def test_worked_example(self):
         # {13,15,16,17,20} with threshold 3: only 15..17 long enough
         vals = np.array([13, 15, 16, 17, 20], dtype=np.int64)
-        intervals, residuals = _split_runs(vals, 3)
-        assert intervals == [(15, 3)]
-        assert residuals.tolist() == [13, 20]
+        starts, lengths, residual = _split_runs(np.zeros(5, dtype=np.int64), vals, 3)
+        assert vals[starts].tolist() == [15] and lengths.tolist() == [3]
+        assert vals[residual].tolist() == [13, 20]
 
     def test_threshold_zero_disables(self):
         vals = np.arange(5, dtype=np.int64)
-        intervals, residuals = _split_runs(vals, 0)
-        assert intervals == [] and residuals.tolist() == list(range(5))
+        starts, lengths, residual = _split_runs(np.zeros(5, dtype=np.int64), vals, 0)
+        assert starts.size == lengths.size == 0 and vals[residual].tolist() == list(range(5))
+
+    def test_runs_stop_at_node_boundaries(self):
+        # 3..6 is consecutive, but 3, 4 belong to node 0 and 5, 6 to node 1
+        nodes = np.array([0, 0, 1, 1, 1], dtype=np.int64)
+        vals = np.array([3, 4, 5, 6, 9], dtype=np.int64)
+        starts, lengths, residual = _split_runs(nodes, vals, 2)
+        assert starts.tolist() == [0, 2] and lengths.tolist() == [2, 2]
+        assert vals[residual].tolist() == [9]
 
     def test_worked_example_round_trips(self):
         g = from_pairs(21, [(7, t) for t in (13, 15, 16, 17, 20)])
