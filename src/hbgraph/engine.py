@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .hll import CounterArray, estimate_registers, _mix64, _GOLDEN, _MASK64
+from .hll import CounterArray, estimate_registers, _mix64, _EST_CELLS, _GOLDEN, _MASK64
 
 __all__ = [
     "NeighbourhoodRun",
@@ -322,7 +322,7 @@ def _peak_bytes(g: Graph, m: int, systolic: bool) -> int:
     """Upper bound on the bytes a counter run allocates; see _run_counters."""
     n, rows = g.n, g.n * m
     chunks = int((-(-np.diff(g.indptr) // _WIDTH)).sum())
-    step = max(2 * chunks * m, 5 * rows)
+    step = max(2 * chunks * m, 3 * rows, rows + 4 * min(rows, max(_EST_CELLS, m)))
     if systolic:
         step = max(step, 2 * chunks * m + 33 * chunks, rows + 16 * g.num_arcs)
     return rows + 32 * chunks + 80 * n + 68 * 1024 + step
@@ -332,20 +332,23 @@ def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id):
     """Counter diffusion, refused if it could allocate over `budget_bytes`.
 
     With S = n*m register bytes, C chunks (the sum of ceil(d/_WIDTH) over
-    out-degrees d) and A arcs, a run allocates at most
-    S + 32*C + 80*n + 68 KiB + max(2*C*m, 5*S) bytes: the registers, the
-    chunk plan, per-node arrays, numpy's index-cast buffer and array
-    headers, plus the larger of the accumulator with one column gather
-    and the changed rows with the estimate's float64 temporary (4*S).
-    Systolic mode widens the max with 2*C*m + 33*C (the selected plan)
-    and S + 16*A (the dirty set's gather of predecessor arcs).
+    out-degrees d), A arcs and B = max(2^16, m), a run allocates at most
+    S + 32*C + 80*n + 68 KiB + max(2*C*m, 3*S, S + 4*min(S, B)) bytes:
+    the registers, the chunk plan, per-node arrays, numpy's index-cast
+    buffer and array headers, plus the largest of the accumulator with
+    one column gather, the accumulator with the previous rows and their
+    comparison, and the changed rows with the estimate's float64
+    temporary over one block of at most B registers. Systolic mode
+    widens the max with 2*C*m + 33*C (the selected plan) and S + 16*A
+    (the dirty set's gather of predecessor arcs).
     """
     need = _peak_bytes(g, m, pred is not None)
     if budget_bytes is not None and need > budget_bytes:
         raise BudgetExceededError(
             f"counter run needs up to {need} bytes = S + 32*C + 80*n + 68 KiB + "
-            f"max(2*C*m, 5*S), more in systolic mode, with S = n*m = {g.n}*{m} "
-            f"and C sweep chunks; budget is {budget_bytes}"
+            f"max(2*C*m, 3*S, S + 4*min(S, B)), more in systolic mode, with "
+            f"S = n*m = {g.n}*{m}, C sweep chunks and B = max(65536, m); "
+            f"budget is {budget_bytes}"
         )
     counters = CounterArray(g.n, m, seed)
     counters.init_singletons()

@@ -38,6 +38,8 @@ _INV_POW2 = np.ldexp(1.0, -np.arange(256))
 # looks up two terms at once, in either byte order since the table is
 # symmetric
 _PAIR_INV_POW2 = np.add.outer(_INV_POW2, _INV_POW2).ravel()
+# registers per block of rows in estimate_registers
+_EST_CELLS = 1 << 16
 
 
 def _mix64(z: np.ndarray | int):
@@ -117,17 +119,21 @@ def estimate_registers(regs: np.ndarray, m: int) -> np.ndarray:
     """Cardinality estimates for (N, m) register rows.
 
     Harmonic mean alpha_m * m^2 / sum(2^-M_j), swapped for m*ln(m/V) when
-    the raw value is <= 5m/2 and V registers are still zero.
+    the raw value is <= 5m/2 and V registers are still zero. Rows go in
+    blocks of at most max(_EST_CELLS, m) registers, so the temporaries
+    (4 bytes a register) stay within one block.
     """
-    z = _inverse_sum(regs)
-    est = (alpha(m) * m * m) / z
-    zeros = (regs == 0).sum(axis=1)
-    small = (est <= 2.5 * m) & (zeros > 0)
-    if small.any():
-        with np.errstate(divide="ignore"):
-            corrected = m * np.log(m / zeros[small])
-        est = est.copy()
-        est[small] = corrected
+    step = max(1, _EST_CELLS // m)
+    est = np.empty(len(regs))
+    for i in range(0, len(regs), step):
+        block = regs[i : i + step]
+        part = (alpha(m) * m * m) / _inverse_sum(block)
+        zeros = (block == 0).sum(axis=1)
+        small = (part <= 2.5 * m) & (zeros > 0)
+        if small.any():
+            with np.errstate(divide="ignore"):
+                part[small] = m * np.log(m / zeros[small])
+        est[i : i + step] = part
     return est
 
 

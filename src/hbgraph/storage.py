@@ -17,6 +17,17 @@ chunk exactly, and instantaneous codes make "read residuals until the
 chunk ends" unambiguous. The on-disk container (magic ``HBG1``) stores the
 header, the offset table and the code stream; see FORMATS.md for the
 bit-exact layout.
+
+The encoder works on arrays, over blocks of consecutive nodes with about
+_BLOCK arcs plus nodes each (and the lists of the `window` nodes before
+a block, as references). For no copying and for each reference distance
+r, one pass over the block's arcs gives every node's exact bit cost:
+copy masks come from `searchsorted` on the sorted arc keys u*n + y,
+copy blocks, intervals and gaps from segmented `diff` and `cumsum`, and
+code lengths from `codes.nat_lengths`. A running minimum keeps each
+node's cheapest candidate. The chosen fields then become (word, width)
+arrays, sorted into chunk order and packed in bulk by
+`codes.pack_words`. Decoding reads chunk by chunk with `BitReader`.
 """
 
 from __future__ import annotations
@@ -28,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BitReader, CODE_NAMES, coder, nat_lengths, nat_words, pack_words, read_nat
+from .codes import (
+    BitReader, CODE_NAMES, coder, nat_length, nat_lengths, nat_words, pack_words, read_nat,
+)
 from .graph import Graph
 
 __all__ = [
@@ -244,7 +257,7 @@ def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
         keep = ~ref.copied
         bits = _rest_bits(nodes[keep], ids[keep], base, m, cfg)
         del keep
-        bits += nat_lengths([r])[0] + nat_lengths(ref.nblocks) + ref.lead0
+        bits += nat_length(r) + nat_lengths(ref.nblocks) + ref.lead0
         bits += _node_bits(ref.run_nodes, ref.run_vals, m)
         better = (ref.count > 0) & (bits < best_bits)
         best_bits[better] = bits[better]
@@ -291,7 +304,6 @@ def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
 
 
 class EncodedGraph:
-
     """Compressed graph: code stream + per-node bit offsets + stats."""
 
     def __init__(self, n, num_arcs, symmetric, cfg, stream, offsets, copied_arcs, interval_arcs):

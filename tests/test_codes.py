@@ -9,6 +9,9 @@ from hbgraph.codes import (
     BitWriter,
     coder,
     nat_length,
+    nat_lengths,
+    nat_words,
+    pack_words,
     read_nat,
     write_nat,
 )
@@ -168,3 +171,81 @@ class TestErrors:
         r = BitReader(w.getvalue(), bit_limit=5)  # cut mid-codeword
         with pytest.raises(EOFError):
             read_nat(r, "gamma")
+
+
+def written(values, code, k=3, lead=0):
+    """Bytes of BitWriter + write_nat after `lead` zero bits."""
+    w = BitWriter()
+    w.write_bits(0, lead)
+    for v in values:
+        write_nat(w, v, code, k)
+    return w.getvalue()
+
+
+class TestArrayForms:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(st.integers(min_value=0, max_value=1 << 40), max_size=40),
+        code=st.sampled_from(CODE_NAMES),
+        k=st.integers(min_value=1, max_value=8),
+        lead=st.integers(min_value=0, max_value=7),
+    )
+    def test_match_scalar_codes_bit_for_bit(self, values, code, k, lead):
+        arr = np.array(values, dtype=np.int64)
+        assert nat_lengths(arr, code, k).tolist() == [nat_length(v, code, k) for v in values]
+        words, widths = nat_words(arr, code, k)
+        assert pack_words(words, widths, lead) == written(values, code, k, lead)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1 << 40),
+                st.sampled_from(CODE_NAMES),
+                st.integers(min_value=1, max_value=8),
+            ),
+            max_size=40,
+        )
+    )
+    def test_interleaved_codes_pack_like_one_writer(self, items):
+        w = BitWriter()
+        words, widths = [], []
+        for v, code, k in items:
+            write_nat(w, v, code, k)
+            word, width = nat_words(np.array([v]), code, k)
+            words.append(word)
+            widths.append(width)
+        if items:
+            words, widths = np.concatenate(words), np.concatenate(widths)
+        else:
+            words, widths = np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
+        assert pack_words(words, widths) == w.getvalue()
+
+    def test_words_wider_than_64_bits_are_written_whole(self):
+        # gamma of 2^32 - 1 takes 65 bits, of 2^40 - 1 takes 81, all but
+        # the last 33 and 41 of them zeros
+        values = [(1 << 32) - 1, 5, (1 << 40) - 1, (1 << 32) - 1]
+        for code, k in (("gamma", 3), ("zeta", 1)):
+            words, widths = nat_words(np.array(values), code, k)
+            assert widths.tolist() == [65, 5, 81, 65]
+            assert pack_words(words, widths, 3) == written(values, code, k, 3)
+
+    def test_codewords_past_64_significant_bits_raise(self):
+        # delta of 2^62 is gamma(63) then 62 low bits, 68 of them
+        # significant; zeta_8 of 2^62 a stop bit then a 64-bit remainder
+        for code, k in (("delta", 3), ("zeta", 8)):
+            with pytest.raises(ValueError, match="64 significant bits"):
+                nat_words(np.array([1 << 62]), code, k)
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError):
+            nat_words(np.array([3, -1]))
+        with pytest.raises(ValueError):
+            nat_lengths(np.array([1]), "elias")
+        with pytest.raises(ValueError):
+            nat_words(np.array([1]), "zeta", 0)
+
+    def test_empty(self):
+        words, widths = nat_words(np.zeros(0, dtype=np.int64), "zeta", 3)
+        assert pack_words(words, widths) == b""
+        assert pack_words(words, widths, 5) == b"\x00"

@@ -1,4 +1,5 @@
 import hashlib
+import time
 import zlib
 
 import numpy as np
@@ -128,6 +129,16 @@ class TestRoundTrip:
         enc = encode(g, CodecConfig(window=0, min_interval=0, residual_code="gamma"))
         assert enc.bits_per_arc < 4.0
         _assert_same_graph(g, enc.decode())
+
+    def test_200k_arc_band_graph_encodes_fast(self):
+        # the per-node planner took about 14 s here
+        g = band(14000, 3)
+        assert g.num_arcs > 200_000
+        t0 = time.perf_counter()
+        enc = encode(g)
+        assert time.perf_counter() - t0 < 2.0
+        for x in (0, 6999, 13999):
+            assert np.array_equal(decode_node(enc, x), g.successors(x))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
