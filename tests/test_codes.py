@@ -222,13 +222,23 @@ class TestArrayForms:
         assert pack_words(words, widths) == w.getvalue()
 
     def test_words_wider_than_64_bits_are_written_whole(self):
-        # gamma of 2^32 - 1 takes 65 bits, of 2^40 - 1 takes 81, all but
-        # the last 33 and 41 of them zeros
-        values = [(1 << 32) - 1, 5, (1 << 40) - 1, (1 << 32) - 1]
+        # gamma of 2^40 - 1 takes 81 bits and of 2^32 - 1 takes 65, all but
+        # the last 41 and 33 of them zeros; one-bit zeros in front move
+        # them through every bit offset, so they span two and three words
         for code, k in (("gamma", 3), ("zeta", 1)):
-            words, widths = nat_words(np.array(values), code, k)
-            assert widths.tolist() == [65, 5, 81, 65]
-            assert pack_words(words, widths, 3) == written(values, code, k, 3)
+            for shift in range(64):
+                values = [0] * shift + [(1 << 40) - 1, (1 << 32) - 1, 5]
+                words, widths = nat_words(np.array(values), code, k)
+                assert widths[shift:].tolist() == [81, 65, 5]
+                assert pack_words(words, widths) == written(values, code, k)
+
+    def test_exact_past_2_to_53(self):
+        # 2^60 - 1 and 2^63 - 1 round up to a power of two as floats
+        values = [(1 << 53) - 1, 1 << 53, (1 << 60) - 2, (1 << 60) - 1, (1 << 63) - 2]
+        for code, k in (("gamma", 3), ("zeta", 1), ("zeta", 3)):
+            arr = np.array(values, dtype=np.int64)
+            assert nat_lengths(arr, code, k).tolist() == [nat_length(v, code, k) for v in values]
+            assert pack_words(*nat_words(arr, code, k)) == written(values, code, k)
 
     def test_codewords_past_64_significant_bits_raise(self):
         # delta of 2^62 is gamma(63) then 62 low bits, 68 of them

@@ -228,6 +228,15 @@ class TestCounterArray:
         want = alpha(128) * 128 * 128 / z
         assert np.array_equal(estimate_registers(regs, 128), want)
 
+    def test_blocks_estimate_every_row_as_alone(self):
+        # 2000 x 64 registers make two blocks, the second one partial
+        rng = np.random.default_rng(8)
+        regs = rng.integers(0, 12, size=(2000, 64)).astype(np.uint8)
+        regs[::5] = 0
+        regs[1::5, :40] = 0  # small-range correction in both blocks
+        want = np.concatenate([estimate_registers(row[None], 64) for row in regs])
+        assert np.array_equal(estimate_registers(regs, 64), want)
+
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
     def test_pair_sum_equals_register_sum_bit_for_bit(self, m):
         rng = np.random.default_rng(m)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hbgraph import storage
 from hbgraph.graph import Graph
 from hbgraph.storage import (
     MAGIC,
@@ -129,6 +130,18 @@ class TestRoundTrip:
         enc = encode(g, CodecConfig(window=0, min_interval=0, residual_code="gamma"))
         assert enc.bits_per_arc < 4.0
         _assert_same_graph(g, enc.decode())
+
+    @pytest.mark.parametrize("block", [1, 16, 100])
+    def test_block_size_does_not_change_the_encoding(self, block, monkeypatch):
+        graphs = mixed_suite(seed=901, count=8, max_n=60) + [band(300, 2)]
+        want = [[encode(g, cfg) for cfg in CONFIGS] for g in graphs]
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        for g, encs in zip(graphs, want):
+            for cfg, enc in zip(CONFIGS, encs):
+                got = encode(g, cfg)
+                assert got.stream == enc.stream
+                assert np.array_equal(got.offsets, enc.offsets)
+                assert (got.copied_arcs, got.interval_arcs) == (enc.copied_arcs, enc.interval_arcs)
 
     def test_200k_arc_band_graph_encodes_fast(self):
         # the per-node planner took about 14 s here
