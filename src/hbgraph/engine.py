@@ -332,7 +332,7 @@ def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id):
     """Counter diffusion, refused if it could allocate over `budget_bytes`.
 
     With S = n*m register bytes, C chunks (the sum of ceil(d/_WIDTH) over
-    out-degrees d), A arcs and B = max(2^16, m), a run allocates at most
+    out-degrees d), A arcs and B = max(2^20, m), a run allocates at most
     S + 32*C + 80*n + 68 KiB + max(2*C*m, 3*S, S + 4*min(S, B)) bytes:
     the registers, the chunk plan, per-node arrays, numpy's index-cast
     buffer and array headers, plus the largest of the accumulator with
@@ -347,7 +347,7 @@ def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id):
         raise BudgetExceededError(
             f"counter run needs up to {need} bytes = S + 32*C + 80*n + 68 KiB + "
             f"max(2*C*m, 3*S, S + 4*min(S, B)), more in systolic mode, with "
-            f"S = n*m = {g.n}*{m}, C sweep chunks and B = max(65536, m); "
+            f"S = n*m = {g.n}*{m}, C sweep chunks and B = max(2^20, m); "
             f"budget is {budget_bytes}"
         )
     counters = CounterArray(g.n, m, seed)

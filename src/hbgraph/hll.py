@@ -39,7 +39,7 @@ _INV_POW2 = np.ldexp(1.0, -np.arange(256))
 # symmetric
 _PAIR_INV_POW2 = np.add.outer(_INV_POW2, _INV_POW2).ravel()
 # registers per block of rows in estimate_registers
-_EST_CELLS = 1 << 16
+_EST_CELLS = 1 << 20
 
 
 def _mix64(z: np.ndarray | int):

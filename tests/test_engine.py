@@ -209,7 +209,10 @@ class TestKernel:
 class TestBudget:
     g = small_world(2000, 5, 0.1, 1)
 
-    @pytest.mark.parametrize("m", [64, 256])
+    # at m=2048 the 4,096,000 registers fill four estimate blocks, and the
+    # step's accumulator, previous rows and their comparison (3*S) set
+    # the peak
+    @pytest.mark.parametrize("m", [64, 256, 2048])
     @pytest.mark.parametrize("systolic", [False, True])
     def test_formula_bounds_the_traced_peak(self, m, systolic):
         pred = transpose(self.g) if systolic else None

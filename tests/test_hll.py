@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hbgraph import hll
 from hbgraph.hll import (
     _INV_POW2,
     _inverse_sum,
@@ -228,8 +229,9 @@ class TestCounterArray:
         want = alpha(128) * 128 * 128 / z
         assert np.array_equal(estimate_registers(regs, 128), want)
 
-    def test_blocks_estimate_every_row_as_alone(self):
-        # 2000 x 64 registers make two blocks, the second one partial
+    def test_blocks_estimate_every_row_as_alone(self, monkeypatch):
+        # 2000 x 64 registers in blocks of 256 rows, the last one partial
+        monkeypatch.setattr(hll, "_EST_CELLS", 1 << 14)
         rng = np.random.default_rng(8)
         regs = rng.integers(0, 12, size=(2000, 64)).astype(np.uint8)
         regs[::5] = 0
