@@ -38,7 +38,9 @@ _INV_POW2 = np.ldexp(1.0, -np.arange(256))
 # looks up two terms at once, in either byte order since the table is
 # symmetric
 _PAIR_INV_POW2 = np.add.outer(_INV_POW2, _INV_POW2).ravel()
-# registers per block of rows in estimate_registers
+# registers per block in estimate_registers: caps its float64 temporary
+# at 4 MiB. Blocks of 2^16 let the heap that a sweep frees be returned to
+# the system and faulted in again at the next step.
 _EST_CELLS = 1 << 20
 
 
