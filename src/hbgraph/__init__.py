@@ -33,7 +33,6 @@ from .engine import (
     error_evolution,
     run,
     run_exact,
-    run_systolic,
     seed_sequence,
 )
 from .distance import (
@@ -89,7 +88,6 @@ __all__ = [
     "eta",
     # diffusion runs
     "run",
-    "run_systolic",
     "run_exact",
     "NeighbourhoodRun",
     "RunSet",

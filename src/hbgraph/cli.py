@@ -32,7 +32,6 @@ from .engine import (
     RunSet,
     run,
     run_exact,
-    run_systolic,
     seed_sequence,
 )
 from .graph import (
@@ -331,20 +330,11 @@ def cmd_anf(ns) -> int:
         count = 10 if ns.runs is None else ns.runs
         if count < 1:
             raise ValueError("--runs must be >= 1")
-        pred = transpose(g) if ns.systolic else None
-        runs = []
-        for s in seed_sequence(ns.seed, count):
-            if ns.systolic:
-                r = run_systolic(
-                    g, pred, m=ns.registers, seed=s, max_iters=ns.max_iters,
-                    budget_bytes=ns.budget_bytes, graph_id=gid,
-                )
-            else:
-                r = run(
-                    g, m=ns.registers, seed=s, max_iters=ns.max_iters,
-                    budget_bytes=ns.budget_bytes, graph_id=gid,
-                )
-            runs.append(r)
+        runs = [
+            run(g, m=ns.registers, seed=s, max_iters=ns.max_iters,
+                budget_bytes=ns.budget_bytes, graph_id=gid)
+            for s in seed_sequence(ns.seed, count)
+        ]
     rs = RunSet(runs)
     rs.save(out)
     rows = [
@@ -360,8 +350,6 @@ def cmd_anf(ns) -> int:
     else:
         argv += ["--registers", ns.registers, "--runs", len(runs),
                  "--seed", ns.seed]
-        if ns.systolic:
-            argv.append("--systolic")
     if ns.max_iters is not None:
         argv += ["--max-iters", ns.max_iters]
     if ns.budget_bytes is not None:
@@ -380,12 +368,6 @@ def _stats_payload(rs: RunSet, include_self: bool, q: float) -> dict:
 def cmd_stats(ns) -> int:
     src = os.path.abspath(ns.runs_file)
     rs = RunSet.load(src)
-    cut = [i for i, r in enumerate(rs.runs) if r.truncated]
-    if cut:
-        raise ValueError(
-            f"{src}: run(s) {', '.join(map(str, cut))} stopped at --max-iters "
-            "before the counters settled; their curves are incomplete"
-        )
     payload = _stats_payload(rs, not ns.exclude_self_pairs, ns.quantile)
 
     def fmt(key):
@@ -607,8 +589,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="independent repetitions (default 10)")
     sp.add_argument("--seed", type=int, default=0,
                     help="master seed; per-run seeds derive from it")
-    sp.add_argument("--systolic", action="store_true",
-                    help="recompute only nodes whose successors changed")
+    # accepted and ignored: every run is change-driven now, and older
+    # manifests and scripts still pass it
+    sp.add_argument("--systolic", action="store_true", help=argparse.SUPPRESS)
     sp.add_argument("--exact", action="store_true",
                     help="bit-set diffusion: exact values, quadratic memory")
     sp.add_argument("--max-iters", type=int, default=None)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import NeighbourhoodRun, _segments
+from .engine import NeighbourhoodRun
 from .graph import Graph
 
 __all__ = [
@@ -44,19 +44,22 @@ def _check_symmetric(g: Graph, allow_asymmetric: bool) -> None:
         )
 
 
-def bfs(
-    g: Graph,
-    source: int,
-    segment_size: int | None = None,
-    return_parents: bool = False,
-):
+def _segments(indptr: np.ndarray, nodes: np.ndarray):
+    """The nodes with successors, their out-degrees and their arc positions."""
+    lens = indptr[nodes + 1] - indptr[nodes]
+    keep = lens > 0
+    nodes, lens = nodes[keep], lens[keep]
+    gather = np.arange(int(lens.sum()), dtype=np.int64)
+    gather -= np.repeat(np.cumsum(lens) - lens - indptr[nodes], lens)
+    return nodes, lens, gather
+
+
+def bfs(g: Graph, source: int, return_parents: bool = False):
     """Distances from source; -1 marks unreached nodes.
 
-    Level-synchronous with a numpy frontier. `segment_size` caps how many
-    frontier nodes are expanded per gather (memory control only: results
-    are identical for every segmentation). Parents, when requested, are
-    the lowest-id frontier predecessor of each node, so they are
-    deterministic too.
+    Level-synchronous with a numpy frontier, kept sorted. Parents, when
+    requested, are the lowest-id frontier predecessor of each node, so
+    they are deterministic too.
     """
     if not 0 <= source < g.n:
         raise IndexError(f"source {source} out of range [0, {g.n})")
@@ -65,45 +68,26 @@ def bfs(
     parents = np.full(g.n, -1, dtype=np.int64) if return_parents else None
     frontier = np.array([source], dtype=np.int64)
     d = 0
-    step = segment_size if segment_size and segment_size > 0 else None
     while frontier.size:
-        collected = []
-        for lo in range(0, frontier.size, step or frontier.size):
-            chunk = frontier[lo : lo + (step or frontier.size)]
-            nodes, gather, _ = _segments(g.indptr, chunk)
-            if gather.size == 0:
-                continue
-            dsts = g.indices[gather]
-            fresh = dist[dsts] < 0
-            if not fresh.any():
-                continue
-            dsts = dsts[fresh]
-            if return_parents:
-                lens = (g.indptr[nodes + 1] - g.indptr[nodes]).astype(np.int64)
-                srcs = np.repeat(nodes, lens)[fresh]
-                uniq, first = np.unique(dsts, return_index=True)
-                parents[uniq] = srcs[first]
-                dist[uniq] = d + 1
-                collected.append(uniq)
-            else:
-                uniq = np.unique(dsts)
-                dist[uniq] = d + 1
-                collected.append(uniq)
-        # keep the frontier sorted: parent choice then ignores segmentation
-        frontier = (
-            np.unique(np.concatenate(collected))
-            if collected
-            else np.empty(0, np.int64)
-        )
+        nodes, lens, gather = _segments(g.indptr, frontier)
+        dsts = g.indices[gather]
+        fresh = dist[dsts] < 0
+        dsts = dsts[fresh]
+        if return_parents:
+            frontier, first = np.unique(dsts, return_index=True)
+            parents[frontier] = np.repeat(nodes, lens)[fresh][first]
+        else:
+            frontier = np.unique(dsts)
         d += 1
+        dist[frontier] = d
     if return_parents:
         return dist, parents
     return dist
 
 
-def eccentricity(g: Graph, x: int, segment_size: int | None = None) -> int:
+def eccentricity(g: Graph, x: int) -> int:
     """Largest distance from x to any node it reaches."""
-    dist = bfs(g, x, segment_size=segment_size)
+    dist = bfs(g, x)
     return int(dist.max())
 
 
@@ -117,7 +101,7 @@ class DoubleSweepResult:
     bfs_count: int
 
 
-def _double_sweep(g: Graph, start, allow_asymmetric, segment_size):
+def _double_sweep(g: Graph, start, allow_asymmetric):
     """The three searches shared by double_sweep and ifub.
 
     Returns the sweep result, the start node (resolved when None), its
@@ -128,16 +112,16 @@ def _double_sweep(g: Graph, start, allow_asymmetric, segment_size):
         raise ValueError("empty graph")
     if start is None:
         start = int(np.argmax(g.out_degrees()))
-    d0 = bfs(g, start, segment_size=segment_size)
+    d0 = bfs(g, start)
     y = int(np.argmax(d0))  # ties resolve to the smallest id
-    d1, parents = bfs(g, y, segment_size=segment_size, return_parents=True)
+    d1, parents = bfs(g, y, return_parents=True)
     z = int(np.argmax(d1))
     lb = int(d1[z])
     # walk from z back towards y, stopping floor(lb/2) steps from y
     c = z
     for _ in range(lb - lb // 2):
         c = int(parents[c]) if parents[c] >= 0 else c
-    dc = bfs(g, c, segment_size=segment_size)
+    dc = bfs(g, c)
     res = DoubleSweepResult(
         lower=lb,
         y=y,
@@ -153,7 +137,6 @@ def double_sweep(
     g: Graph,
     start: int | None = None,
     allow_asymmetric: bool = False,
-    segment_size: int | None = None,
 ) -> DoubleSweepResult:
     """Lower-bound the diameter with three searches.
 
@@ -163,7 +146,7 @@ def double_sweep(
     at the highest-degree node. On a disconnected graph the sweep stays
     inside start's component.
     """
-    return _double_sweep(g, start, allow_asymmetric, segment_size)[0]
+    return _double_sweep(g, start, allow_asymmetric)[0]
 
 
 @dataclass(frozen=True)
@@ -185,7 +168,6 @@ def ifub(
     g: Graph,
     start: int | None = None,
     allow_asymmetric: bool = False,
-    segment_size: int | None = None,
 ) -> DiameterResult:
     """Exact diameter of start's component by fringe refinement.
 
@@ -198,9 +180,7 @@ def ifub(
     the benchmark's band and scale-free graphs, which carry two 10-node
     pendant paths.
     """
-    ds, start, ecc_start, dist_c = _double_sweep(
-        g, start, allow_asymmetric, segment_size
-    )
+    ds, start, ecc_start, dist_c = _double_sweep(g, start, allow_asymmetric)
     h = ds.midpoint_ecc
     comp_size = int((dist_c >= 0).sum())
     bfs_count = ds.bfs_count
@@ -217,7 +197,7 @@ def ifub(
                 u = int(u)
                 if u in done:
                     continue
-                du = bfs(g, u, segment_size=segment_size)
+                du = bfs(g, u)
                 bfs_count += 1
                 lb = max(lb, int(du.max()))
         # everything at depth < current has ecc <= 2(depth - 1)

@@ -16,10 +16,12 @@ nor the chunking changes a bit of the result.
 
 Two refinements from the same playbook:
 
-* **systolic mode** keeps a dirty set: a node is recomputed at step t only
-  if one of its successors changed at step t - 1 (tracked through the
-  predecessor graph, as a boolean mask that selects the kernel's
-  chunks). Results are bit-identical to the plain sweep.
+* every step after the first is change-driven (HyperANF's systolic
+  refinement): a node is recomputed at step t only if one of its
+  successors changed at step t - 1. The dirty set comes from the forward
+  arcs, one boolean gather and one segmented or over the successor
+  lists, and selects the kernel's chunks. No other row can move, so the
+  result is bit-identical to recomputing every node.
 * **exact mode** runs the identical diffusion with one-bit-per-node sets
   instead of sketches, giving exact N(t) at O(n^2/64) words of state;
   it is the oracle the estimates are judged against.
@@ -42,7 +44,6 @@ __all__ = [
     "RunSet",
     "BudgetExceededError",
     "run",
-    "run_systolic",
     "run_exact",
     "error_evolution",
     "seed_sequence",
@@ -136,7 +137,17 @@ class RunSet:
         return self.runs[0].graph_id
 
     def to_matrix(self, monotone: bool = True) -> np.ndarray:
-        """(R, T+1) value matrix, rows right-padded with their final value."""
+        """(R, T+1) value matrix, rows right-padded with their final value.
+
+        Refuses truncated runs: their values past the cap are unknown, so
+        padding them would invent a curve.
+        """
+        cut = [i for i, r in enumerate(self.runs) if r.truncated]
+        if cut:
+            raise ValueError(
+                f"run(s) {', '.join(map(str, cut))} stopped at max_iters before "
+                "the counters settled; their curves are incomplete"
+            )
         rows = [r.monotone_values if monotone else r.values for r in self.runs]
         width = max(len(row) for row in rows)
         out = np.empty((len(rows), width), dtype=float)
@@ -170,25 +181,6 @@ def seed_sequence(master_seed: int, count: int) -> list[int]:
 # most arcs in one chunk: a successor list is cut into chunks of at most
 # this many arcs, and a sweep makes at most this many column steps
 _WIDTH = 32
-
-
-def _segments(indptr: np.ndarray, nodes: np.ndarray):
-    """Arc gather indices and segment starts for the given nodes.
-
-    Nodes without successors are filtered out; callers treat them as
-    unchanged by construction.
-    """
-    lens = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
-    keep = lens > 0
-    nodes = nodes[keep]
-    lens = lens[keep]
-    if nodes.size == 0:
-        return nodes, np.empty(0, np.int64), np.empty(0, np.int64)
-    starts = np.zeros(nodes.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    gather = np.arange(int(lens.sum()), dtype=np.int64)
-    gather += np.repeat(indptr[nodes] - starts, lens)
-    return nodes, gather, starts
 
 
 def _plan(indptr: np.ndarray):
@@ -248,26 +240,20 @@ def _diffuse(state, indices, plan, reduce_op, mask=None):
     return owner[diff], acc[diff]
 
 
-def _dirty_from_changed(pred: Graph, changed: np.ndarray) -> np.ndarray:
-    """Mask of the nodes with a successor in the changed set (via pred graph)."""
-    _, gather, _ = _segments(pred.indptr, changed)
-    mark = np.zeros(pred.n, dtype=bool)
-    mark[pred.indices[gather]] = True
-    return mark
-
-
-def _sweep(g, state, reduce_op, measure, pred, max_iters):
+def _sweep(g, state, reduce_op, measure, max_iters):
     """Diffuse `state` in place until no row changes; (N(0..T), truncated).
 
     `measure` maps rows to the sizes of the sets they describe; N(t) is
-    their sum after step t. With a predecessor graph `pred`, a step only
-    recomputes nodes with a successor that changed in the step before.
+    their sum after step t. After the first step, a step recomputes only
+    the nodes with an arc into the set that changed in the step before.
     """
     if max_iters is not None and max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     sizes = measure(state)
     values = [float(sizes.sum())]
     plan = _plan(g.indptr)
+    heads = np.flatnonzero(np.diff(g.indptr))  # nodes with successors
+    starts = g.indptr[heads]
     dirty = None
     while max_iters is None or len(values) <= max_iters:
         changed, rows = _diffuse(state, g.indices, plan, reduce_op, dirty)
@@ -277,14 +263,22 @@ def _sweep(g, state, reduce_op, measure, pred, max_iters):
         sizes[changed] = measure(rows)
         del rows  # free before the next step allocates its own
         values.append(float(sizes.sum()))
-        if pred is not None:
-            dirty = _dirty_from_changed(pred, changed)
-            if not dirty.any():
-                return values, False
+        hit = np.zeros(g.n, dtype=bool)
+        hit[changed] = True
+        dirty = np.zeros(g.n, dtype=bool)
+        dirty[heads] = np.logical_or.reduceat(hit[g.indices], starts)
     return values, True
 
 
 # ---- public entry points ----
+
+
+def _peak_bytes(g: Graph, m: int) -> int:
+    """Upper bound on the bytes a counter run allocates; see run()."""
+    n, rows = g.n, g.n * m
+    chunks = int((-(-np.diff(g.indptr) // _WIDTH)).sum())
+    step = max(2 * chunks * m, 3 * rows, rows + 4 * min(rows, max(_EST_CELLS, m)))
+    return rows + 65 * chunks + 96 * n + 68 * 1024 + step
 
 
 def run(
@@ -295,66 +289,33 @@ def run(
     budget_bytes: int | None = None,
     graph_id: str | None = None,
 ) -> NeighbourhoodRun:
-    """Estimate the neighbourhood function with one counter per node."""
-    return _run_counters(g, None, m, seed, max_iters, budget_bytes, graph_id)
+    """Estimate the neighbourhood function with one counter per node.
 
-
-def run_systolic(
-    g: Graph,
-    pred: Graph,
-    m: int = 64,
-    seed: int = 0,
-    max_iters: int | None = None,
-    budget_bytes: int | None = None,
-    graph_id: str | None = None,
-) -> NeighbourhoodRun:
-    """Same values as run(), recomputing only nodes with changed successors.
-
-    `pred` must be the transpose of `g`; it routes change notifications
-    backwards along arcs.
+    Refused if the run could allocate over `budget_bytes`. With S = n*m
+    register bytes, C chunks (the sum of ceil(d/_WIDTH) over out-degrees
+    d) and B = max(2^20, m), a run allocates at most
+    S + 65*C + 96*n + 68 KiB + max(2*C*m, 3*S, S + 4*min(S, B)) bytes:
+    the registers, the chunk plan and the dirty set's selection of it,
+    per-node arrays, numpy's index-cast buffer and array headers, plus
+    the largest of the accumulator with one column gather, the
+    accumulator with the previous rows and their comparison, and the
+    changed rows with the estimate's float64 temporary over one block of
+    at most B registers. The dirty set's gather of one flag per arc (A
+    bytes) runs after that selection is freed, and A <= _WIDTH*C, so it
+    adds no term.
     """
-    if pred.n != g.n:
-        raise ValueError("predecessor graph has a different node count")
-    return _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id)
-
-
-def _peak_bytes(g: Graph, m: int, systolic: bool) -> int:
-    """Upper bound on the bytes a counter run allocates; see _run_counters."""
-    n, rows = g.n, g.n * m
-    chunks = int((-(-np.diff(g.indptr) // _WIDTH)).sum())
-    step = max(2 * chunks * m, 3 * rows, rows + 4 * min(rows, max(_EST_CELLS, m)))
-    if systolic:
-        step = max(step, 2 * chunks * m + 33 * chunks, rows + 16 * g.num_arcs)
-    return rows + 32 * chunks + 80 * n + 68 * 1024 + step
-
-
-def _run_counters(g, pred, m, seed, max_iters, budget_bytes, graph_id):
-    """Counter diffusion, refused if it could allocate over `budget_bytes`.
-
-    With S = n*m register bytes, C chunks (the sum of ceil(d/_WIDTH) over
-    out-degrees d), A arcs and B = max(2^20, m), a run allocates at most
-    S + 32*C + 80*n + 68 KiB + max(2*C*m, 3*S, S + 4*min(S, B)) bytes:
-    the registers, the chunk plan, per-node arrays, numpy's index-cast
-    buffer and array headers, plus the largest of the accumulator with
-    one column gather, the accumulator with the previous rows and their
-    comparison, and the changed rows with the estimate's float64
-    temporary over one block of at most B registers. Systolic mode
-    widens the max with 2*C*m + 33*C (the selected plan) and S + 16*A
-    (the dirty set's gather of predecessor arcs).
-    """
-    need = _peak_bytes(g, m, pred is not None)
+    need = _peak_bytes(g, m)
     if budget_bytes is not None and need > budget_bytes:
         raise BudgetExceededError(
-            f"counter run needs up to {need} bytes = S + 32*C + 80*n + 68 KiB + "
-            f"max(2*C*m, 3*S, S + 4*min(S, B)), more in systolic mode, with "
-            f"S = n*m = {g.n}*{m}, C sweep chunks and B = max(2^20, m); "
-            f"budget is {budget_bytes}"
+            f"counter run needs up to {need} bytes = S + 65*C + 96*n + 68 KiB + "
+            f"max(2*C*m, 3*S, S + 4*min(S, B)), with S = n*m = {g.n}*{m}, "
+            f"C sweep chunks and B = max(2^20, m); budget is {budget_bytes}"
         )
     counters = CounterArray(g.n, m, seed)
     counters.init_singletons()
     return _diffusion(
         g, counters.registers, np.maximum, lambda rows: estimate_registers(rows, m),
-        pred, max_iters, graph_id, m, seed,
+        max_iters, graph_id, m, seed,
     )
 
 
@@ -367,7 +328,7 @@ def run_exact(
     """Exact N(t) by diffusing one-bit-per-node reach sets.
 
     Equivalent to accumulating per-node BFS ball sizes, but runs the same
-    synchronous sweep as the estimator, word-packed 64 nodes at a time.
+    change-driven sweep as the estimator, word-packed 64 nodes at a time.
     State is n^2/8 bytes: refuse anything past `max_nodes` (and in
     practice memory gives out long before that default).
     """
@@ -383,16 +344,16 @@ def run_exact(
     return _diffusion(
         g, state, np.bitwise_or,
         lambda rows: np.bitwise_count(rows).sum(axis=1, dtype=np.float64),
-        None, max_iters, graph_id, 0, 0,
+        max_iters, graph_id, 0, 0,
     )
 
 
-def _diffusion(g, state, reduce_op, measure, pred, max_iters, graph_id, m, seed):
+def _diffusion(g, state, reduce_op, measure, max_iters, graph_id, m, seed):
     """`_sweep` wrapped as a logged NeighbourhoodRun; m == 0 marks exact mode."""
     t0 = time.perf_counter()
-    values, truncated = _sweep(g, state, reduce_op, measure, pred, max_iters)
+    values, truncated = _sweep(g, state, reduce_op, measure, max_iters)
     gid = graph_id if graph_id is not None else g.fingerprint()
-    mode = "exact" if m == 0 else "plain" if pred is None else "systolic"
+    mode = "exact" if m == 0 else "counter"
     log.info(
         "anf %s run graph=%s n=%d m=%d seed=%#x iters=%d wall=%.3fs",
         mode, gid, g.n, m, seed, len(values) - 1, time.perf_counter() - t0,

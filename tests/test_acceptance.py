@@ -14,8 +14,8 @@ import pytest
 
 from hbgraph.distance import jackknife, to_distribution
 from hbgraph.diameter import double_sweep, giant_component, ifub, run_length_lower_bound
-from hbgraph.engine import RunSet, error_evolution, run, run_exact, run_systolic, seed_sequence
-from hbgraph.graph import Graph, gap_histogram, transpose
+from hbgraph.engine import RunSet, error_evolution, run, run_exact, seed_sequence
+from hbgraph.graph import Graph, gap_histogram
 from hbgraph.hll import CounterArray, eta
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.cli import main as cli_main, run_manifest
@@ -24,6 +24,7 @@ from util import (
     distance_matrix,
     er,
     exact_curve,
+    full_recompute,
     mixed_suite,
     random_tree,
     small_world,
@@ -120,14 +121,13 @@ def test_c03_systolic_equivalence():
     """Change-driven propagation returns bit-identical estimates."""
     checked = 0
     for i, g in enumerate(mixed_suite(seed=303, count=50, max_n=120)):
-        pred = transpose(g)
         m = 64 if i % 2 else 16
         a = run(g, m=m, seed=i, graph_id=f"c3-{i}")
-        b = run_systolic(g, pred, m=m, seed=i, graph_id=f"c3-{i}")
-        assert a.values == b.values, f"graph {i}: systolic diverged"
-        assert a.iterations == b.iterations
+        values, iterations, _ = full_recompute(g, m=m, seed=i)
+        assert a.values == values, f"graph {i}: change-driven sweep diverged"
+        assert a.iterations == iterations
         checked += 1
-    print(f"[C3] systolic == plain on {checked}/50 graphs, bit for bit")
+    print(f"[C3] change-driven == full recompute on {checked}/50 graphs, bit for bit")
 
 
 def _census_stats(g, include_self_pairs, q=0.9):

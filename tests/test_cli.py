@@ -150,13 +150,14 @@ class TestAnfStats:
         assert len(rs) == 1 and rs.runs[0].exact
 
     def test_systolic_matches_plain(self, tmp_path, edges_file):
+        # the retired flag is accepted and changes nothing
         hbg = self._import(tmp_path, edges_file)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         ok(["anf", hbg, "-o", a, "-r", "2", "--seed", "5"])
         ok(["anf", hbg, "-o", b, "-r", "2", "--seed", "5", "--systolic"])
-        va = [r.values for r in RunSet.load(a).runs]
-        vb = [r.values for r in RunSet.load(b).runs]
-        assert va == vb
+        assert open(a, "rb").read() == open(b, "rb").read()
+        payload = json.loads(open(b + ".manifest.json").read())
+        assert "--systolic" not in payload["argv"]
 
     def test_stats_json_and_tsv(self, tmp_path, edges_file, capsys):
         hbg = self._import(tmp_path, edges_file)
@@ -338,6 +339,20 @@ class TestManifests:
         mapping = run_manifest(man, out_dir=str(tmp_path / "replay"))
         assert open(runs, "rb").read() == open(mapping[runs], "rb").read()
 
+    def test_manifest_with_systolic_flag_still_replays(self, tmp_path, edges_file):
+        hbg = str(tmp_path / "g.hbg")
+        runs = str(tmp_path / "runs.json")
+        ok(["import", edges_file, "-o", hbg])
+        ok(["anf", hbg, "-o", runs, "-m", "16", "-r", "2", "--seed", "3"])
+        man = runs + ".manifest.json"
+        payload = json.loads(open(man).read())
+        # manifests from before the flag was retired recorded it
+        payload["argv"].append("--systolic")
+        with open(man, "w") as fh:
+            json.dump(payload, fh)
+        mapping = run_manifest(man, out_dir=str(tmp_path / "replay"))
+        assert open(runs, "rb").read() == open(mapping[runs], "rb").read()
+
     def test_tampered_input_refuses_replay(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
         ok(["import", edges_file, "-o", hbg])
@@ -364,6 +379,11 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "--threads" not in capsys.readouterr().out
+
+    def test_anf_help_hides_systolic(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["anf", "--help"])
+        assert "--systolic" not in capsys.readouterr().out
 
     def test_errors_exit_one_not_traceback(self, tmp_path, capsys):
         rc = main(["anf", str(tmp_path / "missing.hbg"), "-o", str(tmp_path / "r.json")])

@@ -39,15 +39,6 @@ class TestBfs:
             for s in (0, g.n // 2, g.n - 1):
                 assert np.array_equal(bfs(g, s), bfs_oracle(g, s))
 
-    def test_segmentation_invariant(self):
-        g = er(120, 0.03, seed=9, symmetric=True)
-        base = bfs(g, 0)
-        base_d, base_p = bfs(g, 0, return_parents=True)
-        for seg in (1, 7, 64, 10_000):
-            d, p = bfs(g, 0, segment_size=seg, return_parents=True)
-            assert np.array_equal(d, base)
-            assert np.array_equal(p, base_p)
-
     def test_parents_form_shortest_path_tree(self):
         g = er(90, 0.06, seed=4, symmetric=True)
         dist, parents = bfs(g, 0, return_parents=True)

@@ -13,11 +13,14 @@ from hbgraph.engine import (
     error_evolution,
     run,
     run_exact,
-    run_systolic,
     seed_sequence,
 )
-from hbgraph.graph import transpose
-from util import exact_curve, from_pairs, mixed_suite, small_world, star, sym_from_pairs
+from hbgraph.distance import jackknife, summarize
+from hbgraph.graph import Graph
+from util import (
+    exact_curve, from_pairs, full_recompute, mixed_suite, small_world, star,
+    sym_from_pairs,
+)
 
 
 class TestExactRuns:
@@ -108,19 +111,43 @@ class TestApproximateRuns:
 
 
 class TestSystolic:
+    """`run` and `run_exact` recompute only nodes with a changed successor;
+    every result must match recomputing every node at every step."""
+
     def test_bit_identical_to_plain(self):
         for g in mixed_suite(seed=77, count=30, max_n=80):
-            pred = transpose(g)
             for m, seed in ((16, 0), (64, 5)):
-                a = run(g, m=m, seed=seed)
-                b = run_systolic(g, pred, m=m, seed=seed)
-                assert a.values == b.values
-                assert a.iterations == b.iterations
+                r = run(g, m=m, seed=seed)
+                assert (r.values, r.iterations) == full_recompute(g, m, seed)[:2]
 
-    def test_rejects_mismatched_predecessors(self):
-        g = from_pairs(4, [(0, 1)])
-        with pytest.raises(ValueError):
-            run_systolic(g, from_pairs(5, []), m=16, seed=0)
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_directed_graphs_at_any_cap(self, data):
+        # few arcs on up to 40 nodes leave sources, sinks and isolated nodes
+        n = data.draw(st.integers(0, 40))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+            max_size=0 if n == 0 else 80,
+        ))
+        g = from_pairs(n, sorted({(a, b) for a, b in pairs if a != b}))
+        max_iters = data.draw(st.none() | st.integers(0, 12))
+        seed = data.draw(st.integers(0, 2**32))
+        r = run(g, m=16, seed=seed, max_iters=max_iters)
+        want = full_recompute(g, 16, seed, max_iters)
+        assert (r.values, r.iterations, r.truncated) == want
+        e = run_exact(g, max_iters=max_iters)
+        assert (e.values, e.iterations, e.truncated) == full_recompute(g, 0, 0, max_iters)
+
+    def test_cap_at_the_settling_step_is_truncated(self):
+        # 0 -> 1 -> 2: step 2 changes only node 0, which has no
+        # predecessor, so the dirty set is empty, yet only a third sweep
+        # could confirm that nothing moves
+        g = from_pairs(3, [(0, 1), (1, 2)])
+        for go in (lambda **kw: run(g, m=64, seed=1, **kw), lambda **kw: run_exact(g, **kw)):
+            assert go().iterations == 2
+            capped = go(max_iters=2)
+            assert capped.truncated and capped.values == go().values
+            assert not go(max_iters=3).truncated
 
 
 def hub_graph():
@@ -154,12 +181,7 @@ class TestKernel:
         def curves():
             out = []
             for g in graphs:
-                pred = transpose(g)
-                out.append((
-                    run(g, m=64, seed=7).values,
-                    run_systolic(g, pred, m=64, seed=7).values,
-                    run_exact(g).values,
-                ))
+                out.append((run(g, m=64, seed=7).values, run_exact(g).values))
             return out
         whole = curves()
         monkeypatch.setattr(engine, "_WIDTH", width)  # most nodes become hubs
@@ -206,6 +228,35 @@ class TestKernel:
                 assert np.array_equal(rows[order], want_rows)
 
 
+def one_way(g):
+    """Each edge of a symmetric graph kept in one direction, from the
+    smaller id, which leaves sources and sinks."""
+    src = np.repeat(np.arange(g.n), g.out_degrees())
+    keep = src < g.indices
+    return Graph.from_arcs(g.n, src[keep], g.indices[keep])
+
+
+def dense_digraph():
+    """300 nodes with out-degrees 100-298, about 60,000 arcs."""
+    rng = np.random.default_rng(0)
+    src, dst = [], []
+    for u in range(300):
+        vs = rng.choice(np.delete(np.arange(300), u), int(rng.integers(100, 299)),
+                        replace=False)
+        src += [u] * vs.size
+        dst += vs.tolist()
+    return Graph.from_arcs(300, np.array(src), np.array(dst))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBudget:
     g = small_world(2000, 5, 0.1, 1)
 
@@ -213,23 +264,21 @@ class TestBudget:
     # step's accumulator, previous rows and their comparison (3*S) set
     # the peak
     @pytest.mark.parametrize("m", [64, 256, 2048])
-    @pytest.mark.parametrize("systolic", [False, True])
-    def test_formula_bounds_the_traced_peak(self, m, systolic):
-        pred = transpose(self.g) if systolic else None
-        bound = engine._peak_bytes(self.g, m, systolic)
-        def go(budget):
-            if systolic:
-                return run_systolic(self.g, pred, m=m, seed=1, budget_bytes=budget)
-            return run(self.g, m=m, seed=1, budget_bytes=budget)
-        tracemalloc.start()
-        try:
-            go(bound)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_formula_bounds_the_traced_peak(self, m, directed):
+        g = one_way(self.g) if directed else self.g
+        bound = engine._peak_bytes(g, m)
+        peak = traced_peak(lambda: run(g, m=m, seed=1, budget_bytes=bound))
         assert peak <= bound <= 1.5 * peak
         with pytest.raises(BudgetExceededError, match=f"needs up to {bound} bytes"):
-            go(bound - 1)
+            run(g, m=m, seed=1, budget_bytes=bound - 1)
+
+    def test_dense_digraph(self):
+        # about 200 arcs per node at m=16: the dirty set's flag per arc
+        # outweighs the registers
+        g = dense_digraph()
+        bound = engine._peak_bytes(g, 16)
+        assert traced_peak(lambda: run(g, m=16, seed=1)) <= bound
 
 
 # N(t) as float.hex() on small_world(40, 2, 0.2, 3), recorded with the
@@ -297,8 +346,6 @@ class TestGolden:
     def test_counter_runs(self, m, seed):
         want = GOLDEN[(m, seed)]
         assert [v.hex() for v in run(self.g, m=m, seed=seed).values] == want
-        sys_run = run_systolic(self.g, transpose(self.g), m=m, seed=seed)
-        assert [v.hex() for v in sys_run.values] == want
 
     def test_exact_run(self):
         assert [v.hex() for v in run_exact(self.g).values] == GOLDEN["exact"]
@@ -306,9 +353,9 @@ class TestGolden:
     def test_hub_graph(self):
         g = hub_graph()
         plain = run(g, m=64, seed=1).values
-        systolic = run_systolic(g, transpose(g), m=128, seed=1).values
+        wide = run(g, m=128, seed=1).values
         assert [v.hex() for v in plain] == GOLDEN_HUB["plain 64"]
-        assert [v.hex() for v in systolic] == GOLDEN_HUB["systolic 128"]
+        assert [v.hex() for v in wide] == GOLDEN_HUB["systolic 128"]
         assert [v.hex() for v in run_exact(g).values] == GOLDEN_HUB["exact"]
 
 
@@ -354,6 +401,14 @@ class TestRunSet:
         b = NeighbourhoodRun("g", 3, 16, 2, [1.0, 2.0, 5.0], 2)
         mat = RunSet([a, b]).to_matrix()
         assert mat[0].tolist() == [1.0, 2.0, 2.0]
+
+    def test_truncated_runs_refused(self):
+        g = from_pairs(6, [(i, i + 1) for i in range(5)])
+        rs = RunSet([run(g, m=16, seed=3, graph_id="g"),
+                     run(g, m=16, seed=4, max_iters=2, graph_id="g")])
+        for use in (rs.to_matrix, lambda: summarize(rs), lambda: jackknife(rs, "mean")):
+            with pytest.raises(ValueError, match=r"run\(s\) 1 stopped at max_iters"):
+                use()
 
     def test_save_load_byte_stable(self, tmp_path):
         rs = self._runs()

@@ -9,7 +9,9 @@ from collections import deque
 
 import numpy as np
 
+import hbgraph.engine as engine
 from hbgraph.graph import Graph
+from hbgraph.hll import CounterArray, estimate_registers
 
 
 # ---- generators (all deterministic in their seed) ----
@@ -187,6 +189,38 @@ def exact_curve(g):
 def true_diameter(g):
     dm = distance_matrix(g)
     return int(dm.max())
+
+
+def full_recompute(g, m=0, seed=0, max_iters=None):
+    """(values, iterations, truncated) of a diffusion that recomputes every
+    node at every step: the engine's kernel with no mask, iterated to a
+    fixed point. m == 0 diffuses exact reach sets.
+
+    This is the reference for the change-driven loop of `run` and
+    `run_exact`; test_engine checks the kernel against a per-node loop.
+    """
+    if m:
+        counters = CounterArray(g.n, m, seed)
+        counters.init_singletons()
+        state, reduce_op = counters.registers, np.maximum
+        measure = lambda rows: estimate_registers(rows, m)
+    else:
+        ids = np.arange(g.n)
+        state = np.zeros((g.n, max((g.n + 63) // 64, 1)), dtype=np.uint64)
+        state[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+        reduce_op = np.bitwise_or
+        measure = lambda rows: np.bitwise_count(rows).sum(axis=1, dtype=np.float64)
+    plan = engine._plan(g.indptr)
+    sizes = measure(state)
+    values = [float(sizes.sum())]
+    while max_iters is None or len(values) <= max_iters:
+        changed, rows = engine._diffuse(state, g.indices, plan, reduce_op, mask=None)
+        if changed.size == 0:
+            return values, len(values) - 1, False
+        state[changed] = rows
+        sizes[changed] = measure(rows)
+        values.append(float(sizes.sum()))
+    return values, len(values) - 1, True
 
 
 # ---- reference hashing (independent of the library's numpy path) ----
