@@ -27,13 +27,7 @@ import numpy as np
 from . import __version__
 from .distance import summarize
 from .diameter import double_sweep, giant_component, ifub, run_length_lower_bound
-from .engine import (
-    BudgetExceededError,
-    RunSet,
-    run,
-    run_exact,
-    seed_sequence,
-)
+from .engine import RunSet, run, run_exact, seed_sequence
 from .graph import (
     Graph,
     apply_permutation,
@@ -111,12 +105,30 @@ def _fresh_manifest_path(first_output: str) -> str:
     return path
 
 
-def _write_manifest(command: str, argv: list, inputs: list, outputs: list) -> str:
+def _argv(ns) -> list:
+    """The subcommand's command line at the values ns resolved.
+
+    Walks the subcommand parser, so an option added there is recorded
+    with no further code; hidden options and top-level ones (--threads,
+    -q) are left out.
+    """
+    argv = [ns.command]
+    for action in ns.parser._actions:
+        value = getattr(ns, action.dest, None)
+        if action.help == argparse.SUPPRESS or value is None or value is False:
+            continue
+        argv += action.option_strings[-1:]
+        if action.nargs != 0:
+            argv.append(value)
+    return argv
+
+
+def _write_manifest(ns, inputs: list, outputs: list) -> str:
     manifest = {
         "tool": "hbgraph",
         "version": __version__,
-        "command": command,
-        "argv": [str(a) for a in argv],
+        "command": ns.command,
+        "argv": [str(a) for a in _argv(ns)],
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs],
         "outputs": list(outputs),
     }
@@ -203,8 +215,8 @@ def _codec_args(sp: argparse.ArgumentParser) -> None:
         help="shortest consecutive run stored as an interval (0 disables)",
     )
     sp.add_argument(
-        "--code", choices=("gamma", "delta", "zeta"), default=None,
-        help="residual code",
+        "--code", dest="residual_code", choices=("gamma", "delta", "zeta"),
+        default=None, help="residual code",
     )
     sp.add_argument(
         "--zeta-k", type=int, default=None, help="shape parameter for zeta"
@@ -212,24 +224,14 @@ def _codec_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _codec_config(ns, fallback: CodecConfig | None) -> CodecConfig:
+    """Fill the codec options left unset from fallback (the input file's
+    settings) or the defaults, in ns too so the manifest records them."""
     base = fallback if fallback is not None else CodecConfig()
-    return CodecConfig(
-        window=base.window if ns.window is None else ns.window,
-        min_interval=(
-            base.min_interval if ns.min_interval is None else ns.min_interval
-        ),
-        residual_code=base.residual_code if ns.code is None else ns.code,
-        zeta_k=base.zeta_k if ns.zeta_k is None else ns.zeta_k,
-    )
-
-
-def _codec_argv(cfg: CodecConfig) -> list:
-    return [
-        "--window", cfg.window,
-        "--min-interval", cfg.min_interval,
-        "--code", cfg.residual_code,
-        "--zeta-k", cfg.zeta_k,
-    ]
+    fields = ("window", "min_interval", "residual_code", "zeta_k")
+    for field in fields:
+        if getattr(ns, field) is None:
+            setattr(ns, field, getattr(base, field))
+    return CodecConfig(*(getattr(ns, field) for field in fields))
 
 
 def _encode_and_save(g: Graph, cfg: CodecConfig, out: str) -> list:
@@ -259,84 +261,63 @@ def _encode_and_save(g: Graph, cfg: CodecConfig, out: str) -> list:
 
 
 def cmd_import(ns) -> int:
-    edges = os.path.abspath(ns.edges)
-    out = os.path.abspath(ns.output)
     g = load_edge_list(
-        edges, symmetrize=ns.symmetrize, allow_self_loops=ns.allow_self_loops
+        ns.edges, symmetrize=ns.symmetrize, allow_self_loops=ns.allow_self_loops
     )
     if not g.symmetric and g.is_symmetric():
         # arcs already come in pairs; record that so diameter tools accept it
         g.symmetric = True
-    cfg = _codec_config(ns, None)
-    outputs = _encode_and_save(g, cfg, out)
-    argv = ["import", edges, "-o", out]
-    if ns.symmetrize:
-        argv.append("--symmetrize")
-    if ns.allow_self_loops:
-        argv.append("--allow-self-loops")
-    argv += _codec_argv(cfg)
-    _write_manifest("import", argv, [edges], outputs)
+    outputs = _encode_and_save(g, _codec_config(ns, None), ns.output)
+    _write_manifest(ns, [ns.edges], outputs)
     return 0
 
 
 def cmd_permute(ns) -> int:
-    src = os.path.abspath(ns.graph)
-    out = os.path.abspath(ns.output)
-    g, file_cfg = _load_graph(src)
+    g, file_cfg = _load_graph(ns.graph)
     if (ns.perm is None) == (not ns.random):
         raise ValueError("pass exactly one of --perm FILE or --random")
     if ns.perm is not None:
-        perm_path = os.path.abspath(ns.perm)
-        perm = load_permutation(perm_path, g.n)
+        perm = load_permutation(ns.perm, g.n)
     else:
         perm = random_permutation(g.n, ns.seed)
     g2 = apply_permutation(g, perm)
-    cfg = _codec_config(ns, file_cfg)
-    outputs = _encode_and_save(g2, cfg, out)
-    argv = ["permute", src, "-o", out]
-    inputs = [src]
-    if ns.perm is not None:
-        argv += ["--perm", perm_path]
-        inputs.append(perm_path)
-    else:
-        argv += ["--random", "--seed", ns.seed]
-    argv += _codec_argv(cfg)
-    _write_manifest("permute", argv, inputs, outputs)
+    outputs = _encode_and_save(g2, _codec_config(ns, file_cfg), ns.output)
+    inputs = [ns.graph] if ns.perm is None else [ns.graph, ns.perm]
+    _write_manifest(ns, inputs, outputs)
     return 0
 
 
 def cmd_transpose(ns) -> int:
-    src = os.path.abspath(ns.graph)
-    out = os.path.abspath(ns.output)
-    g, file_cfg = _load_graph(src)
-    cfg = _codec_config(ns, file_cfg)
-    outputs = _encode_and_save(transpose(g), cfg, out)
-    argv = ["transpose", src, "-o", out]
-    argv += _codec_argv(cfg)
-    _write_manifest("transpose", argv, [src], outputs)
+    g, file_cfg = _load_graph(ns.graph)
+    outputs = _encode_and_save(transpose(g), _codec_config(ns, file_cfg), ns.output)
+    _write_manifest(ns, [ns.graph], outputs)
     return 0
 
 
 def cmd_anf(ns) -> int:
-    src = os.path.abspath(ns.graph)
-    out = os.path.abspath(ns.output)
-    g, _ = _load_graph(src)
+    g, _ = _load_graph(ns.graph)
     gid = g.fingerprint()
     if ns.exact:
         if ns.runs not in (None, 1):
             raise ValueError("--exact computes one deterministic run; drop --runs")
+        if ns.budget_bytes is not None:
+            raise ValueError(
+                "--exact is bounded by its node cap, not a byte budget; "
+                "drop --budget-bytes"
+            )
         runs = [run_exact(g, max_iters=ns.max_iters, graph_id=gid)]
     else:
-        count = 10 if ns.runs is None else ns.runs
-        if count < 1:
+        if ns.runs is None:
+            ns.runs = 10
+        if ns.runs < 1:
             raise ValueError("--runs must be >= 1")
         runs = [
             run(g, m=ns.registers, seed=s, max_iters=ns.max_iters,
                 budget_bytes=ns.budget_bytes, graph_id=gid)
-            for s in seed_sequence(ns.seed, count)
+            for s in seed_sequence(ns.seed, ns.runs)
         ]
     rs = RunSet(runs)
-    rs.save(out)
+    rs.save(ns.output)
     rows = [
         (i, r.m or "exact", r.seed, r.iterations,
          f"{r.values[-1]:.1f}", "yes" if r.truncated else "no")
@@ -344,83 +325,36 @@ def cmd_anf(ns) -> int:
     ]
     _print_table(rows, header=("run", "registers", "seed", "iterations",
                                "N(T)", "truncated"))
-    argv = ["anf", src, "-o", out]
-    if ns.exact:
-        argv.append("--exact")
-    else:
-        argv += ["--registers", ns.registers, "--runs", len(runs),
-                 "--seed", ns.seed]
-    if ns.max_iters is not None:
-        argv += ["--max-iters", ns.max_iters]
-    if ns.budget_bytes is not None:
-        argv += ["--budget-bytes", ns.budget_bytes]
-    _write_manifest("anf", argv, [src], [out])
+    _write_manifest(ns, [ns.graph], [ns.output])
     return 0
 
 
-def _stats_payload(rs: RunSet, include_self: bool, q: float) -> dict:
-    payload = summarize(rs, include_self_pairs=include_self, q=q).to_dict()
-    payload["include_self_pairs"] = include_self
-    payload["quantile"] = q
-    return payload
-
-
 def cmd_stats(ns) -> int:
-    src = os.path.abspath(ns.runs_file)
-    rs = RunSet.load(src)
-    payload = _stats_payload(rs, not ns.exclude_self_pairs, ns.quantile)
-
-    def fmt(key):
-        v = payload[key]
-        return "n/a" if not np.isfinite(v) else f"{v:.6f}"
-
-    rows = [
-        ("nodes", payload["n"], ""),
-        ("runs", payload["runs"], ""),
-        ("iterations", payload["iterations"], ""),
-        ("reachable pairs %", f"{payload['reachable_pct']:.4f}", ""),
-        ("mean distance", fmt("mean"), f"+- {fmt('mean_se')}"),
-        ("mean (excl self)", fmt("mean_excl_self"), ""),
-        ("variance", fmt("variance"), f"+- {fmt('variance_se')}"),
-        ("spid", fmt("spid"), f"+- {fmt('spid_se')}"),
-        ("effective diameter", fmt("effective_diameter"),
-         f"+- {fmt('effective_diameter_se')}"),
-        ("within ceil(mean) %", fmt("within_ceiling_pct"),
-         f"+- {fmt('within_ceiling_se')}"),
-    ]
-    _print_table(rows)
-
+    include_self = not ns.exclude_self_pairs
+    stats = summarize(RunSet.load(ns.runs_file), include_self_pairs=include_self,
+                      q=ns.quantile)
+    print(stats.to_text())
+    fields = stats.to_dict()
     outputs = []
     if ns.output:
-        out = os.path.abspath(ns.output)
-        _dump_json(_json_safe(payload), out)
-        outputs.append(out)
+        payload = dict(fields, include_self_pairs=include_self, quantile=ns.quantile)
+        _dump_json(_json_safe(payload), ns.output)
+        outputs.append(ns.output)
     if ns.tsv:
-        tsv = os.path.abspath(ns.tsv)
-        keys = sorted(k for k in payload if k not in ("include_self_pairs", "quantile"))
-        with open(tsv, "w", encoding="ascii") as fh:
+        with open(ns.tsv, "w", encoding="ascii") as fh:
             fh.write("statistic\tvalue\n")
-            for k in keys:
-                v = payload[k]
+            for k in sorted(fields):
+                v = fields[k]
                 cell = "n/a" if isinstance(v, float) and not np.isfinite(v) else repr(v)
                 fh.write(f"{k}\t{cell}\n")
-        outputs.append(tsv)
+        outputs.append(ns.tsv)
     if outputs:
-        argv = ["stats", src]
-        if ns.output:
-            argv += ["-o", os.path.abspath(ns.output)]
-        if ns.tsv:
-            argv += ["--tsv", os.path.abspath(ns.tsv)]
-        if ns.exclude_self_pairs:
-            argv.append("--exclude-self-pairs")
-        argv += ["--quantile", ns.quantile]
-        _write_manifest("stats", argv, [src], outputs)
+        _write_manifest(ns, [ns.runs_file], outputs)
     return 0
 
 
 def cmd_diameter(ns) -> int:
-    src = os.path.abspath(ns.graph)
-    g, _ = _load_graph(src)
+    g, _ = _load_graph(ns.graph)
     if ns.giant:
         g = giant_component(g, allow_asymmetric=ns.allow_asymmetric)
     t0 = time.perf_counter()
@@ -461,24 +395,13 @@ def cmd_diameter(ns) -> int:
     log.info("diameter wall=%.3fs", time.perf_counter() - t0)
     _print_table(rows)
     if ns.output:
-        out = os.path.abspath(ns.output)
-        _dump_json(_json_safe(payload), out)
-        argv = ["diameter", src, "-o", out]
-        if ns.start is not None:
-            argv += ["--start", ns.start]
-        if ns.giant:
-            argv.append("--giant")
-        if ns.sweep_only:
-            argv.append("--sweep-only")
-        if ns.allow_asymmetric:
-            argv.append("--allow-asymmetric")
-        _write_manifest("diameter", argv, [src], [out])
+        _dump_json(_json_safe(payload), ns.output)
+        _write_manifest(ns, [ns.graph], [ns.output])
     return 0
 
 
 def cmd_gaps(ns) -> int:
-    src = os.path.abspath(ns.graph)
-    g, _ = _load_graph(src)
+    g, _ = _load_graph(ns.graph)
     hist = gap_histogram(g)
     total = int(hist.sum())
     rows = []
@@ -489,19 +412,16 @@ def cmd_gaps(ns) -> int:
         rows.append((f"2^{b}", span, int(count), f"{pct:.2f}"))
     _print_table(rows, header=("bin", "gap", "arcs", "%"))
     if ns.output:
-        out = os.path.abspath(ns.output)
-        with open(out, "w", encoding="ascii") as fh:
+        with open(ns.output, "w", encoding="ascii") as fh:
             fh.write("bin\tgap_lo\tgap_hi\tarcs\n")
             for b, count in enumerate(hist):
                 fh.write(f"{b}\t{1 << b}\t{(1 << (b + 1)) - 1}\t{int(count)}\n")
-        argv = ["gaps", src, "-o", out]
-        _write_manifest("gaps", argv, [src], [out])
+        _write_manifest(ns, [ns.graph], [ns.output])
     return 0
 
 
 def cmd_bound(ns) -> int:
-    src = os.path.abspath(ns.runs_file)
-    rs = RunSet.load(src)
+    rs = RunSet.load(ns.runs_file)
     bounds = [run_length_lower_bound(r) for r in rs.runs]
     rows = [
         (i, r.m or "exact", r.seed, r.iterations)
@@ -511,27 +431,20 @@ def cmd_bound(ns) -> int:
     best = max(bounds)
     print(f"run-length diameter lower bound: {best}")
     if ns.output:
-        out = os.path.abspath(ns.output)
-        _dump_json({"lower_bound": best, "per_run": bounds}, out)
-        argv = ["bound", src, "-o", out]
-        _write_manifest("bound", argv, [src], [out])
+        _dump_json({"lower_bound": best, "per_run": bounds}, ns.output)
+        _write_manifest(ns, [ns.runs_file], [ns.output])
     return 0
 
 
 def cmd_export_edges(ns) -> int:
-    src = os.path.abspath(ns.graph)
-    out = os.path.abspath(ns.output)
-    g, _ = _load_graph(src)
+    g, _ = _load_graph(ns.graph)
     if ns.original_ids and g.original_ids is None:
         raise ValueError(
             "no original ids available (no .ids sidecar next to the input)"
         )
-    save_edge_list(g, out, use_original_ids=ns.original_ids)
-    print(f"wrote {g.num_arcs} arcs to {out}")
-    argv = ["export-edges", src, "-o", out]
-    if ns.original_ids:
-        argv.append("--original-ids")
-    _write_manifest("export-edges", argv, [src], [out])
+    save_edge_list(g, ns.output, use_original_ids=ns.original_ids)
+    print(f"wrote {g.num_arcs} arcs to {ns.output}")
+    _write_manifest(ns, [ns.graph], [ns.output])
     return 0
 
 
@@ -554,35 +467,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"hbgraph {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    # file arguments resolve to absolute paths as they are parsed, so a
+    # manifest replays from any directory
+    path = os.path.abspath
 
     sp = sub.add_parser("import", help="compress an edge list")
-    sp.add_argument("edges", help="text file with one 'u v' arc per line")
-    sp.add_argument("-o", "--output", required=True, help="compressed graph file")
+    sp.add_argument("edges", type=path, help="text file with one 'u v' arc per line")
+    sp.add_argument("-o", "--output", type=path, required=True,
+                    help="compressed graph file")
     sp.add_argument("--symmetrize", action="store_true",
                     help="add the reverse of every arc")
     sp.add_argument("--allow-self-loops", action="store_true")
     _codec_args(sp)
-    sp.set_defaults(func=cmd_import)
+    sp.set_defaults(func=cmd_import, parser=sp)
 
     sp = sub.add_parser("permute", help="relabel nodes and re-encode")
-    sp.add_argument("graph", help="compressed graph or edge list")
-    sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--perm", help="permutation file (text or binary)")
+    sp.add_argument("graph", type=path, help="compressed graph or edge list")
+    sp.add_argument("-o", "--output", type=path, required=True)
+    sp.add_argument("--perm", type=path, help="permutation file (text or binary)")
     sp.add_argument("--random", action="store_true",
                     help="use a seeded random permutation")
     sp.add_argument("--seed", type=int, default=0)
     _codec_args(sp)
-    sp.set_defaults(func=cmd_permute)
+    sp.set_defaults(func=cmd_permute, parser=sp)
 
     sp = sub.add_parser("transpose", help="reverse every arc and re-encode")
-    sp.add_argument("graph")
-    sp.add_argument("-o", "--output", required=True)
+    sp.add_argument("graph", type=path)
+    sp.add_argument("-o", "--output", type=path, required=True)
     _codec_args(sp)
-    sp.set_defaults(func=cmd_transpose)
+    sp.set_defaults(func=cmd_transpose, parser=sp)
 
     sp = sub.add_parser("anf", help="estimate the neighbourhood function")
-    sp.add_argument("graph")
-    sp.add_argument("-o", "--output", required=True, help="run file (JSON)")
+    sp.add_argument("graph", type=path)
+    sp.add_argument("-o", "--output", type=path, required=True, help="run file (JSON)")
     sp.add_argument("-m", "--registers", type=int, default=64,
                     help="registers per counter (power of two, >= 16)")
     sp.add_argument("-r", "--runs", type=int, default=None,
@@ -598,21 +515,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget-bytes", type=int, default=None,
                     help="refuse to run if a run could allocate more bytes "
                          "than this (bound in README)")
-    sp.set_defaults(func=cmd_anf)
+    sp.set_defaults(func=cmd_anf, parser=sp)
 
     sp = sub.add_parser("stats", help="distance statistics from a run file")
-    sp.add_argument("runs_file")
-    sp.add_argument("-o", "--output", help="write statistics as JSON")
-    sp.add_argument("--tsv", help="write statistics as TSV")
+    sp.add_argument("runs_file", type=path)
+    sp.add_argument("-o", "--output", type=path, help="write statistics as JSON")
+    sp.add_argument("--tsv", type=path, help="write statistics as TSV")
     sp.add_argument("--exclude-self-pairs", action="store_true",
                     help="drop the n distance-0 pairs from the distribution")
     sp.add_argument("--quantile", type=float, default=0.9,
                     help="effective-diameter quantile (default 0.9)")
-    sp.set_defaults(func=cmd_stats)
+    sp.set_defaults(func=cmd_stats, parser=sp)
 
     sp = sub.add_parser("diameter", help="exact diameter via fringe refinement")
-    sp.add_argument("graph")
-    sp.add_argument("-o", "--output", help="write the result as JSON")
+    sp.add_argument("graph", type=path)
+    sp.add_argument("-o", "--output", type=path, help="write the result as JSON")
     sp.add_argument("--start", type=int, default=None,
                     help="start node (default: highest degree)")
     sp.add_argument("--giant", action="store_true",
@@ -621,24 +538,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="stop after the double sweep lower bound")
     sp.add_argument("--allow-asymmetric", action="store_true",
                     help="skip the symmetry check (results assume it anyway)")
-    sp.set_defaults(func=cmd_diameter)
+    sp.set_defaults(func=cmd_diameter, parser=sp)
 
     sp = sub.add_parser("gaps", help="histogram of successor gaps")
-    sp.add_argument("graph")
-    sp.add_argument("-o", "--output", help="write the histogram as TSV")
-    sp.set_defaults(func=cmd_gaps)
+    sp.add_argument("graph", type=path)
+    sp.add_argument("-o", "--output", type=path, help="write the histogram as TSV")
+    sp.set_defaults(func=cmd_gaps, parser=sp)
 
     sp = sub.add_parser("bound", help="diameter lower bound from run lengths")
-    sp.add_argument("runs_file")
-    sp.add_argument("-o", "--output", help="write the bound as JSON")
-    sp.set_defaults(func=cmd_bound)
+    sp.add_argument("runs_file", type=path)
+    sp.add_argument("-o", "--output", type=path, help="write the bound as JSON")
+    sp.set_defaults(func=cmd_bound, parser=sp)
 
     sp = sub.add_parser("export-edges", help="decode back to an edge list")
-    sp.add_argument("graph")
-    sp.add_argument("-o", "--output", required=True)
+    sp.add_argument("graph", type=path)
+    sp.add_argument("-o", "--output", type=path, required=True)
     sp.add_argument("--original-ids", action="store_true",
                     help="use the ids from the .ids sidecar")
-    sp.set_defaults(func=cmd_export_edges)
+    sp.set_defaults(func=cmd_export_edges, parser=sp)
     return p
 
 
@@ -651,7 +568,7 @@ def main(argv=None) -> int:
     )
     try:
         return ns.func(ns)
-    except (ValueError, OSError, RuntimeError, EOFError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, EOFError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

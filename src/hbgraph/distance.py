@@ -248,24 +248,30 @@ class DistanceStats:
         }
 
     def to_text(self) -> str:
+        """Aligned table; a non-finite value, such as the error of a single
+        run, prints as n/a."""
+
+        def num(v, digits=6):
+            return f"{v:.{digits}f}" if np.isfinite(v) else "n/a"
+
         rows = [
             ("nodes", f"{self.n}", ""),
             ("runs", f"{self.runs}", ""),
             ("iterations", f"{self.iterations}", ""),
-            ("reachable pairs %", f"{self.reachable_pct:.4f}", ""),
-            ("mean distance", f"{self.mean:.6f}", f"+- {self.mean_se:.6f}"),
-            ("mean (excl self)", f"{self.mean_excl_self:.6f}", ""),
-            ("variance", f"{self.variance:.6f}", f"+- {self.variance_se:.6f}"),
-            ("spid", f"{self.spid:.6f}", f"+- {self.spid_se:.6f}"),
+            ("reachable pairs %", num(self.reachable_pct, 4), ""),
+            ("mean distance", num(self.mean), f"+- {num(self.mean_se)}"),
+            ("mean (excl self)", num(self.mean_excl_self), ""),
+            ("variance", num(self.variance), f"+- {num(self.variance_se)}"),
+            ("spid", num(self.spid), f"+- {num(self.spid_se)}"),
             (
                 "effective diameter",
-                f"{self.effective_diameter:.6f}",
-                f"+- {self.effective_diameter_se:.6f}",
+                num(self.effective_diameter),
+                f"+- {num(self.effective_diameter_se)}",
             ),
             (
                 "within ceil(mean) %",
-                f"{self.within_ceiling_pct:.4f}",
-                f"+- {self.within_ceiling_se:.4f}",
+                num(self.within_ceiling_pct, 4),
+                f"+- {num(self.within_ceiling_se, 4)}",
             ),
         ]
         w0 = max(len(a) for a, _, _ in rows)

@@ -418,6 +418,21 @@ def _parse_chunk(enc: EncodedGraph, x: int, res_read):
     return ref, blocks, intervals, residuals
 
 
+def _successors(referenced, blocks, intervals, residuals) -> np.ndarray:
+    """One node's sorted successor list from its parsed chunk; referenced
+    is the decoded list it copies from, or None when it copies nothing."""
+    parts = [] if referenced is None else [_apply_blocks(referenced, blocks)]
+    for left, length in intervals:
+        parts.append(np.arange(left, left + length, dtype=np.int64))
+    if residuals:
+        parts.append(np.asarray(residuals, dtype=np.int64))
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    succ = np.concatenate(parts)
+    succ.sort()
+    return succ
+
+
 def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
     """Successor list of one node, resolving copy chains iteratively."""
     if not 0 <= x < enc.n:
@@ -433,19 +448,7 @@ def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
         node -= ref
     result = None
     for node, ref, blocks, intervals, residuals in reversed(chain):
-        parts = []
-        if ref:
-            parts.append(_apply_blocks(result, blocks))
-        for left, length in intervals:
-            parts.append(np.arange(left, left + length, dtype=np.int64))
-        if residuals:
-            parts.append(np.asarray(residuals, dtype=np.int64))
-        if parts:
-            merged = np.concatenate(parts)
-            merged.sort()
-            result = merged
-        else:
-            result = np.empty(0, dtype=np.int64)
+        result = _successors(result if ref else None, blocks, intervals, residuals)
     return result
 
 
@@ -458,20 +461,9 @@ def decode(enc: EncodedGraph) -> Graph:
     res_read = coder(enc.cfg.residual_code, enc.cfg.zeta_k)[1]
     for x in range(enc.n):
         ref, blocks, intervals, residuals = _parse_chunk(enc, x, res_read)
-        parts = []
-        if ref:
-            if ref > len(recent):
-                raise ValueError(f"node {x}: reference {ref} reaches before the window")
-            parts.append(_apply_blocks(recent[-ref], blocks))
-        for left, length in intervals:
-            parts.append(np.arange(left, left + length, dtype=np.int64))
-        if residuals:
-            parts.append(np.asarray(residuals, dtype=np.int64))
-        if parts:
-            succ = np.concatenate(parts)
-            succ.sort()
-        else:
-            succ = np.empty(0, dtype=np.int64)
+        if ref > len(recent):
+            raise ValueError(f"node {x}: reference {ref} reaches before the window")
+        succ = _successors(recent[-ref] if ref else None, blocks, intervals, residuals)
         if succ.size and (succ[0] < 0 or succ[-1] >= enc.n):
             raise ValueError(f"node {x}: decoded successor out of range")
         chunks.append(succ)

@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hbgraph.cli import _load_graph, main, run_manifest
+from hbgraph.cli import _build_parser, _load_graph, main, run_manifest
 from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet
 from hbgraph.storage import load as load_compressed
@@ -142,6 +143,15 @@ class TestAnfStats:
         assert rc == 1
         assert "drop --runs" in capsys.readouterr().err
 
+    def test_anf_exact_refuses_budget(self, tmp_path, edges_file, capsys):
+        # exact mode is bounded by its node cap; a budget would be ignored
+        hbg = self._import(tmp_path, edges_file)
+        out = str(tmp_path / "r.json")
+        rc = main(["anf", hbg, "-o", out, "--exact", "--budget-bytes", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(out)
+
     def test_anf_exact_run(self, tmp_path, edges_file):
         hbg = self._import(tmp_path, edges_file)
         runs = str(tmp_path / "exact.json")
@@ -272,6 +282,17 @@ class TestDiameterGaps:
             5104, 5201, 5298, 5395, 5492, 5589, 5686, 5014, 5111,
         ]
 
+    @pytest.mark.parametrize("start", ["99", "-1"])
+    @pytest.mark.parametrize("mode", [[], ["--sweep-only"]])
+    def test_start_out_of_range_is_clean_error(self, tmp_path, edges_file,
+                                               capsys, start, mode):
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", edges_file, "-o", hbg])
+        capsys.readouterr()
+        assert main(["diameter", hbg, "--start", start, *mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_gaps_tsv(self, tmp_path, edges_file, capsys):
         hbg = str(tmp_path / "g.hbg")
         ok(["import", edges_file, "-o", hbg])
@@ -360,6 +381,104 @@ class TestManifests:
             fh.write("0 79\n")
         with pytest.raises(ValueError, match="changed since recording"):
             run_manifest(hbg + ".manifest.json", out_dir=str(tmp_path / "r"))
+
+
+# Every visible option of every subcommand, each away from its default
+# in at least one case; {out} is the output directory, the other fields
+# name the files of the `inputs` fixture.
+FULL_CASES = [
+    ["import", "{edges}", "-o", "{out}/g.hbg", "--symmetrize", "--allow-self-loops",
+     "--window", "3", "--min-interval", "2", "--code", "delta", "--zeta-k", "4"],
+    ["permute", "{hbg}", "-o", "{out}/p.hbg", "--perm", "{perm}", "--seed", "4",
+     "--window", "0", "--min-interval", "0", "--code", "gamma", "--zeta-k", "2"],
+    ["permute", "{hbg}", "-o", "{out}/p.hbg", "--random", "--seed", "4"],
+    ["transpose", "{hbg}", "-o", "{out}/t.hbg", "--window", "2",
+     "--min-interval", "3", "--code", "delta", "--zeta-k", "5"],
+    ["anf", "{hbg}", "-o", "{out}/r.json", "-m", "16", "-r", "3", "--seed", "4",
+     "--max-iters", "50", "--budget-bytes", "1000000000"],
+    ["anf", "{hbg}", "-o", "{out}/r.json", "--exact", "--max-iters", "50"],
+    ["stats", "{runs}", "-o", "{out}/s.json", "--tsv", "{out}/s.tsv",
+     "--exclude-self-pairs", "--quantile", "0.5"],
+    ["diameter", "{hbg}", "-o", "{out}/d.json", "--start", "1", "--giant",
+     "--allow-asymmetric"],
+    ["diameter", "{hbg}", "-o", "{out}/d.json", "--start", "1", "--sweep-only"],
+    ["gaps", "{hbg}", "-o", "{out}/gaps.tsv"],
+    ["bound", "{runs}", "-o", "{out}/b.json"],
+    ["export-edges", "{hbg}", "-o", "{out}/e.txt", "--original-ids"],
+]
+
+
+def _subparsers() -> dict:
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _assert_replays(manifest, out_dir):
+    mapping = run_manifest(manifest, out_dir=out_dir)
+    for orig, copy in mapping.items():
+        assert open(orig, "rb").read() == open(copy, "rb").read(), orig
+
+
+@pytest.fixture()
+def inputs(tmp_path, edges_file):
+    d = tmp_path / "in"
+    d.mkdir()
+    hbg, runs, perm = str(d / "g.hbg"), str(d / "runs.json"), str(d / "perm.txt")
+    ok(["import", edges_file, "-o", hbg])
+    ok(["anf", hbg, "-o", runs, "-m", "16", "-r", "2"])
+    with open(perm, "w") as fh:
+        fh.writelines(f"{v}\n" for v in reversed(range(load_compressed(hbg).n)))
+    return {"edges": edges_file, "hbg": hbg, "runs": runs, "perm": perm}
+
+
+class TestManifestArgv:
+    def test_cases_set_every_visible_option(self):
+        for name, sp in _subparsers().items():
+            visible = [a for a in sp._actions if a.option_strings
+                       and a.dest != "help" and a.help != argparse.SUPPRESS]
+            cases = [sp.parse_args(c[1:]) for c in FULL_CASES if c[0] == name]
+            for action in visible:
+                assert any(getattr(ns, action.dest) != action.default
+                           for ns in cases), (name, action.option_strings)
+
+    @pytest.mark.parametrize(
+        "case", FULL_CASES, ids=[f"{c[0]}-{i}" for i, c in enumerate(FULL_CASES)])
+    def test_records_every_option_and_replays(self, tmp_path, inputs, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [tok.format(out=out, **inputs) for tok in case]
+        ok(argv)
+        first = argv[argv.index("-o") + 1]
+        recorded = json.loads(open(first + ".manifest.json").read())["argv"]
+        assert recorded[0] == case[0]
+        # every option given comes back from the recorded argv, at its value
+        sp = _subparsers()[case[0]]
+        given, replayed = sp.parse_args(argv[1:]), sp.parse_args(recorded[1:])
+        for key, value in vars(given).items():
+            if value is not None:
+                assert getattr(replayed, key) == value, key
+        _assert_replays(first + ".manifest.json", str(tmp_path / "replay"))
+
+    def test_older_spelling_still_replays(self, tmp_path, inputs):
+        # manifests written before the argv was read off the parser spell
+        # the output -o and leave out options their command did not use
+        out = tmp_path / "out"
+        out.mkdir()
+        older = [
+            ["permute", inputs["hbg"], "-o", str(out / "p.hbg"), "--perm", inputs["perm"],
+             "--window", "7", "--min-interval", "4", "--code", "zeta", "--zeta-k", "3"],
+            ["anf", inputs["hbg"], "-o", str(out / "x.json"), "--exact"],
+            ["stats", inputs["runs"], "-o", str(out / "s.json"), "--quantile", "0.9"],
+        ]
+        for argv in older:
+            ok(argv)
+            manifest = argv[3] + ".manifest.json"
+            payload = json.loads(open(manifest).read())
+            payload["argv"] = argv
+            with open(manifest, "w") as fh:
+                json.dump(payload, fh)
+            _assert_replays(manifest, str(tmp_path / ("replay-" + argv[0])))
 
 
 class TestTopLevel:
