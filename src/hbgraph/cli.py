@@ -355,30 +355,40 @@ def cmd_stats(ns) -> int:
 
 def cmd_diameter(ns) -> int:
     g, _ = _load_graph(ns.graph)
+    start, ids = ns.start, np.arange(g.n)
     if ns.giant:
-        g = giant_component(g, allow_asymmetric=ns.allow_asymmetric)
+        # without ids attached, the giant's original_ids are the loaded
+        # graph's ids, in which --start and the reported nodes stay
+        bare = Graph(g.n, g.indptr, g.indices, symmetric=g.symmetric)
+        g = giant_component(bare, allow_asymmetric=ns.allow_asymmetric)
+        ids = g.original_ids
+        if start is not None:
+            start = int(np.searchsorted(ids, start))
+            if start == ids.size or ids[start] != ns.start:
+                raise ValueError(f"start node {ns.start} is not in the giant component")
     t0 = time.perf_counter()
     if ns.sweep_only:
-        ds = double_sweep(g, start=ns.start, allow_asymmetric=ns.allow_asymmetric)
+        ds = double_sweep(g, start=start, allow_asymmetric=ns.allow_asymmetric)
+        y, z, mid = (int(ids[v]) for v in (ds.y, ds.z, ds.midpoint))
         payload = {
             "lower": ds.lower,
             "upper": None,
             "exact": False,
             "bfs_count": ds.bfs_count,
             "component_size": None,
-            "far_pair": [ds.y, ds.z],
-            "midpoint": ds.midpoint,
+            "far_pair": [y, z],
+            "midpoint": mid,
             "midpoint_ecc": ds.midpoint_ecc,
         }
         rows = [
             ("diameter lower bound", ds.lower),
-            ("far pair", f"{ds.y} {ds.z}"),
-            ("midpoint", ds.midpoint),
+            ("far pair", f"{y} {z}"),
+            ("midpoint", mid),
             ("midpoint eccentricity", ds.midpoint_ecc),
             ("searches", ds.bfs_count),
         ]
     else:
-        res = ifub(g, start=ns.start, allow_asymmetric=ns.allow_asymmetric)
+        res = ifub(g, start=start, allow_asymmetric=ns.allow_asymmetric)
         payload = {
             "lower": res.lower,
             "upper": res.upper,

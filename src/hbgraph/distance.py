@@ -216,6 +216,7 @@ class DistanceStats:
     runs: int
     iterations: int
     reachable_pct: float
+    reachable_pct_se: float
     mean: float
     mean_se: float
     mean_excl_self: float
@@ -234,6 +235,7 @@ class DistanceStats:
             "runs": self.runs,
             "iterations": self.iterations,
             "reachable_pct": self.reachable_pct,
+            "reachable_pct_se": self.reachable_pct_se,
             "mean": self.mean,
             "mean_se": self.mean_se,
             "mean_excl_self": self.mean_excl_self,
@@ -258,7 +260,11 @@ class DistanceStats:
             ("nodes", f"{self.n}", ""),
             ("runs", f"{self.runs}", ""),
             ("iterations", f"{self.iterations}", ""),
-            ("reachable pairs %", num(self.reachable_pct, 4), ""),
+            (
+                "reachable pairs %",
+                num(self.reachable_pct, 4),
+                f"+- {num(self.reachable_pct_se, 4)}",
+            ),
             ("mean distance", num(self.mean), f"+- {num(self.mean_se)}"),
             ("mean (excl self)", num(self.mean_excl_self), ""),
             ("variance", num(self.variance), f"+- {num(self.variance_se)}"),
@@ -302,11 +308,13 @@ def summarize(
             name: JackknifeResult(estimate=float(v), se=float("nan"), runs=1)
             for name, v in plug_in.items()
         }
+        reachable_se = float("nan")
     else:
         results = {
             name: jackknife(matrix, name, n=n, include_self_pairs=include_self_pairs, q=q)
             for name in STATISTIC_NAMES
         }
+        reachable_se = jackknife(matrix, lambda c: 100 * c[-1] / n**2, n=n).se
     try:
         excl_mean = to_distribution(mean_curve, n, include_self_pairs=False).mean()
     except ValueError:  # no positive-distance pairs at all
@@ -316,6 +324,7 @@ def summarize(
         runs=len(runs),
         iterations=max(r.iterations for r in runs.runs),
         reachable_pct=reachable,
+        reachable_pct_se=reachable_se,
         mean=results["mean"].estimate,
         mean_se=results["mean"].se,
         mean_excl_self=excl_mean,

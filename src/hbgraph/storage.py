@@ -20,14 +20,24 @@ bit-exact layout.
 
 The encoder works on arrays, over blocks of consecutive nodes with about
 _BLOCK arcs plus nodes each (and the lists of the `window` nodes before
-a block, as references). For no copying and for each reference distance
-r, one pass over the block's arcs gives every node's exact bit cost:
-copy masks come from `searchsorted` on the sorted arc keys u*n + y,
-copy blocks, intervals and gaps from segmented `diff` and `cumsum`, and
-code lengths from `codes.nat_lengths`. A running minimum keeps each
-node's cheapest candidate. The chosen fields then become (word, width)
-arrays, sorted into chunk order and packed in bulk by
-`codes.pack_words`. Decoding reads chunk by chunk with `BitReader`.
+a block, as references). Each candidate, no copying and then copying
+from x - r for r = 1..window, builds every node's fields once, in one
+pass over the block's arcs: copy masks come from `searchsorted` on the
+sorted arc keys u*n + y, copy blocks, intervals and gaps from segmented
+`diff` and `cumsum`, and code words from `codes.nat_words`. A field
+kind is a (nodes, words, widths) triple, and a candidate lists its kinds
+in chunk order. A node's cost is the sum of its widths; it keeps the
+fields of the first candidate that is strictly cheaper than those
+before, so ties go to no copying, then to the smallest r. (Copying
+nothing costs at least 3 bits more than no copying, so it never wins.)
+The kept fields are put in chunk order by a stable sort on node and
+packed in bulk by `codes.pack_words`; their widths give the offsets.
+
+Decoding reads chunk by chunk with `BitReader`. Each list is assembled
+from Python ints: the copied blocks sliced from the referenced list,
+the interval ranges and the residuals, then one sort. `decode` writes it
+into one preallocated `indices` array of the header's arc count and
+keeps only the last `window` lists, for copying.
 """
 
 from __future__ import annotations
@@ -39,9 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (
-    BitReader, CODE_NAMES, coder, nat_length, nat_lengths, nat_words, pack_words, read_nat,
-)
+from .codes import BitReader, CODE_NAMES, coder, nat_words, pack_words, read_nat
 from .graph import Graph
 
 __all__ = [
@@ -133,101 +141,105 @@ def _gaps(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
     return gaps, head
 
 
-def _rest_fields(nodes: np.ndarray, ids: np.ndarray, base: int, min_interval: int):
-    """Interval and residual fields of the ids that copying left over.
+def _fields(nodes: np.ndarray, values: np.ndarray, code="gamma", k=3):
+    """One field kind as (nodes, words, widths), in narrow dtypes: a
+    block's local node ids fit int32 and every width fits uint8."""
+    words, widths = nat_words(values, code, k)
+    return nodes.astype(np.int32), words, widths.astype(np.uint8)
 
-    Returns the interval nodes (one per interval), the interval fields
-    (left extreme then length, per interval), the residual nodes and the
-    residual fields, all in stream order within each node.
+
+def _rest_fields(nodes, ids, own: np.ndarray, base: int, cfg: CodecConfig):
+    """Field kinds of the ids that copying left over, in chunk order.
+
+    These are the interval count of every node in `own`, the intervals
+    (left extreme then length, per interval) and the residuals, each in
+    stream order within a node.
     """
-    starts, lengths, resid = _split_runs(nodes, ids, min_interval)
+    starts, lengths, resid = _split_runs(nodes, ids, cfg.min_interval)
     inodes, left = nodes[starts], ids[starts]
     lgap, head = _gaps(inodes, left, left + lengths - 1, base)
     lgap[~head] -= 1
     ivals = np.empty(2 * starts.size, dtype=np.int64)
     ivals[0::2] = lgap
-    ivals[1::2] = lengths - min_interval
+    ivals[1::2] = lengths - cfg.min_interval
     rnodes, rids = nodes[resid], ids[resid]
-    return inodes, ivals, rnodes, _gaps(rnodes, rids, rids, base)[0]
+    kinds = []
+    if cfg.min_interval:
+        counts = np.bincount(inodes - own[0], minlength=own.size)
+        kinds += [_fields(own, counts), _fields(np.repeat(inodes, 2), ivals)]
+    gaps = _gaps(rnodes, rids, rids, base)[0]
+    return kinds + [_fields(rnodes, gaps, cfg.residual_code, cfg.zeta_k)]
 
 
-class _Reference:
-    """Every node x copying from x - r: its block fields and copied arcs.
+def _copy_fields(keys, indptr, n: int, r: int, own: np.ndarray):
+    """Every node x copying from x - r: its copied arcs and block fields.
 
     `keys` are the sorted arc keys u*n + y of a CSR slice with row
     pointers `indptr`. Arc (u, y) is in the copy mask of x = u + r when
     key (u + r)*n + y exists; the arc it finds is an arc of x that
     copying covers. Blocks are the runs of the mask over u's list,
     alternating copy and skip and starting with a copy run that may be
-    empty; the last run is implicit. Per node x (x < r reads as no
-    reference) the fields are `nblocks`, then a 0 block where the mask
-    starts with a skip (`lead0`), then the runs but the last
-    (`run_nodes`, `run_vals`: the first run as-is, later ones minus 1).
-    `count` is the number of arcs copied.
+    empty; the last run is implicit. Returns the mask of covered arcs,
+    the arcs each node of `own` copies (none for x < r) and the field
+    kinds: the reference r, the block count and a 0 block where the mask
+    starts with a skip, for `own`, then the runs but the last (the first
+    as-is, later ones minus 1), also for nodes before `own`, which the
+    caller never picks.
     """
+    m, arcs = indptr.size - 1, keys.size
+    query = keys + r * n
+    pos = np.searchsorted(keys, query)
+    np.minimum(pos, arcs - 1, out=pos)
+    hit = keys[pos] == query
+    del query
+    copied = np.zeros(arcs, dtype=bool)
+    copied[pos[hit]] = True
+    del pos
+    first = indptr[:-1]
+    listed = indptr[1:] > first
+    brk = np.ones(arcs, dtype=bool)
+    brk[1:] = hit[1:] != hit[:-1]
+    brk[first[listed]] = True
+    run_starts = np.flatnonzero(brk)
+    del brk
+    run_len = np.diff(run_starts, append=arcs)
+    run_hit = hit[run_starts]
+    del hit
+    lo = np.searchsorted(run_starts, first)
+    runs = np.searchsorted(run_starts, indptr[1:]) - lo
+    count = np.bincount(np.repeat(np.arange(m), runs), weights=run_len * run_hit, minlength=m)
+    opens_hit = np.zeros(m, dtype=bool)
+    opens_hit[listed] = run_hit[lo[listed]]
+    lead0 = listed & ~opens_hit
+    nblocks = np.maximum(runs - 1, 0) + lead0
+    run_vals = run_len - 1
+    run_vals[lo[opens_hit]] += 1
+    explicit = np.ones(run_starts.size, dtype=bool)
+    explicit[lo[listed] + runs[listed] - 1] = False
+    run_nodes = np.repeat(np.arange(r, m + r), runs)[explicit]
 
-    def __init__(self, keys: np.ndarray, indptr: np.ndarray, n: int, r: int):
-        m, arcs = indptr.size - 1, keys.size
-        query = keys + r * n
-        pos = np.searchsorted(keys, query)
-        np.minimum(pos, arcs - 1, out=pos)
-        hit = keys[pos] == query
-        del query
-        self.copied = np.zeros(arcs, dtype=bool)
-        self.copied[pos[hit]] = True
-        del pos
-        first = indptr[:-1]
-        listed = indptr[1:] > first
-        brk = np.ones(arcs, dtype=bool)
-        brk[1:] = hit[1:] != hit[:-1]
-        brk[first[listed]] = True
-        run_starts = np.flatnonzero(brk)
-        del brk
-        run_len = np.diff(run_starts, append=arcs)
-        run_hit = hit[run_starts]
-        del hit
-        lo = np.searchsorted(run_starts, first)
-        runs = np.searchsorted(run_starts, indptr[1:]) - lo
-        count = np.bincount(
-            np.repeat(np.arange(m), runs), weights=run_len * run_hit, minlength=m
-        ).astype(np.int64)
-        opens_hit = np.zeros(m, dtype=bool)
-        opens_hit[listed] = run_hit[lo[listed]]
-        lead0 = listed & ~opens_hit
-        nblocks = np.maximum(runs - 1, 0) + lead0
-        run_vals = run_len - 1
-        run_vals[lo[opens_hit]] += 1
-        explicit = np.ones(run_starts.size, dtype=bool)
-        explicit[lo[listed] + runs[listed] - 1] = False
-        # shift from the reference u to the node x = u + r
-        self.count = np.zeros(m, dtype=np.int64)
-        self.count[r:] = count[: m - r]
-        self.nblocks = np.zeros(m, dtype=np.int64)
-        self.nblocks[r:] = nblocks[: m - r]
-        self.lead0 = np.zeros(m, dtype=bool)
-        self.lead0[r:] = lead0[: m - r]
-        self.run_nodes = np.repeat(np.arange(r, m + r), runs)[explicit]
-        self.run_vals = run_vals[explicit]
+    def shift(a):  # from the reference u to the node x = u + r, over own
+        return np.concatenate([np.zeros(r, dtype=a.dtype), a])[own]
+
+    zero = own[shift(lead0)]
+    kinds = [
+        _fields(own, np.full(own.size, r)),
+        _fields(own, shift(nblocks)),
+        _fields(zero, np.zeros(zero.size, dtype=np.int64)),
+        _fields(run_nodes, run_vals[explicit]),
+    ]
+    return copied, shift(count).astype(np.int64), kinds
 
 
-def _node_bits_of(nodes: np.ndarray, widths: np.ndarray, m: int) -> np.ndarray:
+def _bits(kinds, m: int) -> np.ndarray:
     """Sum of the widths of each node's fields."""
-    return np.bincount(nodes, weights=widths, minlength=m).astype(np.int64)
+    return sum(np.bincount(f[0], weights=f[2], minlength=m) for f in kinds).astype(np.int64)
 
 
-def _node_bits(nodes: np.ndarray, values: np.ndarray, m: int, code="gamma", k=3) -> np.ndarray:
-    """Bits per node of coding each value in `values` for its node."""
-    return _node_bits_of(nodes, nat_lengths(values, code, k), m)
-
-
-def _rest_bits(nodes, ids, base: int, m: int, cfg: CodecConfig) -> np.ndarray:
-    """Bits per node of the interval and residual parts."""
-    inodes, ivals, rnodes, rvals = _rest_fields(nodes, ids, base, cfg.min_interval)
-    bits = _node_bits(rnodes, rvals, m, cfg.residual_code, cfg.zeta_k)
-    if cfg.min_interval:
-        bits += nat_lengths(np.bincount(inodes, minlength=m))
-        bits += _node_bits(np.repeat(inodes, 2), ivals, m)
-    return bits
+def _pick(field, chose: np.ndarray):
+    """The items of a field kind whose node is marked in `chose`."""
+    sel = chose[field[0]]
+    return tuple(a[sel] for a in field)
 
 
 # arcs plus nodes per encoder block; bounds the encoder's temporaries
@@ -247,60 +259,39 @@ def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
     m, front = b - base, a - base
     nodes = np.repeat(np.arange(m), np.diff(indptr))
     keys = nodes * g.n + ids
+    own, start = np.arange(front, m), indptr[front]
+    own_nodes, own_ids = nodes[start:], ids[start:]
 
-    # cheapest candidate per node: no copy (1 bit for reference 0) or
-    # r = 1..window, the first strictly cheaper one winning
-    best_r = np.zeros(m, dtype=np.int64)
-    best_bits = _rest_bits(nodes, ids, base, m, cfg) + 1
+    # candidates: no copy (reference 0), then r = 1..window; a node keeps
+    # the fields of the first strictly cheaper one
+    empty = _fields(own[:0], own[:0])
+    no_copy = [_fields(own, np.zeros(own.size, dtype=np.int64)), empty, empty, empty]
+    best = (no_copy if cfg.window else []) + _rest_fields(own_nodes, own_ids, own, base, cfg)
+    best_bits = _bits(best, m)[front:]
+    best_count = np.zeros(own.size, dtype=np.int64)
+    chose = np.zeros(m, dtype=bool)
     for r in range(1, min(cfg.window, m - 1) + 1) if keys.size else ():
-        ref = _Reference(keys, indptr, g.n, r)
-        keep = ~ref.copied
-        bits = _rest_bits(nodes[keep], ids[keep], base, m, cfg)
-        del keep
-        bits += nat_length(r) + nat_lengths(ref.nblocks) + ref.lead0
-        bits += _node_bits(ref.run_nodes, ref.run_vals, m)
-        better = (ref.count > 0) & (bits < best_bits)
-        best_bits[better] = bits[better]
-        best_r[better] = r
-        del ref, bits, better
-    del best_bits
-    best_r[:front] = 0  # nodes before a are only references here
-
-    # gamma fields as (nodes, values) in chunk order: reference, blocks,
-    # interval count, intervals; residuals follow in the residual code
-    own = np.arange(front, m)
-    fields = [(own, best_r[front:])] if cfg.window else []
-    nblocks, lead0, runs = [], [], []
-    keep = np.ones(keys.size, dtype=bool)
-    keep[: indptr[front]] = False
-    for r in np.unique(best_r[best_r > 0]).tolist():
-        ref = _Reference(keys, indptr, g.n, r)
-        chose = best_r == r
-        keep &= ~(ref.copied & chose[nodes])
-        at = np.flatnonzero(chose)
-        nblocks.append((at, ref.nblocks[at]))
-        zero = at[ref.lead0[at]]
-        lead0.append((zero, np.zeros(zero.size, dtype=np.int64)))
-        take = chose[ref.run_nodes]
-        runs.append((ref.run_nodes[take], ref.run_vals[take]))
-        del ref
-    del keys
-    copied = int(indptr[-1] - indptr[front] - keep.sum())
-    inodes, ivals, rnodes, rvals = _rest_fields(nodes[keep], ids[keep], base, cfg.min_interval)
-    del nodes, keep
-    fields += nblocks + lead0 + runs
-    if cfg.min_interval:
-        fields += [(own, np.bincount(inodes, minlength=m)[front:]), (np.repeat(inodes, 2), ivals)]
-    intervals = int(ivals[1::2].sum()) + cfg.min_interval * inodes.size
-    gamma = [nat_words(vals) for _, vals in fields]
-    res_words, res_widths = nat_words(rvals, cfg.residual_code, cfg.zeta_k)
-    field_nodes = np.concatenate([f[0] for f in fields] + [rnodes])
-    words = np.concatenate([w for w, _ in gamma] + [res_words])
-    widths = np.concatenate([w for _, w in gamma] + [res_widths])
-    del fields, gamma, res_words, res_widths
-    node_bits = _node_bits_of(field_nodes, widths, m)[front:]
+        copied, count, kinds = _copy_fields(keys, indptr, g.n, r, own)
+        keep = ~copied[start:]
+        kinds += _rest_fields(own_nodes[keep], own_ids[keep], own, base, cfg)
+        bits = _bits(kinds, m)[front:]
+        better = bits < best_bits
+        if better.any():
+            chose[front:] = better
+            best = [
+                tuple(map(np.concatenate, zip(_pick(f, ~chose), _pick(c, chose))))
+                for f, c in zip(best, kinds)
+            ]
+            best_bits[better] = bits[better]
+            best_count[better] = count[better]
+        del keep, kinds, bits, better
+    copied = int(best_count.sum())
+    # every own arc is copied, in an interval or a residual
+    intervals = own_ids.size - copied - best[-1][0].size
+    field_nodes, words, widths = map(np.concatenate, zip(*best))
+    del best
     order = np.argsort(field_nodes, kind="stable")
-    return words[order], widths[order], node_bits, copied, intervals
+    return words[order], widths[order], best_bits, copied, intervals
 
 
 class EncodedGraph:
@@ -369,68 +360,51 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     return EncodedGraph(n, g.num_arcs, g.symmetric, cfg, bytes(stream), offsets, copied, intervals)
 
 
-def _apply_blocks(ref_list: np.ndarray, blocks: list[int]) -> np.ndarray:
-    take = np.zeros(ref_list.size, dtype=bool)
-    pos = 0
-    copying = True
-    for b in blocks:
-        take[pos : pos + b] = copying
-        pos += b
-        copying = not copying
-    take[pos:] = copying
-    return ref_list[take]
-
-
 def _parse_chunk(enc: EncodedGraph, x: int, res_read):
-    """Read one chunk into (ref, blocks, intervals, residuals).
+    """Read one chunk into (ref, blocks, ids): the reference, the copy
+    block lengths and the ids of the intervals and residuals, unsorted.
 
     `res_read` reads one residual field; callers bind it once per decode.
     """
     cfg = enc.cfg
     r = BitReader(enc.stream, int(enc.offsets[x]), int(enc.offsets[x + 1]))
     ref = read_nat(r) if cfg.window > 0 else 0
-    blocks: list[int] = []
-    if ref:
-        nblocks = read_nat(r)
-        for i in range(nblocks):
-            b = read_nat(r)
-            blocks.append(b if i == 0 else b + 1)
-    intervals: list[tuple[int, int]] = []
+    if ref > min(x, cfg.window):
+        raise ValueError(f"node {x}: reference {ref} reaches before the window")
+    # the first block length is as coded, later ones are stored minus 1
+    blocks = [read_nat(r) + (i > 0) for i in range(read_nat(r))] if ref else []
+    ids: list[int] = []
     if cfg.min_interval > 0:
-        nint = read_nat(r)
         prev_end = None
-        for _ in range(nint):
-            if prev_end is None:
-                left = x + _unfold(read_nat(r))
-            else:
-                left = prev_end + 2 + read_nat(r)
-            length = read_nat(r) + cfg.min_interval
-            intervals.append((left, length))
-            prev_end = left + length - 1
-    residuals: list[int] = []
+        for _ in range(read_nat(r)):
+            left = x + _unfold(read_nat(r)) if prev_end is None else prev_end + 2 + read_nat(r)
+            prev_end = left + read_nat(r) + cfg.min_interval - 1
+            if prev_end >= enc.n:  # before a corrupt length is expanded
+                raise ValueError(f"node {x}: decoded successor out of range")
+            ids += range(left, prev_end + 1)
     prev = None
     while r.remaining > 0:
-        if prev is None:
-            prev = x + _unfold(res_read(r))
-        else:
-            prev = prev + 1 + res_read(r)
-        residuals.append(prev)
-    return ref, blocks, intervals, residuals
+        prev = x + _unfold(res_read(r)) if prev is None else prev + 1 + res_read(r)
+        ids.append(prev)
+    return ref, blocks, ids
 
 
-def _successors(referenced, blocks, intervals, residuals) -> np.ndarray:
-    """One node's sorted successor list from its parsed chunk; referenced
-    is the decoded list it copies from, or None when it copies nothing."""
-    parts = [] if referenced is None else [_apply_blocks(referenced, blocks)]
-    for left, length in intervals:
-        parts.append(np.arange(left, left + length, dtype=np.int64))
-    if residuals:
-        parts.append(np.asarray(residuals, dtype=np.int64))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    succ = np.concatenate(parts)
-    succ.sort()
-    return succ
+def _successors(enc: EncodedGraph, x: int, referenced, blocks, ids) -> list[int]:
+    """Node x's sorted successor list from its parsed chunk, extending
+    `ids`; referenced is the list it copies from, or None."""
+    if referenced is not None:
+        pos, copying = 0, True
+        for b in blocks:
+            if copying:
+                ids += referenced[pos : pos + b]
+            pos += b
+            copying = not copying
+        if copying:
+            ids += referenced[pos:]
+    ids.sort()
+    if ids and (ids[0] < 0 or ids[-1] >= enc.n):
+        raise ValueError(f"node {x}: decoded successor out of range")
+    return ids
 
 
 def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
@@ -441,41 +415,37 @@ def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
     chain = []
     node = x
     while True:
-        ref, blocks, intervals, residuals = _parse_chunk(enc, node, res_read)
-        chain.append((node, ref, blocks, intervals, residuals))
+        ref, blocks, ids = _parse_chunk(enc, node, res_read)
+        chain.append((node, ref, blocks, ids))
         if not ref:
             break
         node -= ref
-    result = None
-    for node, ref, blocks, intervals, residuals in reversed(chain):
-        result = _successors(result if ref else None, blocks, intervals, residuals)
-    return result
+    succ = None
+    for node, ref, blocks, ids in reversed(chain):
+        succ = _successors(enc, node, succ if ref else None, blocks, ids)
+    return np.array(succ, dtype=np.int64)
 
 
 def decode(enc: EncodedGraph) -> Graph:
     """Materialize the full CSR graph (single forward pass)."""
-    window = max(enc.cfg.window, 1)
-    recent: deque = deque(maxlen=window)
-    indptr = np.zeros(enc.n + 1, dtype=np.int64)
-    chunks = []
+    n, arcs = enc.n, enc.num_arcs
+    recent: deque = deque(maxlen=max(enc.cfg.window, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(arcs, dtype=np.int64)
     res_read = coder(enc.cfg.residual_code, enc.cfg.zeta_k)[1]
-    for x in range(enc.n):
-        ref, blocks, intervals, residuals = _parse_chunk(enc, x, res_read)
-        if ref > len(recent):
-            raise ValueError(f"node {x}: reference {ref} reaches before the window")
-        succ = _successors(recent[-ref] if ref else None, blocks, intervals, residuals)
-        if succ.size and (succ[0] < 0 or succ[-1] >= enc.n):
-            raise ValueError(f"node {x}: decoded successor out of range")
-        chunks.append(succ)
-        indptr[x + 1] = indptr[x] + succ.size
-        if enc.cfg.window:
-            recent.append(succ)
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    if indices.size != enc.num_arcs:
-        raise ValueError(
-            f"corrupt stream: decoded {indices.size} arcs, header claims {enc.num_arcs}"
-        )
-    return Graph(enc.n, indptr, indices, symmetric=enc.symmetric)
+    end = 0
+    for x in range(n):
+        ref, blocks, ids = _parse_chunk(enc, x, res_read)
+        succ = _successors(enc, x, recent[-ref] if ref else None, blocks, ids)
+        start, end = end, end + len(succ)
+        if end > arcs:
+            raise ValueError(f"corrupt stream: decoded more arcs than the header's {arcs}")
+        indices[start:end] = succ
+        indptr[x + 1] = end
+        recent.append(succ)
+    if end != arcs:
+        raise ValueError(f"corrupt stream: decoded {end} arcs, header claims {arcs}")
+    return Graph(n, indptr, indices, symmetric=enc.symmetric)
 
 
 # ---- container I/O ----

@@ -8,6 +8,7 @@ import pytest
 from hbgraph.cli import _build_parser, _load_graph, main, run_manifest
 from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet
+from hbgraph.graph import Graph
 from hbgraph.storage import load as load_compressed
 from util import er
 
@@ -272,15 +273,38 @@ class TestDiameterGaps:
             b'{\n  "bfs_count": 6,\n  "component_size": 18,\n  "diameter": 9,\n'
             b'  "exact": true,\n  "lower": 9,\n  "upper": 9\n}\n')
         ok(["diameter", hbg, "--giant", "--sweep-only", "-o", out])
+        # nodes in the loaded graph's ids; in the giant's own ids, which
+        # were reported before, they are 17, 3 and 13
         assert open(out, "rb").read() == (
             b'{\n  "bfs_count": 3,\n  "component_size": null,\n  "exact": false,\n'
-            b'  "far_pair": [\n    17,\n    3\n  ],\n  "lower": 9,\n'
-            b'  "midpoint": 13,\n  "midpoint_ecc": 5,\n  "upper": null\n}\n')
+            b'  "far_pair": [\n    721,\n    217\n  ],\n  "lower": 9,\n'
+            b'  "midpoint": 623,\n  "midpoint_ecc": 5,\n  "upper": null\n}\n')
         g, _ = _load_graph(hbg)
+        bare = Graph(g.n, g.indptr, g.indices, symmetric=True)
+        assert giant_component(bare).original_ids[[17, 3, 13]].tolist() == [721, 217, 623]
         assert giant_component(g).original_ids.tolist() == [
             5000, 5097, 5194, 5291, 5388, 5485, 5582, 5679, 5007,
             5104, 5201, 5298, 5395, 5492, 5589, 5686, 5014, 5111,
         ]
+
+    def test_giant_keeps_the_loaded_ids(self, tmp_path, capsys):
+        # the giant is 2..6; node 0 is in a two-node component
+        src = tmp_path / "e.txt"
+        src.write_text("0 1\n2 3\n3 4\n4 5\n5 6\n")
+        hbg, out = str(tmp_path / "g.hbg"), str(tmp_path / "d.json")
+        ok(["import", str(src), "-o", hbg, "--symmetrize"])
+        for extra in ([], ["--start", "2"]):
+            ok(["diameter", hbg, "--giant", "--sweep-only", "-o", out, *extra])
+            payload = json.loads(open(out).read())
+            assert sorted(payload["far_pair"]) == [2, 6]
+            assert payload["midpoint"] == 4
+        ok(["diameter", hbg, "--giant", "--start", "5", "-o", out])
+        assert json.loads(open(out).read())["diameter"] == 4
+        capsys.readouterr()
+        for start in ("0", "1", "7", "-1"):
+            for mode in ([], ["--sweep-only"]):
+                assert main(["diameter", hbg, "--giant", "--start", start, *mode]) == 1
+                assert capsys.readouterr().err.startswith("error: start node")
 
     @pytest.mark.parametrize("start", ["99", "-1"])
     @pytest.mark.parametrize("mode", [[], ["--sweep-only"]])

@@ -183,6 +183,21 @@ class TestSummarize:
         assert abs(stats.mean - mu) < 5 * max(stats.mean_se, 1e-3)
         assert stats.runs == 10 and stats.n == 56
 
+    def test_reachable_pct_has_a_jackknife_error(self):
+        g = from_pairs(4, [(0, 1), (2, 3)])
+        ex = run_exact(g, graph_id="g")
+        assert summarize(RunSet([ex, ex, ex])).reachable_pct_se == 0.0
+        assert math.isnan(summarize(RunSet([ex])).reachable_pct_se)
+        rs = RunSet([run(grid(6, 6), m=16, seed=s, graph_id="g") for s in seed_sequence(5, 4)])
+        stats = summarize(rs)
+        assert stats.reachable_pct_se > 0
+        # the jackknife error of a mean is the sample deviation over sqrt(R)
+        last = np.array([r.monotone_values[-1] for r in rs.runs])
+        want = 100 * last.std(ddof=1) / np.sqrt(last.size) / 36**2
+        assert stats.reachable_pct_se == pytest.approx(want, rel=1e-9)
+        assert "reachable_pct_se" in stats.to_dict()
+        assert f"+- {stats.reachable_pct_se:.4f}" in stats.to_text()
+
     def test_disconnected_reachability(self):
         g = from_pairs(4, [(0, 1), (2, 3)])  # two directed pairs
         ex = run_exact(g, graph_id="g")

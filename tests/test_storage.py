@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hbgraph import storage
+from hbgraph.codes import BitWriter, write_nat
 from hbgraph.graph import Graph
 from hbgraph.storage import (
     MAGIC,
     CodecConfig,
+    EncodedGraph,
     decode,
     decode_node,
     encode,
@@ -165,7 +167,17 @@ class TestRoundTrip:
         )
         g = from_pairs(n, pairs) if pairs else from_pairs(n, [])
         cfg = data.draw(st.sampled_from(CONFIGS))
-        _assert_same_graph(g, encode(g, cfg).decode())
+        # small blocks put copy references across block edges; hypothesis
+        # and function-scoped monkeypatch do not mix, so restore by hand
+        block, storage._BLOCK = storage._BLOCK, data.draw(st.sampled_from([16, 64, 8192]))
+        try:
+            enc = encode(g, cfg)
+        finally:
+            storage._BLOCK = block
+        h = enc.decode()
+        _assert_same_graph(g, h)
+        for x in range(n):
+            assert np.array_equal(decode_node(enc, x), h.successors(x))
 
 
 class TestContainer:
@@ -237,6 +249,87 @@ class TestContainer:
         p.write_bytes(blob[: len(blob) - len(enc.stream) // 2])
         with pytest.raises(ValueError):
             load(p)
+
+
+def _hand_built(chunks, num_arcs, window=7, min_interval=0):
+    """EncodedGraph whose node x's chunk is the gamma-coded naturals
+    chunks[x], read with gamma residuals."""
+    w, offsets = BitWriter(), [0]
+    for values in chunks:
+        for v in values:
+            write_nat(w, v)
+        offsets.append(w.bit_length)
+    cfg = CodecConfig(window=window, min_interval=min_interval, residual_code="gamma")
+    offsets = np.array(offsets, dtype=np.uint64)
+    return EncodedGraph(len(chunks), num_arcs, False, cfg, w.getvalue(), offsets, 0, 0)
+
+
+class TestCorruptStreams:
+    """decode's checks, reached without the container's checksum.
+
+    A chunk here is a reference, then (with one) a block count and
+    blocks, then (with min_interval) an interval count and intervals,
+    then residuals: the first as fold(y - x), with fold(d) = 2d - 1 for
+    d > 0 and -2d otherwise, later ones as gaps minus 1.
+    """
+
+    def test_the_hand_built_graph_decodes(self):
+        # node 0 -> 1; node 1 copies node 0's list and adds 0
+        enc = _hand_built([[0, 1], [1, 0, 2]], 3)
+        assert decode(enc).successors(1).tolist() == [0, 1]
+        assert decode_node(enc, 1).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("chunks,window,node", [
+        ([[3], [0]], 7, 0),  # before node 0
+        ([[0], [0], [2, 0]], 1, 2),  # beyond the window
+    ], ids=["before-node-0", "beyond-window"])
+    def test_reference_out_of_reach(self, chunks, window, node):
+        enc = _hand_built(chunks, 0, window)
+        with pytest.raises(ValueError, match="reaches before the window"):
+            decode(enc)
+        with pytest.raises(ValueError, match="reaches before the window"):
+            decode_node(enc, node)
+
+    @pytest.mark.parametrize("chunks,node", [
+        ([[0, 3], [0]], 0),  # node 0 -> 2 on 2 nodes
+        ([[0], [0, 4]], 1),  # node 1 -> -1
+    ], ids=["id-n", "id-negative"])
+    def test_successor_out_of_range(self, chunks, node):
+        enc = _hand_built(chunks, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            decode(enc)
+        with pytest.raises(ValueError, match="out of range"):
+            decode_node(enc, node)
+
+    def test_interval_past_n_fails_before_it_is_expanded(self):
+        # reference 0, one interval: left 0, length 2 + 2^40
+        enc = _hand_built([[0, 1, 0, 2**40], [0, 0]], 0, min_interval=2)
+        with pytest.raises(ValueError, match="node 0: decoded successor out of range"):
+            decode(enc)
+        with pytest.raises(ValueError, match="node 0: decoded successor out of range"):
+            decode_node(enc, 0)
+
+    def test_successor_out_of_range_through_a_copy(self):
+        # node 1 copies node 0's bad list and adds nothing
+        enc = _hand_built([[0, 3], [1, 0]], 2)
+        with pytest.raises(ValueError, match="node 0: decoded successor out of range"):
+            decode_node(enc, 1)
+
+    @pytest.mark.parametrize("claimed,error", [
+        (0, "decoded more arcs than the header's 0"),
+        (1, "decoded more arcs than the header's 1"),
+        (2, "decoded more arcs than the header's 2"),
+        (4, "decoded 3 arcs, header claims 4"),
+        (10, "decoded 3 arcs, header claims 10"),
+    ])
+    def test_arc_count_must_match_the_header(self, claimed, error):
+        # three arcs: 0 -> 1, 2 and 1 -> 0; node 0's two ids do not fit
+        # a preallocated array of 0 or 1 arcs
+        enc = _hand_built([[0, 1, 0], [0, 2], [0]], claimed)
+        with pytest.raises(ValueError, match=f"corrupt stream: {error}$"):
+            decode(enc)
+        # decode_node reads one list and cannot see the count
+        assert [decode_node(enc, x).tolist() for x in range(3)] == [[1, 2], [0], []]
 
 
 class TestCodecConfig:
