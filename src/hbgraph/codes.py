@@ -1,4 +1,4 @@
-"""Bit-level stream I/O and instantaneous integer codes.
+"""Instantaneous integer codes, written and read as numpy arrays.
 
 The compressed graph store writes small nonnegative integers with one of
 three self-delimiting codes:
@@ -8,242 +8,31 @@ three self-delimiting codes:
 * ``zeta_k``: unary count of k-bit groups + truncated binary remainder,
   tuned for power-law gap distributions (k=3 is a good web-graph default).
 
-All public read/write helpers operate on *naturals* (n >= 0) by coding
-n + 1 internally, so callers never special-case zero. Streams are MSB-first
-within each byte.
+Every function codes a natural n >= 0 as n + 1, so callers never
+special-case zero. Streams are MSB-first within each byte.
 
-`nat_lengths`, `nat_words` and `pack_words` are the array forms of
-`nat_length`, `write_nat` and `BitWriter`: they code a whole numpy array
-of naturals at once and produce the same bits.
+`nat_words` gives every value's codeword and `pack_words` packs them.
+`read_nats`, their inverse, reads one codeword at each of a vector of
+bit cursors and returns the values and the advanced cursors. It looks
+codewords of up to 12 bits up in a table per code, indexed by the bits
+at the cursor from `bit_windows` (the 64 bits at every byte of the
+stream). It reads longer ones by arithmetic on the 64 bits at the cursor
+(a 9-byte gather), with `_bit_lengths` for the unary part, and a second
+window for the rest of one wider than 64 bits (gamma of 2^32 or more).
+Values go up to 2^63 - 1. The scalar bit writer and reader these
+replaced are the oracle the tests check them against (tests/util.py).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = [
-    "BitWriter",
-    "BitReader",
-    "write_nat",
-    "read_nat",
-    "nat_length",
-    "nat_lengths",
-    "nat_words",
-    "pack_words",
-    "coder",
-    "CODE_NAMES",
-]
+__all__ = ["nat_words", "pack_words", "bit_windows", "read_nats", "CODE_NAMES"]
 
 CODE_NAMES = ("gamma", "delta", "zeta")
 
-
-class BitWriter:
-    """Accumulates an MSB-first bit stream into a bytearray."""
-
-    __slots__ = ("_buf", "_acc", "_nacc")
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._acc = 0
-        self._nacc = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        """Append `width` bits of `value` (its low bits, MSB-first)."""
-        if width < 0:
-            raise ValueError("negative width")
-        if width == 0:
-            return
-        self._acc = (self._acc << width) | (value & ((1 << width) - 1))
-        self._nacc += width
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._buf.append((self._acc >> self._nacc) & 0xFF)
-        self._acc &= (1 << self._nacc) - 1
-
-    @property
-    def bit_length(self) -> int:
-        """Number of bits written so far."""
-        return len(self._buf) * 8 + self._nacc
-
-    def getvalue(self) -> bytes:
-        """Finished stream, zero-padded to a whole byte."""
-        out = bytes(self._buf)
-        if self._nacc:
-            out += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return out
-
-
-class BitReader:
-    """Reads an MSB-first bit stream produced by BitWriter."""
-
-    __slots__ = ("_data", "_pos", "_limit")
-
-    def __init__(self, data: bytes, bit_offset: int = 0, bit_limit: int | None = None):
-        self._data = data
-        self._pos = bit_offset
-        self._limit = len(data) * 8 if bit_limit is None else bit_limit
-        if self._pos > self._limit:
-            raise ValueError("bit offset past limit")
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        return self._limit - self._pos
-
-    def read_bits(self, width: int) -> int:
-        end = self._pos + width
-        if end > self._limit:
-            raise EOFError("bit stream exhausted")
-        if width == 0:
-            return 0
-        first = self._pos >> 3
-        last = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[first:last], "big")
-        self._pos = end
-        return (chunk >> (last * 8 - end)) & ((1 << width) - 1)
-
-    def read_unary(self) -> int:
-        """Count zeros up to and including the terminating one bit."""
-        zeros = 0
-        while True:
-            take = self._limit - self._pos
-            if take <= 0:
-                raise EOFError("bit stream exhausted in unary code")
-            if take > 32:
-                take = 32
-            first = self._pos >> 3
-            last = (self._pos + take + 7) >> 3
-            chunk = int.from_bytes(self._data[first:last], "big")
-            window = (chunk >> (last * 8 - self._pos - take)) & ((1 << take) - 1)
-            if window == 0:
-                zeros += take
-                self._pos += take
-                continue
-            lead = take - window.bit_length()
-            self._pos += lead + 1
-            return zeros + lead
-
-
-# ---- positive-integer codes (v >= 1) ----
-
-
-def _write_gamma_pos(w: BitWriter, v: int) -> None:
-    b = v.bit_length() - 1
-    # b zeros then the (b+1)-bit binary of v, in one call
-    w.write_bits(v, 2 * b + 1)
-
-
-def _read_gamma_pos(r: BitReader) -> int:
-    b = r.read_unary()
-    return (1 << b) | r.read_bits(b)
-
-
-def _gamma_pos_length(v: int) -> int:
-    return 2 * v.bit_length() - 1
-
-
-def _write_delta_pos(w: BitWriter, v: int) -> None:
-    b = v.bit_length() - 1
-    _write_gamma_pos(w, b + 1)
-    w.write_bits(v, b)  # low b bits; the leading 1 is implicit
-
-
-def _read_delta_pos(r: BitReader) -> int:
-    b = _read_gamma_pos(r) - 1
-    return (1 << b) | r.read_bits(b)
-
-
-def _delta_pos_length(v: int) -> int:
-    b = v.bit_length() - 1
-    return _gamma_pos_length(b + 1) + b
-
-
-def _write_zeta_pos(w: BitWriter, v: int, k: int) -> None:
-    h = (v.bit_length() - 1) // k
-    w.write_bits(1, h + 1)  # h zeros, then the stop bit
-    base = 1 << (h * k)
-    span = (base << k) - base
-    width = (span - 1).bit_length()
-    short = (1 << width) - span
-    rem = v - base
-    if rem < short:
-        w.write_bits(rem, width - 1)
-    else:
-        w.write_bits(rem + short, width)
-
-
-def _read_zeta_pos(r: BitReader, k: int) -> int:
-    h = r.read_unary()
-    base = 1 << (h * k)
-    span = (base << k) - base
-    width = (span - 1).bit_length()
-    if width == 0:
-        return base
-    short = (1 << width) - span
-    rem = r.read_bits(width - 1)
-    if rem >= short:
-        rem = ((rem << 1) | r.read_bits(1)) - short
-    return base + rem
-
-
-def _zeta_pos_length(v: int, k: int) -> int:
-    h = (v.bit_length() - 1) // k
-    base = 1 << (h * k)
-    span = (base << k) - base
-    width = (span - 1).bit_length()
-    short = (1 << width) - span
-    return h + 1 + (width - 1 if v - base < short else width)
-
-
-# ---- natural-number API (n >= 0, codes n + 1) ----
-
-
-def _check_zeta_k(k: int) -> None:
-    if k < 1:
-        raise ValueError("zeta shrinking parameter k must be >= 1")
-
-
-def write_nat(w: BitWriter, n: int, code: str = "gamma", k: int = 3) -> None:
-    if n < 0:
-        raise ValueError(f"cannot code negative value {n}")
-    if code == "gamma":
-        _write_gamma_pos(w, n + 1)
-    elif code == "delta":
-        _write_delta_pos(w, n + 1)
-    elif code == "zeta":
-        _check_zeta_k(k)
-        _write_zeta_pos(w, n + 1, k)
-    else:
-        raise ValueError(f"unknown code {code!r}")
-
-
-def read_nat(r: BitReader, code: str = "gamma", k: int = 3) -> int:
-    if code == "gamma":
-        return _read_gamma_pos(r) - 1
-    if code == "delta":
-        return _read_delta_pos(r) - 1
-    if code == "zeta":
-        _check_zeta_k(k)
-        return _read_zeta_pos(r, k) - 1
-    raise ValueError(f"unknown code {code!r}")
-
-
-def nat_length(n: int, code: str = "gamma", k: int = 3) -> int:
-    """Bit length of write_nat(n) without writing anything."""
-    if code == "gamma":
-        return _gamma_pos_length(n + 1)
-    if code == "delta":
-        return _delta_pos_length(n + 1)
-    if code == "zeta":
-        _check_zeta_k(k)
-        return _zeta_pos_length(n + 1, k)
-    raise ValueError(f"unknown code {code!r}")
-
-
-# ---- array forms ----
 
 _ONE = np.uint64(1)
 
@@ -255,13 +44,8 @@ def _bit_lengths(x: np.ndarray) -> np.ndarray:
     return b - ((x >> (b - _ONE)) == 0)
 
 
-def _check_fits(bits: np.ndarray) -> None:
-    if bits.size and int(bits.max()) > 64:
-        raise ValueError("a codeword has more than 64 significant bits")
-
-
 def nat_words(values, code: str = "gamma", k: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of write_nat: the (words, widths) of every value.
+    """The (words, widths) of every value's codeword.
 
     Codeword i is the low widths[i] bits of words[i], MSB-first. A word
     wider than 64 bits (gamma of 2^32 or more) starts with zeros, which
@@ -278,10 +62,12 @@ def nat_words(values, code: str = "gamma", k: int = 3) -> tuple[np.ndarray, np.n
     if code == "delta":
         lb = _bit_lengths(b)
         low = b - _ONE
-        _check_fits(lb + low)
+        if b.size and int((lb + low).max()) > 64:
+            raise ValueError("a codeword has more than 64 significant bits")
         return (b << low) | (x ^ (_ONE << low)), (2 * lb + low - _ONE).astype(np.int64)
     if code == "zeta":
-        _check_zeta_k(k)
+        if k < 1:
+            raise ValueError("zeta shrinking parameter k must be >= 1")
         kk = np.uint64(k)
         hk = (b - _ONE) // kk * kk
         base = _ONE << hk
@@ -292,19 +78,15 @@ def nat_words(values, code: str = "gamma", k: int = 3) -> tuple[np.ndarray, np.n
         short = base if k > 1 else np.zeros_like(base)
         is_short = rem < short
         width = (hk + kk if k > 1 else hk) - is_short
-        _check_fits(width + _ONE)
+        if b.size and int(width.max()) > 63:
+            raise ValueError("a codeword has more than 64 significant bits")
         payload = np.where(is_short, rem, rem + short)
         return (_ONE << width) | payload, (hk // kk + _ONE + width).astype(np.int64)
     raise ValueError(f"unknown code {code!r}")
 
 
-def nat_lengths(values, code: str = "gamma", k: int = 3) -> np.ndarray:
-    """Array form of nat_length: the bit length of every value's codeword."""
-    return nat_words(values, code, k)[1]
-
-
 def pack_words(words: np.ndarray, widths: np.ndarray, lead: int = 0) -> bytes:
-    """Array form of BitWriter: codewords in order, MSB-first, zero-padded.
+    """Codewords in order, MSB-first, zero-padded to a whole byte.
 
     The first word starts after `lead` zero bits. Each word's significant
     bits (at most 64, the last of its width) are ORed into one or two
@@ -328,20 +110,98 @@ def pack_words(words: np.ndarray, widths: np.ndarray, lead: int = 0) -> bytes:
     return out.astype(">u8").tobytes()[: (total + 7) // 8]
 
 
-def coder(code: str, k: int = 3):
-    """Bind (write, read, length) closures for one code choice."""
-    if code not in CODE_NAMES:
-        raise ValueError(f"unknown code {code!r}; expected one of {CODE_NAMES}")
-    if code == "zeta":
-        _check_zeta_k(k)
+def bit_windows(data) -> np.ndarray:
+    """The table `read_nats` reads: the 64 bits that start at each byte
+    of `data` and of the zeros after it, as far as a cursor can look."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    buf = np.zeros(raw.size + 32, dtype=np.uint8)
+    buf[: raw.size] = raw
+    return np.ndarray((raw.size + 25,), ">u8", buf, 0, (1,)).astype(np.uint64)
 
-    def write(w: BitWriter, n: int) -> None:
-        write_nat(w, n, code, k)
 
-    def read(r: BitReader) -> int:
-        return read_nat(r, code, k)
+def _peek(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 64 bits at each bit cursor: the window of its byte shifted
+    left by its bit within the byte, and the 9th byte's bits after them
+    (numpy shifts a uint64 by 64 or more to 0)."""
+    i, s = pos >> 3, pos & 7
+    return (table[i] << s) | (table[i + 8] >> (64 - s))
 
-    def length(n: int) -> int:
-        return nat_length(n, code, k)
 
-    return write, read, length
+def _field(table, w, pos, skip, width):
+    """The `width` bits (at most 64) that start `skip` bits past each
+    cursor, from its window `w` where they fit, else from a second one."""
+    out = (w << skip) >> (64 - width)
+    far = skip + width > 64
+    if far.any():
+        out[far] = _peek(table, pos[far] + skip[far]) >> (64 - width[far])
+    return out
+
+
+def _read_long(table, pos, code: str, k: int):
+    """(value + 1, width) of the codeword at each cursor, by arithmetic;
+    value + 1 is 0 where the codeword codes a value past 2^63 - 1."""
+    w = _peek(table, pos)
+    u = 64 - _bit_lengths(w | _ONE)  # zeros before the stop bit
+    ok = w > 0  # else 64 zeros or more
+    if code == "gamma":
+        x, width = _field(table, w, pos, u, u + 1), 2 * u + 1
+    elif code == "delta":
+        b = _field(table, w, pos, u, u + 1) - _ONE  # bits after the leading 1
+        ok &= b < 64
+        x, width = (_ONE << b) | _field(table, w, pos, 2 * u + 1, b), 2 * u + 1 + b
+    else:
+        kk = np.uint64(k)
+        hk = u * kk
+        ok &= hk + kk <= 64
+        # hk + k bits after the stop bit: a short codeword is one bit less
+        x = _field(table, w, pos, u + 1, hk + kk)
+        short = _ONE << hk
+        is_short = (x >> _ONE) < short
+        x, width = np.where(is_short, short + (x >> _ONE), x), u + 1 + hk + kk - is_short
+    return np.where(ok, x, 0), width
+
+
+_SHORT = 12  # codewords this short are read by table lookup
+
+
+@lru_cache(maxsize=32)
+def _short_table(code: str, k: int) -> np.ndarray:
+    """value << 8 | width of the codeword that each _SHORT-bit pattern
+    starts with, or 0 where that codeword is longer (read-only)."""
+    words, widths = nat_words(np.arange(1 << _SHORT), code, k)
+    free = (_SHORT - widths).astype(np.uint64)
+    fit = np.flatnonzero(widths <= _SHORT)
+    fit = fit[np.argsort(words[fit] << free[fit])]  # by the smallest pattern each starts
+    free, first = free[fit], words[fit] << free[fit]
+    pattern = np.arange(1 << _SHORT, dtype=np.uint64)
+    i = np.maximum(np.searchsorted(first, pattern, side="right") - 1, 0)
+    entry = (fit[i] << 8 | widths[fit[i]]).astype(np.uint64)
+    table = np.where(pattern >> free[i] == first[i] >> free[i], entry, 0)
+    table.flags.writeable = False
+    return table
+
+
+def read_nats(table, pos, end, code: str = "gamma", k: int = 3):
+    """Inverse of nat_words: the natural coded at each bit cursor.
+
+    `table` is bit_windows(stream); `pos` and `end` are uint64 bit
+    positions with pos <= end <= the stream's length in bits. Returns
+    the int64 values and the cursors past their codewords. A codeword
+    that runs past its cursor's end raises EOFError; one that codes a
+    value past 2^63 - 1 raises ValueError.
+    """
+    if code == "zeta" and k == 1:
+        code = "gamma"  # zeta_1 codes every value as gamma does
+    # at least 57 bits at each cursor, enough for a short codeword
+    entry = _short_table(code, k)[(table[pos >> 3] << (pos & 7)) >> (64 - _SHORT)]
+    value, width = entry >> 8, entry & 255
+    long = width == 0
+    if long.any():
+        x, width[long] = _read_long(table, pos[long], code, k)
+        value[long] = x - _ONE
+        if (value[long] >= _ONE << 63).any():
+            raise ValueError("a codeword codes a value past 2^63 - 1")
+    pos = pos + width
+    if (pos > end).any():
+        raise EOFError("bit stream exhausted")
+    return value.view(np.int64), pos

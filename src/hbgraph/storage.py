@@ -18,38 +18,46 @@ chunk ends" unambiguous. The on-disk container (magic ``HBG1``) stores the
 header, the offset table and the code stream; see FORMATS.md for the
 bit-exact layout.
 
-The encoder works on arrays, over blocks of consecutive nodes with about
-_BLOCK arcs plus nodes each (and the lists of the `window` nodes before
-a block, as references). Each candidate, no copying and then copying
-from x - r for r = 1..window, builds every node's fields once, in one
-pass over the block's arcs: copy masks come from `searchsorted` on the
-sorted arc keys u*n + y, copy blocks, intervals and gaps from segmented
-`diff` and `cumsum`, and code words from `codes.nat_words`. A field
-kind is a (nodes, words, widths) triple, and a candidate lists its kinds
-in chunk order. A node's cost is the sum of its widths; it keeps the
-fields of the first candidate that is strictly cheaper than those
-before, so ties go to no copying, then to the smallest r. (Copying
-nothing costs at least 3 bits more than no copying, so it never wins.)
-The kept fields are put in chunk order by a stable sort on node and
-packed in bulk by `codes.pack_words`; their widths give the offsets.
+Both directions work on arrays, over blocks of consecutive nodes. The
+encoder's blocks hold about _BLOCK arcs plus nodes (and read the lists
+of the `window` nodes before, as references). Each candidate, no copying
+and then copying from x - r for r = 1..window, builds every node's
+fields once: copy masks come from `searchsorted` on the sorted arc keys
+u*n + y, copy blocks, intervals and gaps from segmented `diff` and
+`cumsum`, and code words from `codes.nat_words`. A field kind is a
+(nodes, words, widths) triple, listed in chunk order. A node keeps the
+fields of the first candidate strictly cheaper than those before, so
+ties go to no copying, then to the smallest r (copying nothing costs at
+least 3 bits more than no copying). A stable sort on node puts the kept
+fields in chunk order for `codes.pack_words`; their widths give offsets.
 
-Decoding reads chunk by chunk with `BitReader`. Each list is assembled
-from Python ints: the copied blocks sliced from the referenced list,
-the interval ranges and the residuals, then one sort. `decode` writes it
-into one preallocated `indices` array of the header's arc count and
-keeps only the last `window` lists, for copying.
+The decoder's blocks hold about _BLOCK nodes plus stream bytes.
+`codes.read_nats` reads field i of every chunk at once: the reference,
+the block count, then one round per repeated field (copy blocks,
+intervals, residuals) over the nodes that still have one, residuals
+until each cursor reaches its chunk's end. Interval and residual ids
+follow by segmented `cumsum`. Pointer jumping gives a whole copy that
+adds nothing the list of the first node in its chain that adds
+something, then every list's length, so each list goes straight into
+its slot. The other nodes are sorted by copy level once; a level copies
+ranges from the levels before it, adds its ids and sorts (node, id)
+keys, at a cost of what it holds. Checks raise ValueError: offsets
+nondecreasing, each cursor ending at its chunk's end (EOFError past
+it), references within min(x, window), ids in [0, n) (an interval past
+n before it is expanded), copy blocks within their reference's list,
+and the header's arc count before any write. `decode_node` decodes one
+node's copy chain. The scalar bit I/O went to the tests, as their oracle.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import BitReader, CODE_NAMES, coder, nat_words, pack_words, read_nat
+from .codes import CODE_NAMES, bit_windows, nat_words, pack_words, read_nats
 from .graph import Graph
 
 __all__ = [
@@ -93,10 +101,6 @@ class CodecConfig:
             raise ValueError(f"residual_code must be one of {CODE_NAMES}")
         if self.zeta_k < 1 or self.zeta_k > 31:
             raise ValueError("zeta_k out of range [1, 31]")
-
-
-def _unfold(val: int) -> int:
-    return (val + 1) // 2 if val & 1 else -(val // 2)
 
 
 def _heads(nodes: np.ndarray) -> np.ndarray:
@@ -242,8 +246,22 @@ def _pick(field, chose: np.ndarray):
     return tuple(a[sel] for a in field)
 
 
-# arcs plus nodes per encoder block; bounds the encoder's temporaries
+# weight (arcs plus nodes, or stream bytes plus nodes) of a codec block;
+# bounds the temporaries of encode and decode
 _BLOCK = 1 << 13
+
+
+def _blocks(start: np.ndarray, shift: int = 0):
+    """Consecutive node ranges [a, b) of about _BLOCK weight each: a node
+    weighs 1 plus its step in the nondecreasing `start` (size n + 1),
+    shifted right by `shift` bits, so a block fits _BLOCK + 1 entries."""
+    a, n = 0, start.size - 1
+    while a < n:
+        weight = ((start[a : a + _BLOCK + 1] - start[a]) >> shift).astype(np.int64)
+        weight += np.arange(weight.size)
+        b = a + max(int(np.searchsorted(weight, _BLOCK, side="right")) - 1, 1)
+        yield a, b
+        a = b
 
 
 def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
@@ -339,13 +357,10 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     """
     cfg = cfg or CodecConfig()
     n = g.n
-    weight = g.indptr + np.arange(n + 1)
     offsets = np.zeros(n + 1, dtype=np.uint64)
     stream = bytearray()
     copied = intervals = 0
-    a = 0
-    while a < n:
-        b = max(int(np.searchsorted(weight, weight[a] + _BLOCK, side="right")) - 1, a + 1)
+    for a, b in _blocks(g.indptr):
         words, widths, node_bits, c, i = _encode_block(g, a, b, cfg)
         offsets[a + 1 : b + 1] = offsets[a] + np.cumsum(node_bits).astype(np.uint64)
         lead = int(offsets[a]) % 8
@@ -356,95 +371,245 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
         stream += piece
         copied += c
         intervals += i
-        a = b
     return EncodedGraph(n, g.num_arcs, g.symmetric, cfg, bytes(stream), offsets, copied, intervals)
 
 
-def _parse_chunk(enc: EncodedGraph, x: int, res_read):
-    """Read one chunk into (ref, blocks, ids): the reference, the copy
-    block lengths and the ids of the intervals and residuals, unsorted.
-
-    `res_read` reads one residual field; callers bind it once per decode.
-    """
-    cfg = enc.cfg
-    r = BitReader(enc.stream, int(enc.offsets[x]), int(enc.offsets[x + 1]))
-    ref = read_nat(r) if cfg.window > 0 else 0
-    if ref > min(x, cfg.window):
-        raise ValueError(f"node {x}: reference {ref} reaches before the window")
-    # the first block length is as coded, later ones are stored minus 1
-    blocks = [read_nat(r) + (i > 0) for i in range(read_nat(r))] if ref else []
-    ids: list[int] = []
-    if cfg.min_interval > 0:
-        prev_end = None
-        for _ in range(read_nat(r)):
-            left = x + _unfold(read_nat(r)) if prev_end is None else prev_end + 2 + read_nat(r)
-            prev_end = left + read_nat(r) + cfg.min_interval - 1
-            if prev_end >= enc.n:  # before a corrupt length is expanded
-                raise ValueError(f"node {x}: decoded successor out of range")
-            ids += range(left, prev_end + 1)
-    prev = None
-    while r.remaining > 0:
-        prev = x + _unfold(res_read(r)) if prev is None else prev + 1 + res_read(r)
-        ids.append(prev)
-    return ref, blocks, ids
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i] + 0..lengths[i]-1 for every i, concatenated."""
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(out.size)
+    return out
 
 
-def _successors(enc: EncodedGraph, x: int, referenced, blocks, ids) -> list[int]:
-    """Node x's sorted successor list from its parsed chunk, extending
-    `ids`; referenced is the list it copies from, or None."""
-    if referenced is not None:
-        pos, copying = 0, True
-        for b in blocks:
-            if copying:
-                ids += referenced[pos : pos + b]
-            pos += b
-            copying = not copying
-        if copying:
-            ids += referenced[pos:]
-    ids.sort()
-    if ids and (ids[0] < 0 or ids[-1] >= enc.n):
-        raise ValueError(f"node {x}: decoded successor out of range")
-    return ids
+def _running(steps: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Cumsum of node-major steps (count[i] of node i), restarted at each node."""
+    total, first = np.cumsum(steps), (np.cumsum(count) - count)[count > 0]
+    return total - np.repeat(total[first] - steps[first], count[count > 0])
+
+
+def _sums(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Per-node sums of node-major values, count[i] of node i."""
+    out = np.zeros(count.size, dtype=np.int64)
+    out[count > 0] = _running(values, count)[np.cumsum(count)[count > 0] - 1]
+    return out
+
+
+def _starts(nodes: np.ndarray, count: np.ndarray, gaps: np.ndarray, after: np.ndarray):
+    """First ids of node-major items: a node's first lies fold(d) = gaps
+    from the node, a later one gaps past `after` ids from the one before."""
+    step = np.empty_like(gaps)
+    step[1:] = after[:-1] + gaps[1:]
+    d = gaps[(head := (np.cumsum(count) - count)[count > 0])]
+    step[head] = nodes[count > 0] + np.where(d & 1, (d + 1) >> 1, -(d >> 1))
+    return _running(step, count)
+
+
+def _chase(parent: np.ndarray, value: np.ndarray):
+    """Pointer jumping: for every i, value[i] + value[parent[i]] + ... up
+    to the end of its chain (parent -1), and that end."""
+    total, last, up = value.copy(), np.arange(parent.size), parent.copy()
+    while (act := np.flatnonzero(up >= 0)).size:
+        nxt = up[act]
+        total[act] += total[nxt]
+        last[act] = last[nxt]
+        up[act] = up[nxt]
+    return total, last
+
+
+def _rounds(nodes: np.ndarray, more, read):
+    """A repeated field of `nodes` (all local ids), round by round: round
+    j reads the next item of each node for which more(nodes, j) holds.
+    Returns the items node-major and each node's item count."""
+    m, seen, got = nodes.size, [], []
+    while (nodes := nodes[more(nodes, len(seen))]).size:
+        seen.append(nodes)
+        got.append(read(nodes))
+    who = np.concatenate(seen + [nodes])  # round-major; a stable sort makes it node-major
+    items = np.concatenate(got + [who[:0]])[np.argsort(who, kind="stable")]
+    return items, np.bincount(who, minlength=m)
+
+
+def _batches(sel: np.ndarray, lengths: np.ndarray):
+    """`sel` in consecutive pieces whose lists hold about _BLOCK ids."""
+    return np.split(sel, np.flatnonzero(np.diff(np.cumsum(lengths[sel]) // _BLOCK)) + 1)
+
+
+def _chunks(enc: EncodedGraph, nodes: np.ndarray):
+    """Bit windows over the chunks of `nodes`, and each one's start and end."""
+    lo, hi = enc.offsets[nodes], enc.offsets[nodes + 1]
+    if (hi < lo).any():
+        raise ValueError(f"node {nodes[(hi < lo).argmax()]}: chunk ends before it starts")
+    if (top := int(hi.max())) > 8 * len(enc.stream):
+        raise ValueError("corrupt offsets: a chunk ends past the stream")
+    first = int(lo.min()) >> 3
+    origin = np.uint64(8 * first)
+    return bit_windows(enc.stream[first : (top + 7) >> 3]), lo - origin, hi - origin
+
+
+def _read_chunks(enc: EncodedGraph, nodes: np.ndarray):
+    """Every field of the chunks of `nodes`: the references, the block
+    counts and blocks, the interval counts, gaps and lengths, and the
+    residual counts and residuals, repeated fields node-major."""
+    cfg, m, every = enc.cfg, nodes.size, np.arange(nodes.size)
+    table, pos, end = _chunks(enc, nodes)
+
+    def read(sel, code="gamma", k=3):
+        values, pos[sel] = read_nats(table, pos[sel], end[sel], code, k)
+        return values
+
+    ref = read(every) if cfg.window else np.zeros(m, dtype=np.int64)
+    if (bad := ref > np.minimum(nodes, cfg.window)).any():
+        i = bad.argmax()
+        raise ValueError(f"node {nodes[i]}: reference {ref[i]} reaches before the window")
+    nblocks = np.zeros(m, dtype=np.int64)
+    nblocks[ref > 0] = read(every[ref > 0])
+    blocks = _rounds(every, lambda s, j: nblocks[s] > j, read)[0]
+    # an interval is two items, its left gap and its length
+    icount = read(every) if cfg.min_interval else np.zeros(m, dtype=np.int64)
+    ivals = _rounds(every, lambda s, j: 2 * icount[s] > j, read)[0]
+    res, rcount = _rounds(every, lambda s, j: pos[s] < end[s],
+                          lambda s: read(s, cfg.residual_code, cfg.zeta_k))
+    return ref, nblocks, blocks, icount, ivals[0::2], ivals[1::2], rcount, res
+
+
+def _decode_lists(enc: EncodedGraph, nodes: np.ndarray, indptr=None, out=None):
+    """Decode the lists of `nodes` (sorted ids) into `out` after the lists
+    before them (which `indptr` locates, for copies), or into a new array.
+    Returns the list lengths and the array."""
+    n, m, every = enc.n, nodes.size, np.arange(nodes.size)
+    ref, nblocks, blocks, icount, gaps, lens, rcount, res = _read_chunks(enc, nodes)
+    copying = ref > 0
+
+    # interval and residual ids by segmented cumsum; a field past 2n gives
+    # an id out of range anyway, and clipping it keeps sums from overflowing
+    size = np.minimum(lens, n + 1) + enc.cfg.min_interval
+    left = _starts(nodes, icount, np.minimum(gaps, 2 * n + 2), size + 1)
+    resid = _starts(nodes, rcount, np.minimum(res, 2 * n + 2), np.ones_like(res))
+    del gaps, lens, res
+    bad = np.concatenate([np.repeat(every, icount)[(left < 0) | (left + size > n)],
+                          np.repeat(every, rcount)[(resid < 0) | (resid >= n)]])
+    if bad.size:
+        raise ValueError(f"node {nodes[bad.min()]}: decoded successor out of range")
+
+    # block j of a node starts at offset[j] of its reference's list; even
+    # blocks are copied, and with an even block count the rest of the list
+    bfirst, ifirst, rfirst = (np.cumsum(c) - c for c in (nblocks, icount, rcount))
+    nth = np.arange(blocks.size) - np.repeat(bfirst, nblocks)
+    blocks, even = np.minimum(blocks, n) + (nth > 0), nth % 2 == 0
+    offset = _running(blocks, nblocks) - blocks
+    spent = _sums(blocks, nblocks)
+    rest = copying & (nblocks % 2 == 0)
+    adds = _sums(size, icount) + rcount + _sums(blocks * even, nblocks)
+
+    # a whole copy (no blocks) adding nothing has the list of the first node
+    # in its chain that adds something, or of an earlier node: its source
+    target = nodes - ref
+    local = np.minimum(np.searchsorted(nodes, target), m - 1)
+    inside = copying & (nodes[local] == target)
+    whole = copying & (nblocks == 0) & (adds == 0)
+    source = _chase(np.where(whole & inside, local, -1), every)[1][np.where(inside, local, every)]
+    outside = copying & (~inside | whole[source])  # copies a list before `nodes`
+    ext_start, ext_len = np.zeros((2, m), dtype=np.int64)
+    if outside.any():
+        earlier = np.where(inside, target[source], target)[outside]
+        ext_start[outside] = indptr[earlier]
+        ext_len[outside] = indptr[earlier + 1] - ext_start[outside]
+
+    # list lengths along copy chains, checked before anything is written
+    adds += (rest & ~inside) * ext_len - rest * spent  # less the length of a list inside
+    length = _chase(np.where(rest & inside, local, -1), adds)[0]
+    del adds, target, local, inside
+    reach = np.where(outside, ext_len, length[source])  # the copied list's length
+    if (bad := copying & (spent > reach)).any():
+        raise ValueError(f"node {nodes[bad.argmax()]}: copy blocks run past the reference list")
+    at = 0 if indptr is None else int(indptr[nodes[0]])
+    if out is None:
+        out = np.empty(int(length.sum()), dtype=np.int64)
+    elif at + length.sum() > out.size:
+        raise ValueError(f"corrupt stream: decoded more arcs than the header's {out.size}")
+    start = at + np.cumsum(length) - length
+    copy_from = np.where(outside, ext_start, start[source])
+    below = copying & ~outside & ~whole
+    level = _chase(np.where(below, source, -1), below.astype(np.int64))[0]
+    del source, outside, ext_start, ext_len, below
+
+    def write(sel):
+        """Write the lists of `sel`: copied ranges, intervals and residuals,
+        sorted as node * n + id keys (as plain ids for one node)."""
+        keys = []
+
+        def add(ids, node, count):
+            keys.append(ids + np.repeat(node * n, count) if sel.size > 1 else ids)
+
+        if nblocks[sel].any():
+            item = _spans(bfirst[sel], nblocks[sel])
+            keep = even[item]
+            item, node = item[keep], np.repeat(sel, nblocks[sel])[keep]
+            add(out[_spans(copy_from[node] + offset[item], blocks[item])], node, blocks[item])
+        tail = sel[rest[sel]]
+        if tail.size:
+            count = reach[tail] - spent[tail]
+            add(out[_spans(copy_from[tail] + spent[tail], count)], tail, count)
+        if icount[sel].any():
+            item = _spans(ifirst[sel], icount[sel])
+            add(_spans(left[item], size[item]), np.repeat(sel, icount[sel]), size[item])
+        if rcount[sel].any():
+            add(resid[_spans(rfirst[sel], rcount[sel])], sel, rcount[sel])
+        if keys:
+            key = np.concatenate(keys)
+            del keys[:]
+            key.sort(kind="stable")  # merges the sorted runs of each part
+            if sel.size > 1:
+                key -= np.repeat(sel * n, length[sel])
+                out[_spans(start[sel], length[sel])] = key
+            else:
+                out[start[sel[0]] : start[sel[0]] + key.size] = key
+
+    # the nodes that add ids, one copy level at a time: each level copies
+    # from the levels before it or from earlier lists; then the whole
+    # copies, straight from their sources
+    order = np.flatnonzero(~whole)
+    order = order[np.argsort(level[order], kind="stable")]
+    for sel in np.split(order, np.flatnonzero(np.diff(level[order])) + 1):
+        for piece in _batches(sel, length):
+            write(piece)
+    for piece in _batches(np.flatnonzero(whole), length):
+        out[_spans(start[piece], length[piece])] = out[_spans(copy_from[piece], length[piece])]
+    return length, out
 
 
 def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
-    """Successor list of one node, resolving copy chains iteratively."""
+    """Successor list of one node: the decoder run over its copy chain."""
     if not 0 <= x < enc.n:
         raise IndexError(f"node {x} out of range [0, {enc.n})")
-    res_read = coder(enc.cfg.residual_code, enc.cfg.zeta_k)[1]
-    chain = []
-    node = x
-    while True:
-        ref, blocks, ids = _parse_chunk(enc, node, res_read)
-        chain.append((node, ref, blocks, ids))
+    chain, lo, span = [x], x + 1, 64
+    while enc.cfg.window:
+        node = chain[-1]
+        if node < lo:  # the references of up to `span` nodes, at once
+            lo = max(node - span, 0)
+            try:
+                refs = read_nats(*_chunks(enc, np.arange(lo, node + 1)))[0].tolist()
+                span *= 4
+            except (ValueError, EOFError):  # a bad chunk, maybe off the chain
+                lo, refs = node, read_nats(*_chunks(enc, np.array([node])))[0].tolist()
+        if (ref := refs[node - lo]) > min(node, enc.cfg.window):
+            raise ValueError(f"node {node}: reference {ref} reaches before the window")
         if not ref:
             break
-        node -= ref
-    succ = None
-    for node, ref, blocks, ids in reversed(chain):
-        succ = _successors(enc, node, succ if ref else None, blocks, ids)
-    return np.array(succ, dtype=np.int64)
+        chain.append(node - ref)
+    length, out = _decode_lists(enc, np.array(chain[::-1], dtype=np.int64))
+    return out[out.size - length[-1] :].copy()
 
 
 def decode(enc: EncodedGraph) -> Graph:
-    """Materialize the full CSR graph (single forward pass)."""
+    """Materialize the full CSR graph, in blocks of consecutive nodes."""
     n, arcs = enc.n, enc.num_arcs
-    recent: deque = deque(maxlen=max(enc.cfg.window, 1))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(arcs, dtype=np.int64)
-    res_read = coder(enc.cfg.residual_code, enc.cfg.zeta_k)[1]
-    end = 0
-    for x in range(n):
-        ref, blocks, ids = _parse_chunk(enc, x, res_read)
-        succ = _successors(enc, x, recent[-ref] if ref else None, blocks, ids)
-        start, end = end, end + len(succ)
-        if end > arcs:
-            raise ValueError(f"corrupt stream: decoded more arcs than the header's {arcs}")
-        indices[start:end] = succ
-        indptr[x + 1] = end
-        recent.append(succ)
-    if end != arcs:
-        raise ValueError(f"corrupt stream: decoded {end} arcs, header claims {arcs}")
+    indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(arcs, dtype=np.int64)
+    for a, b in _blocks(enc.offsets, 3):  # nodes plus stream bytes
+        length = _decode_lists(enc, np.arange(a, b), indptr, indices)[0]
+        indptr[a + 1 : b + 1] = indptr[a] + np.cumsum(length)
+    if indptr[-1] != arcs:
+        raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, header claims {arcs}")
     return Graph(n, indptr, indices, symmetric=enc.symmetric)
 
 
@@ -453,19 +618,10 @@ def decode(enc: EncodedGraph) -> Graph:
 
 def save(enc: EncodedGraph, path) -> None:
     """Write the HBG1 container (header, offsets, stream)."""
-    header = _HEADER.pack(
-        MAGIC,
-        1,  # format version
-        _LITTLE,
-        0,  # reserved
-        enc.n,
-        enc.num_arcs,
-        enc.cfg.window,
-        enc.cfg.min_interval,
-        _CODE_IDS[enc.cfg.residual_code],
-        enc.cfg.zeta_k,
-        1 if enc.symmetric else 0,
-        zlib.crc32(enc.stream),
+    cfg = enc.cfg
+    header = _HEADER.pack(  # format version 1; the u16 after the tag is reserved
+        MAGIC, 1, _LITTLE, 0, enc.n, enc.num_arcs, cfg.window, cfg.min_interval,
+        _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.symmetric), zlib.crc32(enc.stream),
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -479,20 +635,9 @@ def load(path) -> EncodedGraph:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] != MAGIC:
         raise ValueError(f"{path}: not an HBG1 graph file")
-    (
-        _magic,
-        version,
-        endian,
-        _reserved,
-        n,
-        num_arcs,
-        window,
-        min_interval,
-        code_id,
-        zeta_k,
-        symmetric,
-        crc,
-    ) = _HEADER.unpack_from(blob)
+    _, version, endian, _, n, num_arcs, window, min_interval, code_id, zeta_k, symmetric, crc = (
+        _HEADER.unpack_from(blob)
+    )
     if version != 1:
         raise ValueError(f"{path}: unsupported format version {version}")
     if endian != _LITTLE:
@@ -509,11 +654,6 @@ def load(path) -> EncodedGraph:
         raise ValueError(f"{path}: code stream checksum mismatch")
     if offsets.size and int(offsets[-1]) > len(stream) * 8:
         raise ValueError(f"{path}: offset table points past the stream")
-    cfg = CodecConfig(
-        window=window,
-        min_interval=min_interval,
-        residual_code=_CODE_BY_ID[code_id],
-        zeta_k=zeta_k,
-    )
+    cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
     # copy/interval tallies are encode-time stats; unknown after a reload
     return EncodedGraph(n, num_arcs, bool(symmetric), cfg, stream, offsets, 0, 0)

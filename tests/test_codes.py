@@ -3,18 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbgraph.codes import (
-    CODE_NAMES,
-    BitReader,
-    BitWriter,
-    coder,
-    nat_length,
-    nat_lengths,
-    nat_words,
-    pack_words,
-    read_nat,
-    write_nat,
-)
+from hbgraph.codes import CODE_NAMES, bit_windows, nat_words, pack_words, read_nats
+from util import BitReader, BitWriter, nat_length, nat_lengths, read_nat, write_nat
 
 
 def roundtrip(values, code, k=3):
@@ -138,15 +128,20 @@ class TestRoundTrip:
         out, _ = roundtrip(values, code, k)
         assert out == values
 
-    def test_coder_closures_agree(self):
+    def test_array_reader_reads_one_writer_in_rounds(self):
+        # one cursor read round by round, as the decoder reads a chunk
         for code in CODE_NAMES:
-            wf, rf, lf = coder(code, 2)
             w = BitWriter()
             for v in (0, 5, 977):
-                wf(w, v)
-            r = BitReader(w.getvalue(), bit_limit=w.bit_length)
-            assert [rf(r) for _ in range(3)] == [0, 5, 977]
-            assert w.bit_length == sum(lf(v) for v in (0, 5, 977))
+                write_nat(w, v, code, 2)
+            table = bit_windows(w.getvalue())
+            pos, end = np.zeros(1, dtype=np.uint64), np.full(1, w.bit_length, dtype=np.uint64)
+            got = []
+            for _ in range(3):
+                value, pos = read_nats(table, pos, end, code, 2)
+                got.append(int(value[0]))
+            assert got == [0, 5, 977]
+            assert int(pos[0]) == w.bit_length == sum(nat_length(v, code, 2) for v in got)
 
 
 class TestErrors:
@@ -259,3 +254,86 @@ class TestArrayForms:
         words, widths = nat_words(np.zeros(0, dtype=np.int64), "zeta", 3)
         assert pack_words(words, widths) == b""
         assert pack_words(words, widths, 5) == b"\x00"
+
+
+def cursors(values, code, k=3, lead=0):
+    """(table, starts, ends) of the oracle writer's codewords for values,
+    after `lead` zero bits: one cursor per codeword, each ending where
+    the stream does."""
+    w = BitWriter()
+    w.write_bits(0, lead)
+    starts = []
+    for v in values:
+        starts.append(w.bit_length)
+        write_nat(w, v, code, k)
+    ends = np.full(len(values), w.bit_length, dtype=np.uint64)
+    return bit_windows(w.getvalue()), np.array(starts, dtype=np.uint64), ends
+
+
+class TestArrayReader:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=1 << 40),
+                st.sampled_from([0, (1 << 32) - 1, 1 << 32, 1 << 40]),
+            ),
+            max_size=40,
+        ),
+        code=st.sampled_from(CODE_NAMES),
+        k=st.integers(min_value=1, max_value=8),
+        lead=st.integers(min_value=0, max_value=70),
+    )
+    def test_reads_the_oracle_writer_bit_for_bit(self, values, code, k, lead):
+        # gamma words of 2^32 and more are wider than 64 bits
+        table, starts, ends = cursors(values, code, k, lead)
+        got, after = read_nats(table, starts, ends, code, k)
+        assert got.dtype == np.int64 and got.tolist() == values
+        assert after.tolist() == starts[1:].tolist() + ends[:1].tolist()
+
+    def test_longest_unary_run_and_beyond(self):
+        # gamma (and zeta_1) of 2^63 - 1: 63 zeros, then 64 bits, 127 in all
+        for code, k in (("gamma", 3), ("zeta", 1)):
+            table, starts, ends = cursors([(1 << 63) - 1, 6], code, k, lead=5)
+            got, after = read_nats(table, starts, ends, code, k)
+            assert got.tolist() == [(1 << 63) - 1, 6]
+            assert int(starts[1] - starts[0]) == 127
+        # values past 2^63 - 1, which no int64 holds, raise: 2^63 has 63
+        # zeros, the others 64 and 70
+        for value in (1 << 63, (1 << 64) - 1, 1 << 70):
+            for code, k in (("gamma", 3), ("zeta", 1)):
+                table, starts, ends = cursors([value, 0], code, k, lead=3)
+                with pytest.raises(ValueError, match="past 2"):
+                    read_nats(table, starts[:1], ends[:1], code, k)
+        # a run of 100 zeros that reaches its cursor's end
+        w = BitWriter()
+        w.write_bits(0, 100)
+        table = bit_windows(w.getvalue())
+        for code in CODE_NAMES:
+            with pytest.raises((ValueError, EOFError)):
+                read_nats(table, np.zeros(1, np.uint64), np.full(1, 100, np.uint64), code)
+
+    @pytest.mark.parametrize(
+        "code,k", [("gamma", 3), ("delta", 3), ("zeta", 1), ("zeta", 3), ("zeta", 8)]
+    )
+    def test_codeword_cut_by_its_end(self, code, k):
+        # the codeword is followed by more bits, so the cut is not at the
+        # stream's end; the CLI reports both errors as `error:` lines
+        for value in (0, 5, 1000, 1 << 32, 1 << 40):
+            table, starts, _ = cursors([value, 3], code, k)
+            for end in range(int(starts[1])):
+                with pytest.raises((ValueError, EOFError)):
+                    read_nats(table, starts[:1], np.full(1, end, np.uint64), code, k)
+
+    def test_bad_code(self):
+        table, starts, ends = cursors([1], "gamma")
+        with pytest.raises(ValueError):
+            read_nats(table, starts, ends, "elias")
+        with pytest.raises(ValueError):
+            read_nats(table, starts, ends, "zeta", 0)
+
+    def test_empty(self):
+        none = np.zeros(0, dtype=np.uint64)
+        got, after = read_nats(bit_windows(b""), none, none, "zeta", 3)
+        assert got.size == after.size == 0
+

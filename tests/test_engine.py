@@ -1,5 +1,7 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +436,38 @@ class TestRunSet:
             p = tmp_path / "runs.json"
             RunSet(runs).save(p)
             assert RunSet.load(p).runs == runs  # dataclass equality: all fields
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([0, 16, 64, 1024]),
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+                st.lists(st.floats(allow_nan=False), min_size=1, max_size=12),
+                st.integers(min_value=0, max_value=10**6),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+            unique_by=lambda row: row[0],
+        ),
+        graph_id=st.text(max_size=8),
+        n=st.integers(min_value=0, max_value=1 << 40),
+    )
+    def test_save_load_save_property(self, m, rows, graph_id, n):
+        # sketched (m > 0) and exact (m = 0) runs with any values, seeds,
+        # iteration counts and truncated flags
+        runs = [
+            NeighbourhoodRun(graph_id, n, m, seed, values, iters, exact=(m == 0), truncated=cut)
+            for seed, values, iters, cut in rows
+        ]
+        with tempfile.TemporaryDirectory() as d:
+            first, second = Path(d) / "a.json", Path(d) / "b.json"
+            RunSet(runs).save(first)
+            back = RunSet.load(first)
+            back.save(second)
+            assert first.read_bytes() == second.read_bytes()
+        assert back.runs == runs
 
     def test_exact_runs_allowed_alongside(self):
         g = from_pairs(3, [(0, 1), (1, 2)])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hbgraph import storage
-from hbgraph.codes import BitWriter, write_nat
 from hbgraph.graph import Graph
 from hbgraph.storage import (
     MAGIC,
@@ -20,7 +19,7 @@ from hbgraph.storage import (
     save,
     _split_runs,
 )
-from util import ba, band, er, from_pairs, mixed_suite
+from util import BitWriter, ba, band, er, from_pairs, mixed_suite, write_nat
 
 CONFIGS = [
     CodecConfig(),
@@ -145,6 +144,20 @@ class TestRoundTrip:
                 assert np.array_equal(got.offsets, enc.offsets)
                 assert (got.copied_arcs, got.interval_arcs) == (enc.copied_arcs, enc.interval_arcs)
 
+    @pytest.mark.parametrize("block", [1, 16, 100])
+    def test_block_size_does_not_change_the_decoding(self, block, monkeypatch):
+        # small blocks copy from lists of earlier blocks, and split copy
+        # levels and whole copies into several pieces
+        graphs = mixed_suite(seed=902, count=6, max_n=60) + [
+            band(300, 2), star_of(150), identical_lists(120, 6), staircase(40),
+        ]
+        encs = [(g, encode(g, cfg)) for g in graphs for cfg in CONFIGS]
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        for g, enc in encs:
+            _assert_same_graph(g, decode(enc))
+            for x in (0, g.n // 2, g.n - 1):
+                assert np.array_equal(decode_node(enc, x), g.successors(x))
+
     def test_200k_arc_band_graph_encodes_fast(self):
         # the per-node planner took about 14 s here
         g = band(14000, 3)
@@ -178,6 +191,53 @@ class TestRoundTrip:
         _assert_same_graph(g, h)
         for x in range(n):
             assert np.array_equal(decode_node(enc, x), h.successors(x))
+
+
+def star_of(leaves):
+    """Node 0 linked both ways to leaves 1..leaves: each leaf copies the
+    list of the leaf before it, a copy chain as long as the star."""
+    x = np.arange(1, leaves + 1)
+    hub = np.zeros(leaves, dtype=np.int64)
+    src, dst = np.concatenate([hub, x]), np.concatenate([x, hub])
+    return Graph.from_arcs(leaves + 1, src, dst, symmetric=True)
+
+
+def identical_lists(count, width):
+    """Nodes 0..count-1 all linked to the same `width` later ids."""
+    src = np.repeat(np.arange(count), width)
+    return Graph.from_arcs(count + width, src, np.tile(np.arange(count, count + width), count))
+
+
+def staircase(steps):
+    """Node x linked to 0..x: each node copies the list before it whole
+    and adds one id."""
+    src = np.repeat(np.arange(steps), np.arange(1, steps + 1))
+    return Graph.from_arcs(steps, src, np.concatenate([np.arange(x + 1) for x in range(steps)]))
+
+
+DEEP_CHAINS = {
+    "star": lambda: star_of(20_000),
+    "identical": lambda: identical_lists(5000, 20),
+    "staircase": lambda: staircase(1000),
+}
+
+
+class TestDeepCopyChains:
+    """HBG1 does not bound copy chains; decode must resolve them without
+    a pass over the block per level."""
+
+    @pytest.mark.parametrize("name", sorted(DEEP_CHAINS))
+    def test_decodes_fast_and_whole(self, name):
+        g = DEEP_CHAINS[name]()
+        enc = encode(g)
+        assert enc.copy_fraction > 0.45  # the chains are really there
+        t0 = time.perf_counter()
+        h = decode(enc)
+        # a level loop that re-sorts its block takes 1.1-3.0 s here
+        assert time.perf_counter() - t0 < 1.0
+        _assert_same_graph(g, h)
+        for x in (0, g.n // 2, g.n - 1):
+            assert np.array_equal(decode_node(enc, x), g.successors(x))
 
 
 class TestContainer:
@@ -330,6 +390,51 @@ class TestCorruptStreams:
             decode(enc)
         # decode_node reads one list and cannot see the count
         assert [decode_node(enc, x).tolist() for x in range(3)] == [[1, 2], [0], []]
+
+
+class TestDecoderChecks:
+    """The checks the array decoder added to those of TestCorruptStreams,
+    on chunks built the same way."""
+
+    def test_copy_blocks_past_the_reference_list(self):
+        # node 0 -> 1; node 1 copies a block of 5 from that list of 1
+        enc = _hand_built([[0, 1], [1, 1, 5]], 1)
+        for call in (lambda: decode(enc), lambda: decode_node(enc, 1)):
+            with pytest.raises(ValueError, match="node 1: copy blocks run past the reference list"):
+                call()
+
+    def test_offsets_must_not_decrease(self):
+        enc = _hand_built([[0, 1], [0], [0]], 1)
+        enc.offsets[2] = enc.offsets[1] - np.uint64(1)
+        with pytest.raises(ValueError, match="node 1: chunk ends before it starts"):
+            decode(enc)
+        with pytest.raises(ValueError, match="chunk ends before it starts"):
+            decode_node(enc, 1)
+
+    def test_offsets_past_the_stream(self):
+        enc = _hand_built([[0, 1], [0]], 1)
+        enc.offsets[2] += np.uint64(8 * len(enc.stream))
+        with pytest.raises(ValueError, match="past the stream"):
+            decode(enc)
+
+    def test_decode_node_reads_only_its_chain(self):
+        # node 1's chunk is empty, so it has no reference to read; nodes 0
+        # and 2 (-> 1 each) do not copy from it
+        enc = _hand_built([[0, 1], [], [0, 2]], 2)
+        with pytest.raises((ValueError, EOFError)):
+            decode(enc)
+        assert decode_node(enc, 2).tolist() == [1]
+        assert decode_node(enc, 0).tolist() == [1]
+
+    def test_codeword_cut_by_the_chunk_end(self):
+        # node 0's residual (gamma of 1000, 19 bits) loses its last 3 bits
+        # to node 1's chunk
+        enc = _hand_built([[0, 1000], [0]], 1)
+        enc.offsets[1] -= np.uint64(3)
+        with pytest.raises((ValueError, EOFError)):
+            decode(enc)
+        with pytest.raises((ValueError, EOFError)):
+            decode_node(enc, 0)
 
 
 class TestCodecConfig:

@@ -1,8 +1,9 @@
 """Graph generators and independent oracles shared across the tests.
 
 Everything here is deliberately naive: dict-and-deque BFS, pure-Python
-hashing, quadratic pair counting. The point is to verify the vectorized
-implementations against code too simple to be wrong in the same way.
+hashing, quadratic pair counting, a bit-at-a-time stream writer and
+reader. The point is to verify the vectorized implementations against
+code too simple to be wrong in the same way.
 """
 
 from collections import deque
@@ -10,6 +11,7 @@ from collections import deque
 import numpy as np
 
 import hbgraph.engine as engine
+from hbgraph.codes import nat_words
 from hbgraph.graph import Graph
 from hbgraph.hll import CounterArray, estimate_registers
 
@@ -255,3 +257,217 @@ def ref_register_update(m, regs, x, seed):
         rho = 1 + (len(bin(rem)) - len(bin(rem).rstrip("0")))
     rho = min(rho, 31)
     regs[j] = max(regs[j], rho)
+
+
+# ---- scalar bit I/O (the oracle for hbgraph.codes' array forms) ----
+
+
+class BitWriter:
+    """Accumulates an MSB-first bit stream into a bytearray."""
+
+    __slots__ = ("_buf", "_acc", "_nacc")
+
+    def __init__(self):
+        self._buf = bytearray()
+        self._acc = 0
+        self._nacc = 0
+
+    def write_bits(self, value: int, width: int) -> None:
+        """Append `width` bits of `value` (its low bits, MSB-first)."""
+        if width < 0:
+            raise ValueError("negative width")
+        if width == 0:
+            return
+        self._acc = (self._acc << width) | (value & ((1 << width) - 1))
+        self._nacc += width
+        while self._nacc >= 8:
+            self._nacc -= 8
+            self._buf.append((self._acc >> self._nacc) & 0xFF)
+        self._acc &= (1 << self._nacc) - 1
+
+    @property
+    def bit_length(self) -> int:
+        """Number of bits written so far."""
+        return len(self._buf) * 8 + self._nacc
+
+    def getvalue(self) -> bytes:
+        """Finished stream, zero-padded to a whole byte."""
+        out = bytes(self._buf)
+        if self._nacc:
+            out += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
+        return out
+
+
+class BitReader:
+    """Reads an MSB-first bit stream produced by BitWriter."""
+
+    __slots__ = ("_data", "_pos", "_limit")
+
+    def __init__(self, data: bytes, bit_offset: int = 0, bit_limit: int | None = None):
+        self._data = data
+        self._pos = bit_offset
+        self._limit = len(data) * 8 if bit_limit is None else bit_limit
+        if self._pos > self._limit:
+            raise ValueError("bit offset past limit")
+
+    @property
+    def position(self) -> int:
+        return self._pos
+
+    @property
+    def remaining(self) -> int:
+        return self._limit - self._pos
+
+    def read_bits(self, width: int) -> int:
+        end = self._pos + width
+        if end > self._limit:
+            raise EOFError("bit stream exhausted")
+        if width == 0:
+            return 0
+        first = self._pos >> 3
+        last = (end + 7) >> 3
+        chunk = int.from_bytes(self._data[first:last], "big")
+        self._pos = end
+        return (chunk >> (last * 8 - end)) & ((1 << width) - 1)
+
+    def read_unary(self) -> int:
+        """Count zeros up to and including the terminating one bit."""
+        zeros = 0
+        while True:
+            take = self._limit - self._pos
+            if take <= 0:
+                raise EOFError("bit stream exhausted in unary code")
+            if take > 32:
+                take = 32
+            first = self._pos >> 3
+            last = (self._pos + take + 7) >> 3
+            chunk = int.from_bytes(self._data[first:last], "big")
+            window = (chunk >> (last * 8 - self._pos - take)) & ((1 << take) - 1)
+            if window == 0:
+                zeros += take
+                self._pos += take
+                continue
+            lead = take - window.bit_length()
+            self._pos += lead + 1
+            return zeros + lead
+
+
+# positive-integer codes (v >= 1)
+
+
+def _write_gamma_pos(w: BitWriter, v: int) -> None:
+    b = v.bit_length() - 1
+    # b zeros then the (b+1)-bit binary of v, in one call
+    w.write_bits(v, 2 * b + 1)
+
+
+def _read_gamma_pos(r: BitReader) -> int:
+    b = r.read_unary()
+    return (1 << b) | r.read_bits(b)
+
+
+def _gamma_pos_length(v: int) -> int:
+    return 2 * v.bit_length() - 1
+
+
+def _write_delta_pos(w: BitWriter, v: int) -> None:
+    b = v.bit_length() - 1
+    _write_gamma_pos(w, b + 1)
+    w.write_bits(v, b)  # low b bits; the leading 1 is implicit
+
+
+def _read_delta_pos(r: BitReader) -> int:
+    b = _read_gamma_pos(r) - 1
+    return (1 << b) | r.read_bits(b)
+
+
+def _delta_pos_length(v: int) -> int:
+    b = v.bit_length() - 1
+    return _gamma_pos_length(b + 1) + b
+
+
+def _write_zeta_pos(w: BitWriter, v: int, k: int) -> None:
+    h = (v.bit_length() - 1) // k
+    w.write_bits(1, h + 1)  # h zeros, then the stop bit
+    base = 1 << (h * k)
+    span = (base << k) - base
+    width = (span - 1).bit_length()
+    short = (1 << width) - span
+    rem = v - base
+    if rem < short:
+        w.write_bits(rem, width - 1)
+    else:
+        w.write_bits(rem + short, width)
+
+
+def _read_zeta_pos(r: BitReader, k: int) -> int:
+    h = r.read_unary()
+    base = 1 << (h * k)
+    span = (base << k) - base
+    width = (span - 1).bit_length()
+    if width == 0:
+        return base
+    short = (1 << width) - span
+    rem = r.read_bits(width - 1)
+    if rem >= short:
+        rem = ((rem << 1) | r.read_bits(1)) - short
+    return base + rem
+
+
+def _zeta_pos_length(v: int, k: int) -> int:
+    h = (v.bit_length() - 1) // k
+    base = 1 << (h * k)
+    span = (base << k) - base
+    width = (span - 1).bit_length()
+    short = (1 << width) - span
+    return h + 1 + (width - 1 if v - base < short else width)
+
+
+# natural-number API (n >= 0, codes n + 1)
+
+
+def _check_zeta_k(k: int) -> None:
+    if k < 1:
+        raise ValueError("zeta shrinking parameter k must be >= 1")
+
+
+def write_nat(w: BitWriter, n: int, code: str = "gamma", k: int = 3) -> None:
+    if n < 0:
+        raise ValueError(f"cannot code negative value {n}")
+    if code == "gamma":
+        _write_gamma_pos(w, n + 1)
+    elif code == "delta":
+        _write_delta_pos(w, n + 1)
+    elif code == "zeta":
+        _check_zeta_k(k)
+        _write_zeta_pos(w, n + 1, k)
+    else:
+        raise ValueError(f"unknown code {code!r}")
+
+
+def read_nat(r: BitReader, code: str = "gamma", k: int = 3) -> int:
+    if code == "gamma":
+        return _read_gamma_pos(r) - 1
+    if code == "delta":
+        return _read_delta_pos(r) - 1
+    if code == "zeta":
+        _check_zeta_k(k)
+        return _read_zeta_pos(r, k) - 1
+    raise ValueError(f"unknown code {code!r}")
+
+
+def nat_length(n: int, code: str = "gamma", k: int = 3) -> int:
+    """Bit length of write_nat(n) without writing anything."""
+    if code == "gamma":
+        return _gamma_pos_length(n + 1)
+    if code == "delta":
+        return _delta_pos_length(n + 1)
+    if code == "zeta":
+        _check_zeta_k(k)
+        return _zeta_pos_length(n + 1, k)
+    raise ValueError(f"unknown code {code!r}")
+
+
+def nat_lengths(values, code: str = "gamma", k: int = 3) -> np.ndarray:
+    """The widths of nat_words: the array form of nat_length."""
+    return nat_words(values, code, k)[1]
