@@ -16,11 +16,16 @@ special-case zero. Streams are MSB-first within each byte.
 bit cursors and returns the values and the advanced cursors. It looks
 codewords of up to 12 bits up in a table per code, indexed by the bits
 at the cursor from `bit_windows` (the 64 bits at every byte of the
-stream). It reads longer ones by arithmetic on the 64 bits at the cursor
-(a 9-byte gather), with `_bit_lengths` for the unary part, and a second
-window for the rest of one wider than 64 bits (gamma of 2^32 or more).
-Values go up to 2^63 - 1. The scalar bit writer and reader these
-replaced are the oracle the tests check them against (tests/util.py).
+stream); zeta_k with k > 12 has none that short. It reads longer ones by
+arithmetic on the 64 bits at the cursor (a 9-byte gather), with
+`_bit_lengths` for the unary part, and a second window for the rest of
+one wider than 64 bits (gamma of 2^32 or more). Without the table,
+decoding the benchmark graphs took 1.2-1.6 times as long on a 2-core
+VM. `read_runs` reads many codewords at a few cursors: it reads one at
+every bit of a window and follows the codeword starts, so a long run
+costs a read per bit, not a pass per codeword. Values go up to 2^63 - 1.
+The scalar bit writer and reader these replaced are the oracle the tests
+check them against (tests/util.py).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["nat_words", "pack_words", "bit_windows", "read_nats", "CODE_NAMES"]
+__all__ = ["nat_words", "pack_words", "bit_windows", "read_nats", "read_runs", "CODE_NAMES"]
 
 CODE_NAMES = ("gamma", "delta", "zeta")
 
@@ -164,21 +169,40 @@ def _read_long(table, pos, code: str, k: int):
 _SHORT = 12  # codewords this short are read by table lookup
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=40)
 def _short_table(code: str, k: int) -> np.ndarray:
-    """value << 8 | width of the codeword that each _SHORT-bit pattern
-    starts with, or 0 where that codeword is longer (read-only)."""
+    """(value + 1) << 8 | width of the codeword that each _SHORT-bit
+    pattern starts with, or 0 where that codeword is longer (read-only)."""
     words, widths = nat_words(np.arange(1 << _SHORT), code, k)
     free = (_SHORT - widths).astype(np.uint64)
     fit = np.flatnonzero(widths <= _SHORT)
-    fit = fit[np.argsort(words[fit] << free[fit])]  # by the smallest pattern each starts
-    free, first = free[fit], words[fit] << free[fit]
     pattern = np.arange(1 << _SHORT, dtype=np.uint64)
-    i = np.maximum(np.searchsorted(first, pattern, side="right") - 1, 0)
-    entry = (fit[i] << 8 | widths[fit[i]]).astype(np.uint64)
-    table = np.where(pattern >> free[i] == first[i] >> free[i], entry, 0)
+    table = np.zeros(pattern.size, dtype=np.uint64)
+    if fit.size:  # zeta_k has none for k > _SHORT
+        fit = fit[np.argsort(words[fit] << free[fit])]  # by the smallest pattern each starts
+        free, first = free[fit], words[fit] << free[fit]
+        i = np.maximum(np.searchsorted(first, pattern, side="right") - 1, 0)
+        entry = ((fit[i] + 1) << 8 | widths[fit[i]]).astype(np.uint64)
+        table = np.where(pattern >> free[i] == first[i] >> free[i], entry, table)
     table.flags.writeable = False
     return table
+
+
+_FAR = _ONE << 63  # values from here on code no int64 natural
+
+
+def _read(table, pos, code: str, k: int):
+    """(value, width) of the codeword at each cursor, value as uint64
+    and _FAR or more where it codes a value past 2^63 - 1."""
+    if code == "zeta" and k == 1:
+        code = "gamma"  # zeta_1 codes every value as gamma does
+    # at least 57 bits at each cursor, enough for a short codeword
+    entry = _short_table(code, k)[(table[pos >> 3] << (pos & 7)) >> (64 - _SHORT)]
+    x, width = entry >> 8, entry & 255
+    long = width == 0
+    if long.any():
+        x[long], width[long] = _read_long(table, pos[long], code, k)
+    return x - _ONE, width
 
 
 def read_nats(table, pos, end, code: str = "gamma", k: int = 3):
@@ -190,18 +214,48 @@ def read_nats(table, pos, end, code: str = "gamma", k: int = 3):
     that runs past its cursor's end raises EOFError; one that codes a
     value past 2^63 - 1 raises ValueError.
     """
-    if code == "zeta" and k == 1:
-        code = "gamma"  # zeta_1 codes every value as gamma does
-    # at least 57 bits at each cursor, enough for a short codeword
-    entry = _short_table(code, k)[(table[pos >> 3] << (pos & 7)) >> (64 - _SHORT)]
-    value, width = entry >> 8, entry & 255
-    long = width == 0
-    if long.any():
-        x, width[long] = _read_long(table, pos[long], code, k)
-        value[long] = x - _ONE
-        if (value[long] >= _ONE << 63).any():
-            raise ValueError("a codeword codes a value past 2^63 - 1")
+    value, width = _read(table, pos, code, k)
+    if (value >= _FAR).any():
+        raise ValueError("a codeword codes a value past 2^63 - 1")
     pos = pos + width
     if (pos > end).any():
         raise EOFError("bit stream exhausted")
     return value.view(np.int64), pos
+
+
+_RUN = 1 << 12  # bits a pass of read_runs reads a codeword at
+
+
+def read_runs(table, pos, end, code: str = "gamma", k: int = 3, count=None):
+    """read_nats repeated at each cursor up to its end or, where `count`
+    is given, count[i] times: the values cursor-major, each cursor's
+    count of them and the advanced cursors. A pass reads a codeword at
+    every bit of windows of _RUN bits in all, split among the cursors,
+    and follows each one's codeword starts in Python: a long run costs
+    a read per bit, not a numpy pass per codeword. Errors are read_nats'.
+    """
+    pos, got, who = pos.copy(), [], []
+    left = (end - pos if count is None else count).astype(np.int64)  # a codeword has >= 1 bit
+    while (act := np.flatnonzero((pos < end) & (left > 0))).size:
+        span = np.minimum(end[act] - pos[act], np.uint64(max(_RUN // act.size, 64)))
+        first = np.cumsum(span) - span  # where each cursor's window starts in `at`
+        at = np.repeat(pos[act] - first, span.astype(np.int64))
+        value, width = _read(table, at + np.arange(at.size, dtype=np.uint64), code, k)
+        step, hits, stops = width.tolist(), [], []
+        for j, stop, todo in zip(first.tolist(), (first + span).tolist(), left[act].tolist()):
+            while j < stop and todo:
+                hits.append(j)
+                j, todo = j + step[j], todo - 1
+            stops.append(j)
+        if (value[hits] >= _FAR).any():
+            raise ValueError("a codeword codes a value past 2^63 - 1")
+        took = np.bincount(np.searchsorted(first, hits, side="right") - 1, minlength=act.size)
+        pos[act] += np.array(stops, dtype=np.uint64) - first
+        left[act] -= took
+        got.append(value[hits])
+        who.append(np.repeat(act, took))
+    if (pos > end).any():
+        raise EOFError("bit stream exhausted")
+    who = np.concatenate(who + [act])  # act is empty by now
+    values = np.concatenate(got + [np.zeros(0, dtype=np.uint64)])[np.argsort(who, kind="stable")]
+    return values.view(np.int64), np.bincount(who, minlength=pos.size), pos

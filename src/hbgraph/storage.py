@@ -35,18 +35,21 @@ The decoder's blocks hold about _BLOCK nodes plus stream bytes.
 `codes.read_nats` reads field i of every chunk at once: the reference,
 the block count, then one round per repeated field (copy blocks,
 intervals, residuals) over the nodes that still have one, residuals
-until each cursor reaches its chunk's end. Interval and residual ids
-follow by segmented `cumsum`. Pointer jumping gives a whole copy that
-adds nothing the list of the first node in its chain that adds
-something, then every list's length, so each list goes straight into
-its slot. The other nodes are sorted by copy level once; a level copies
-ranges from the levels before it, adds its ids and sorts (node, id)
-keys, at a cost of what it holds. Checks raise ValueError: offsets
+until each cursor reaches its chunk's end. Once fewer than _FEW nodes
+have one, `codes.read_runs` reads the rest of theirs at once, so a hub
+costs a read per bit of its chunk, not a round per item. Interval and
+residual ids follow by segmented `cumsum`. Pointer jumping gives a whole
+copy that adds nothing the list of the first node in its chain that
+adds something, then every list's length, so each list goes straight
+into its slot. The other nodes are sorted by copy level once; a level
+copies ranges from the levels before it, adds its ids and sorts (node,
+id) keys, at a cost of what it holds. Checks raise ValueError: offsets
 nondecreasing, each cursor ending at its chunk's end (EOFError past
 it), references within min(x, window), ids in [0, n) (an interval past
 n before it is expanded), copy blocks within their reference's list,
-and the header's arc count before any write. `decode_node` decodes one
-node's copy chain. The scalar bit I/O went to the tests, as their oracle.
+and the header's arc count before any write. `decode_node` reads one
+reference per node of its copy chain, then decodes the chain's chunks
+alone. The scalar bit I/O went to the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CODE_NAMES, bit_windows, nat_words, pack_words, read_nats
+from .codes import CODE_NAMES, bit_windows, nat_words, pack_words, read_nats, read_runs
 from .graph import Graph
 
 __all__ = [
@@ -416,17 +419,7 @@ def _chase(parent: np.ndarray, value: np.ndarray):
     return total, last
 
 
-def _rounds(nodes: np.ndarray, more, read):
-    """A repeated field of `nodes` (all local ids), round by round: round
-    j reads the next item of each node for which more(nodes, j) holds.
-    Returns the items node-major and each node's item count."""
-    m, seen, got = nodes.size, [], []
-    while (nodes := nodes[more(nodes, len(seen))]).size:
-        seen.append(nodes)
-        got.append(read(nodes))
-    who = np.concatenate(seen + [nodes])  # round-major; a stable sort makes it node-major
-    items = np.concatenate(got + [who[:0]])[np.argsort(who, kind="stable")]
-    return items, np.bincount(who, minlength=m)
+_FEW = 16  # nodes a round of a repeated field reads at least
 
 
 def _batches(sel: np.ndarray, lengths: np.ndarray):
@@ -435,15 +428,20 @@ def _batches(sel: np.ndarray, lengths: np.ndarray):
 
 
 def _chunks(enc: EncodedGraph, nodes: np.ndarray):
-    """Bit windows over the chunks of `nodes`, and each one's start and end."""
+    """Bit windows over the bytes of the chunks of `nodes`, gathered in
+    order, and each chunk's start and end in them."""
     lo, hi = enc.offsets[nodes], enc.offsets[nodes + 1]
     if (hi < lo).any():
         raise ValueError(f"node {nodes[(hi < lo).argmax()]}: chunk ends before it starts")
-    if (top := int(hi.max())) > 8 * len(enc.stream):
+    if int(hi.max()) > 8 * len(enc.stream):
         raise ValueError("corrupt offsets: a chunk ends past the stream")
-    first = int(lo.min()) >> 3
-    origin = np.uint64(8 * first)
-    return bit_windows(enc.stream[first : (top + 7) >> 3]), lo - origin, hi - origin
+    first = (lo >> 3).astype(np.int64)
+    size = ((hi + 7) >> 3).astype(np.int64) - first
+    raw = np.frombuffer(enc.stream, dtype=np.uint8)[_spans(first, size)]
+    # from stream bits to `raw` bits; where chunks share a byte the shift
+    # is negative, and uint64 arithmetic wraps it back
+    shift = 8 * (first - np.cumsum(size) + size)
+    return bit_windows(raw), lo - shift.astype(np.uint64), hi - shift.astype(np.uint64)
 
 
 def _read_chunks(enc: EncodedGraph, nodes: np.ndarray):
@@ -457,18 +455,35 @@ def _read_chunks(enc: EncodedGraph, nodes: np.ndarray):
         values, pos[sel] = read_nats(table, pos[sel], end[sel], code, k)
         return values
 
+    def rounds(count, code="gamma", k=3):
+        """A repeated field, count[i] items of node i (None: up to its
+        chunk's end), node-major, and each node's count. Round j reads the
+        next item of each node that has one, until fewer than _FEW do;
+        they read the rest at once."""
+        seen, got, sel = [], [], every
+        while True:
+            sel = sel[pos[sel] < end[sel] if count is None else count[sel] > len(seen)]
+            if sel.size < _FEW:
+                break
+            seen.append(sel)
+            got.append(read(sel, code, k))
+        todo = None if count is None else count[sel] - len(seen)
+        values, took, pos[sel] = read_runs(table, pos[sel], end[sel], code, k, todo)
+        who = np.concatenate(seen + [np.repeat(sel, took)])  # a stable sort makes it node-major
+        items = np.concatenate(got + [values])[np.argsort(who, kind="stable")]
+        return items, np.bincount(who, minlength=m)
+
     ref = read(every) if cfg.window else np.zeros(m, dtype=np.int64)
     if (bad := ref > np.minimum(nodes, cfg.window)).any():
         i = bad.argmax()
         raise ValueError(f"node {nodes[i]}: reference {ref[i]} reaches before the window")
     nblocks = np.zeros(m, dtype=np.int64)
     nblocks[ref > 0] = read(every[ref > 0])
-    blocks = _rounds(every, lambda s, j: nblocks[s] > j, read)[0]
+    blocks = rounds(nblocks)[0]
     # an interval is two items, its left gap and its length
     icount = read(every) if cfg.min_interval else np.zeros(m, dtype=np.int64)
-    ivals = _rounds(every, lambda s, j: 2 * icount[s] > j, read)[0]
-    res, rcount = _rounds(every, lambda s, j: pos[s] < end[s],
-                          lambda s: read(s, cfg.residual_code, cfg.zeta_k))
+    ivals = rounds(2 * icount)[0]
+    res, rcount = rounds(None, cfg.residual_code, cfg.zeta_k)
     return ref, nblocks, blocks, icount, ivals[0::2], ivals[1::2], rcount, res
 
 
@@ -582,17 +597,11 @@ def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
     """Successor list of one node: the decoder run over its copy chain."""
     if not 0 <= x < enc.n:
         raise IndexError(f"node {x} out of range [0, {enc.n})")
-    chain, lo, span = [x], x + 1, 64
+    chain = [x]
     while enc.cfg.window:
         node = chain[-1]
-        if node < lo:  # the references of up to `span` nodes, at once
-            lo = max(node - span, 0)
-            try:
-                refs = read_nats(*_chunks(enc, np.arange(lo, node + 1)))[0].tolist()
-                span *= 4
-            except (ValueError, EOFError):  # a bad chunk, maybe off the chain
-                lo, refs = node, read_nats(*_chunks(enc, np.array([node])))[0].tolist()
-        if (ref := refs[node - lo]) > min(node, enc.cfg.window):
+        ref = int(read_nats(*_chunks(enc, np.array([node])))[0][0])
+        if ref > min(node, enc.cfg.window):
             raise ValueError(f"node {node}: reference {ref} reaches before the window")
         if not ref:
             break

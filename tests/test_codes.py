@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbgraph.codes import CODE_NAMES, bit_windows, nat_words, pack_words, read_nats
+from hbgraph import codes
+from hbgraph.codes import (
+    CODE_NAMES,
+    bit_windows,
+    nat_words,
+    pack_words,
+    read_nats,
+    read_runs,
+)
 from util import BitReader, BitWriter, nat_length, nat_lengths, read_nat, write_nat
 
 
@@ -281,15 +289,57 @@ class TestArrayReader:
             max_size=40,
         ),
         code=st.sampled_from(CODE_NAMES),
-        k=st.integers(min_value=1, max_value=8),
+        k=st.integers(min_value=1, max_value=31),
         lead=st.integers(min_value=0, max_value=70),
     )
     def test_reads_the_oracle_writer_bit_for_bit(self, values, code, k, lead):
-        # gamma words of 2^32 and more are wider than 64 bits
+        # gamma words of 2^32 and more are wider than 64 bits; no zeta_k
+        # codeword with k > 12 fits the 12-bit lookup table
         table, starts, ends = cursors(values, code, k, lead)
         got, after = read_nats(table, starts, ends, code, k)
         assert got.dtype == np.int64 and got.tolist() == values
         assert after.tolist() == starts[1:].tolist() + ends[:1].tolist()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.integers(min_value=0, max_value=1 << 40), st.sampled_from([0, 1 << 32])),
+            min_size=1,
+            max_size=200,
+        ),
+        code=st.sampled_from(CODE_NAMES),
+        k=st.integers(min_value=1, max_value=31),
+        data=st.data(),
+    )
+    def test_runs_read_the_oracle_writer(self, values, code, k, data):
+        # cursors at some codeword starts, each reading up to the next one
+        # or a drawn number of codewords; small passes cut codewords
+        table, starts, ends = cursors(values, code, k, data.draw(st.integers(0, 70)))
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(values) - 1), min_size=1)))
+        bounds = np.append(starts, ends[:1])[cuts[1:] + [len(values)]]
+        size = np.diff(cuts + [len(values)])
+        count = None
+        if data.draw(st.booleans()):
+            count = np.array([data.draw(st.integers(0, c)) for c in size])
+        run = data.draw(st.sampled_from([64, 300, 4096]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "_RUN", run)
+            got, took, after = read_runs(table, starts[cuts], bounds, code, k, count)
+        want = size if count is None else count
+        assert took.tolist() == want.tolist()
+        assert got.dtype == np.int64
+        assert got.tolist() == [v for c, n in zip(cuts, want) for v in values[c : c + n]]
+        assert after.tolist() == np.append(starts, ends[:1])[np.array(cuts) + want].tolist()
+
+    def test_runs_raise_as_reads_do(self):
+        # a codeword cut by its cursor's end, and one past 2^63 - 1
+        for code, k in (("gamma", 3), ("delta", 3), ("zeta", 3), ("zeta", 20)):
+            table, starts, _ = cursors([7, 1000, 3], code, k)
+            with pytest.raises((ValueError, EOFError)):
+                read_runs(table, starts[:1], starts[2:] - np.uint64(1), code, k)
+        table, starts, ends = cursors([5, 1 << 63], "gamma")
+        with pytest.raises(ValueError, match="past 2"):
+            read_runs(table, starts[:1], ends[:1], "gamma")
 
     def test_longest_unary_run_and_beyond(self):
         # gamma (and zeta_1) of 2^63 - 1: 63 zeros, then 64 bits, 127 in all

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hbgraph import storage
+from hbgraph import codes, storage
 from hbgraph.graph import Graph
 from hbgraph.storage import (
     MAGIC,
@@ -168,6 +168,16 @@ class TestRoundTrip:
         for x in (0, 6999, 13999):
             assert np.array_equal(decode_node(enc, x), g.successors(x))
 
+    @pytest.mark.parametrize("k", [12, 13, 31])
+    def test_zeta_k_past_the_lookup_table(self, k):
+        # no zeta_k codeword with k > 12 fits the reader's 12-bit table
+        cfg = CodecConfig(residual_code="zeta", zeta_k=k)
+        for g in mixed_suite(seed=903, count=6, max_n=80) + [long_chunk("residuals", 300)]:
+            enc = encode(g, cfg)
+            _assert_same_graph(g, decode(enc))
+            for x in (0, g.n // 2, g.n - 1):
+                assert np.array_equal(decode_node(enc, x), g.successors(x))
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_round_trip(self, data):
@@ -238,6 +248,59 @@ class TestDeepCopyChains:
         _assert_same_graph(g, h)
         for x in (0, g.n // 2, g.n - 1):
             assert np.array_equal(decode_node(enc, x), g.successors(x))
+
+
+LONG_CHUNKS = ("residuals", "intervals", "blocks")
+
+
+def long_chunk(kind, size):
+    """A graph whose one long chunk holds `size` items of one field kind:
+    node 0 linked to every other id (residuals), node 0 linked to runs of
+    4 ids with one missing between (intervals), or node 2 copying every
+    other id of node 1's list of 2 * size (copy blocks)."""
+    if kind == "residuals":
+        ids = np.arange(2, 2 * size + 1, 2)
+    elif kind == "intervals":
+        ids = ((5 * np.arange(size // 4))[:, None] + np.arange(4)).ravel()
+    else:
+        ids = np.concatenate([np.arange(2 * size), np.arange(0, 2 * size, 2)])
+        return Graph.from_arcs(2 * size, np.repeat([1, 2], [2 * size, size]), ids)
+    return Graph.from_arcs(int(ids[-1]) + 1, np.zeros(ids.size, dtype=np.int64), ids)
+
+
+class TestLongChunks:
+    """A round of the decoder reads one item of every node that has one
+    left; the nodes left when few are, read the rest of their chunks in
+    passes over bit windows instead."""
+
+    @pytest.mark.parametrize("kind", LONG_CHUNKS)
+    def test_decodes_fast_and_whole(self, kind):
+        g = long_chunk(kind, 20_000)
+        enc = encode(g)
+        node = 2 if kind == "blocks" else 0
+        assert g.successors(node).size == 20_000
+        t0 = time.perf_counter()
+        h = decode(enc)
+        # a round per item took 0.2-1.0 s here, the per-chunk reader before
+        # it 0.17-0.32 s
+        assert time.perf_counter() - t0 < 0.15
+        _assert_same_graph(g, h)
+        assert np.array_equal(decode_node(enc, node), g.successors(node))
+
+    @pytest.mark.parametrize("few,run", [(1, 4096), (16, 64), (10**9, 100)])
+    def test_rounds_and_passes_agree(self, few, run, monkeypatch):
+        # few=1 reads every item in rounds, 10**9 every repeated field in
+        # passes; small passes cut codewords at their windows' ends
+        graphs = mixed_suite(seed=904, count=6, max_n=80) + [
+            long_chunk(kind, 300) for kind in LONG_CHUNKS
+        ] + [band(400, 3), star_of(100)]
+        encs = [(g, encode(g, cfg)) for g in graphs for cfg in CONFIGS]
+        monkeypatch.setattr(storage, "_FEW", few)
+        monkeypatch.setattr(codes, "_RUN", run)
+        for g, enc in encs:
+            _assert_same_graph(g, decode(enc))
+            for x in (0, g.n // 2, g.n - 1):
+                assert np.array_equal(decode_node(enc, x), g.successors(x))
 
 
 class TestContainer:
