@@ -10,7 +10,6 @@ from .graph import (
     Graph,
     apply_permutation,
     avg_degree,
-    density,
     gap_histogram,
     info_lower_bound,
     load_edge_list,
@@ -71,7 +70,6 @@ __all__ = [
     "transpose",
     "gap_histogram",
     "avg_degree",
-    "density",
     "info_lower_bound",
     # compressed storage
     "CODE_NAMES",

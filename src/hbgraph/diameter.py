@@ -39,8 +39,8 @@ def _check_symmetric(g: Graph, allow_asymmetric: bool) -> None:
     if not g.symmetric and not allow_asymmetric:
         raise ValueError(
             "this computation is only correct on symmetric graphs; "
-            "symmetrize first or pass allow_asymmetric=True if the arcs "
-            "really do come in pairs"
+            "symmetrize first or pass allow_asymmetric=True (--allow-asymmetric "
+            "on the command line) if the arcs really do come in pairs"
         )
 
 

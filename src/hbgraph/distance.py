@@ -2,10 +2,11 @@
 
 A monotone neighbourhood curve N(0..T) doubles as a cumulative count of
 node pairs by distance, so its normalized increments are the distance
-distribution. Everything here consumes such curves: exact ones give the
-true distribution, estimated ones give plug-in statistics whose standard
-errors come from jackknifing whole runs (leave one run out, never single
-registers, so correlations inside a run stay intact).
+distribution. Each curve gives one distribution, and every statistic in
+STATISTIC_NAMES is read from it. Their standard errors come from one
+jackknife over whole runs (leave one run out, never single registers, so
+correlations inside a run stay intact) that builds the mean curve and the
+R leave-one-out curves once and serves every statistic.
 
 Self-pairs ((x, x), distance 0) are kept by default; `include_self_pairs
 =False` removes n pairs of mass at t=0, which shifts the mean up and is
@@ -15,7 +16,8 @@ n, so the subtraction clamps at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -79,14 +81,14 @@ class DistanceDistribution:
         if not 0.0 < q <= 1.0:
             raise ValueError("quantile must lie in (0, 1]")
         cum = np.cumsum(self.counts)
-        target = q * self.total
+        # the summed counts can end an ulp or so below the total; at q = 1
+        # the target is then the last cumulative count, not past it
+        target = min(q * self.total, cum[-1])
         d = int(np.searchsorted(cum, target, side="left"))
         if d == 0:
             return 0.0
-        step = cum[d] - cum[d - 1]
-        if step <= 0:
-            return float(d)
-        return float(d - 1 + (target - cum[d - 1]) / step)
+        # cum[d - 1] < target <= cum[d], so the step is positive
+        return float(d - 1 + (target - cum[d - 1]) / (cum[d] - cum[d - 1]))
 
     def within_ceiling_pct(self) -> float:
         """Percentage of pairs at distance <= ceil(mean distance)."""
@@ -136,24 +138,34 @@ class JackknifeResult:
     runs: int
 
 
-def _resolve_statistic(
-    statistic: str | Callable, n: int, include_self_pairs: bool, q: float
-) -> Callable[[np.ndarray], float]:
-    if callable(statistic):
-        return statistic
-    if statistic == "mean":
-        return lambda c: to_distribution(c, n, include_self_pairs).mean()
-    if statistic == "variance":
-        return lambda c: to_distribution(c, n, include_self_pairs).variance()
-    if statistic == "spid":
-        return lambda c: to_distribution(c, n, include_self_pairs).spid()
-    if statistic == "effective_diameter":
-        return lambda c: to_distribution(c, n, include_self_pairs).effective_diameter(q)
-    if statistic == "within_ceiling_pct":
-        return lambda c: to_distribution(c, n, include_self_pairs).within_ceiling_pct()
-    raise ValueError(
-        f"unknown statistic {statistic!r}; pick from {STATISTIC_NAMES} or pass a callable"
-    )
+def _statistics(curve, n: int, include_self_pairs: bool, q: float) -> list[float]:
+    """The STATISTIC_NAMES values of one curve, from one distribution."""
+    dist = to_distribution(curve, n, include_self_pairs)
+    return [dist.mean(), dist.variance(), dist.spid(),
+            dist.effective_diameter(q), dist.within_ceiling_pct()]
+
+
+def _jackknife(matrix: np.ndarray, stat) -> list[JackknifeResult]:
+    """Jackknife every entry of `stat(curve)` over the mean curve and the R
+    leave-one-out curves; a single run gives plug-in values, NaN errors."""
+    r = matrix.shape[0]
+    # row averages are monotone in exact arithmetic, but float
+    # cancellation can leave tiny negative steps; accumulate them away
+    total = matrix.sum(axis=0)
+    theta = [float(v) for v in stat(np.maximum.accumulate(total / r))]
+    if r == 1:
+        return [JackknifeResult(estimate=v, se=float("nan"), runs=1) for v in theta]
+    loo = np.array([stat(np.maximum.accumulate((total - row) / (r - 1))) for row in matrix])
+    results = []
+    # a contiguous column per statistic keeps each sum in its 1-d order
+    for full, col in zip(theta, np.ascontiguousarray(loo.T, dtype=float)):
+        col_mean = col.mean()
+        # identical leave-one-out values have zero spread by definition;
+        # their mean may sit an ulp off and manufacture variance
+        spread = 0.0 if np.all(col == col[0]) else np.square(col - col_mean).sum()
+        estimate = float(r * full - (r - 1) * col_mean)
+        results.append(JackknifeResult(estimate, float(np.sqrt((r - 1) / r * spread)), r))
+    return results
 
 
 def jackknife(
@@ -178,30 +190,18 @@ def jackknife(
             raise ValueError("expected an (R, T+1) curve matrix")
         if n is None:
             raise ValueError("n is required with a bare matrix")
-    r = matrix.shape[0]
-    if r < 2:
+    if matrix.shape[0] < 2:
         raise ValueError("jackknife needs at least two runs")
-    stat = _resolve_statistic(statistic, n, include_self_pairs, q)
-
-    # row averages are monotone in exact arithmetic, but float
-    # cancellation can leave tiny negative steps; accumulate them away
-    total = matrix.sum(axis=0)
-    theta_full = float(stat(np.maximum.accumulate(total / r)))
-    loo = np.array(
-        [
-            float(stat(np.maximum.accumulate((total - matrix[i]) / (r - 1))))
-            for i in range(r)
-        ]
-    )
-    loo_mean = loo.mean()
-    estimate = r * theta_full - (r - 1) * loo_mean
-    if np.all(loo == loo[0]):
-        # identical leave-one-out values have zero spread by definition;
-        # loo.mean() may sit an ulp off loo[0] and manufacture variance
-        se = 0.0
+    if callable(statistic):
+        stat, k = (lambda c: [statistic(c)]), 0
+    elif statistic in STATISTIC_NAMES:
+        stat = partial(_statistics, n=n, include_self_pairs=include_self_pairs, q=q)
+        k = STATISTIC_NAMES.index(statistic)
     else:
-        se = float(np.sqrt((r - 1) / r * np.square(loo - loo_mean).sum()))
-    return JackknifeResult(estimate=float(estimate), se=se, runs=r)
+        raise ValueError(
+            f"unknown statistic {statistic!r}; pick from {STATISTIC_NAMES} or pass a callable"
+        )
+    return _jackknife(matrix, stat)[k]
 
 
 # ---- one-call summary ----
@@ -230,24 +230,7 @@ class DistanceStats:
     within_ceiling_se: float
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "runs": self.runs,
-            "iterations": self.iterations,
-            "reachable_pct": self.reachable_pct,
-            "reachable_pct_se": self.reachable_pct_se,
-            "mean": self.mean,
-            "mean_se": self.mean_se,
-            "mean_excl_self": self.mean_excl_self,
-            "variance": self.variance,
-            "variance_se": self.variance_se,
-            "spid": self.spid,
-            "spid_se": self.spid_se,
-            "effective_diameter": self.effective_diameter,
-            "effective_diameter_se": self.effective_diameter_se,
-            "within_ceiling_pct": self.within_ceiling_pct,
-            "within_ceiling_se": self.within_ceiling_se,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         """Aligned table; a non-finite value, such as the error of a single
@@ -256,29 +239,20 @@ class DistanceStats:
         def num(v, digits=6):
             return f"{v:.{digits}f}" if np.isfinite(v) else "n/a"
 
+        def est(label, v, se, digits=6):
+            return (label, num(v, digits), f"+- {num(se, digits)}")
+
         rows = [
             ("nodes", f"{self.n}", ""),
             ("runs", f"{self.runs}", ""),
             ("iterations", f"{self.iterations}", ""),
-            (
-                "reachable pairs %",
-                num(self.reachable_pct, 4),
-                f"+- {num(self.reachable_pct_se, 4)}",
-            ),
-            ("mean distance", num(self.mean), f"+- {num(self.mean_se)}"),
+            est("reachable pairs %", self.reachable_pct, self.reachable_pct_se, 4),
+            est("mean distance", self.mean, self.mean_se),
             ("mean (excl self)", num(self.mean_excl_self), ""),
-            ("variance", num(self.variance), f"+- {num(self.variance_se)}"),
-            ("spid", num(self.spid), f"+- {num(self.spid_se)}"),
-            (
-                "effective diameter",
-                num(self.effective_diameter),
-                f"+- {num(self.effective_diameter_se)}",
-            ),
-            (
-                "within ceil(mean) %",
-                num(self.within_ceiling_pct, 4),
-                f"+- {num(self.within_ceiling_se, 4)}",
-            ),
+            est("variance", self.variance, self.variance_se),
+            est("spid", self.spid, self.spid_se),
+            est("effective diameter", self.effective_diameter, self.effective_diameter_se),
+            est("within ceil(mean) %", self.within_ceiling_pct, self.within_ceiling_se, 4),
         ]
         w0 = max(len(a) for a, _, _ in rows)
         w1 = max(len(b) for _, b, _ in rows)
@@ -297,24 +271,10 @@ def summarize(
     n = runs.n
     matrix = runs.to_matrix(monotone=True)
     mean_curve = np.maximum.accumulate(matrix.mean(axis=0))
-    reachable = 100.0 * float(mean_curve[-1]) / (float(n) * float(n))
-
-    if len(runs) == 1:
-        plug_in = {
-            name: _resolve_statistic(name, n, include_self_pairs, q)(mean_curve)
-            for name in STATISTIC_NAMES
-        }
-        results = {
-            name: JackknifeResult(estimate=float(v), se=float("nan"), runs=1)
-            for name, v in plug_in.items()
-        }
-        reachable_se = float("nan")
-    else:
-        results = {
-            name: jackknife(matrix, name, n=n, include_self_pairs=include_self_pairs, q=q)
-            for name in STATISTIC_NAMES
-        }
-        reachable_se = jackknife(matrix, lambda c: 100 * c[-1] / n**2, n=n).se
+    pairs = float(n) * float(n)
+    mean, variance, spid, diameter, ceiling, reachable = _jackknife(
+        matrix, lambda c: [*_statistics(c, n, include_self_pairs, q), 100.0 * c[-1] / pairs]
+    )
     try:
         excl_mean = to_distribution(mean_curve, n, include_self_pairs=False).mean()
     except ValueError:  # no positive-distance pairs at all
@@ -323,17 +283,18 @@ def summarize(
         n=n,
         runs=len(runs),
         iterations=max(r.iterations for r in runs.runs),
-        reachable_pct=reachable,
-        reachable_pct_se=reachable_se,
-        mean=results["mean"].estimate,
-        mean_se=results["mean"].se,
+        # linear in the curve, so the plug-in value needs no bias correction
+        reachable_pct=100.0 * float(mean_curve[-1]) / pairs,
+        reachable_pct_se=reachable.se,
+        mean=mean.estimate,
+        mean_se=mean.se,
         mean_excl_self=excl_mean,
-        variance=results["variance"].estimate,
-        variance_se=results["variance"].se,
-        spid=results["spid"].estimate,
-        spid_se=results["spid"].se,
-        effective_diameter=results["effective_diameter"].estimate,
-        effective_diameter_se=results["effective_diameter"].se,
-        within_ceiling_pct=results["within_ceiling_pct"].estimate,
-        within_ceiling_se=results["within_ceiling_pct"].se,
+        variance=variance.estimate,
+        variance_se=variance.se,
+        spid=spid.estimate,
+        spid_se=spid.se,
+        effective_diameter=diameter.estimate,
+        effective_diameter_se=diameter.se,
+        within_ceiling_pct=ceiling.estimate,
+        within_ceiling_se=ceiling.se,
     )

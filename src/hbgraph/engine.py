@@ -66,10 +66,13 @@ class NeighbourhoodRun:
     seed: int
     values: list[float]
     iterations: int
-    exact: bool = False
     # set when the iteration cap ended the run before a no-change sweep
     # confirmed stabilization; values past the cap are unknown
     truncated: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.m == 0
 
     @property
     def monotone_values(self) -> list[float]:
@@ -103,7 +106,6 @@ class NeighbourhoodRun:
             seed=int(d["seed"]),
             values=values,
             iterations=int(d["iterations"]),
-            exact=(m == 0),
             truncated=bool(d.get("truncated", False)),
         )
 
@@ -360,7 +362,7 @@ def _diffusion(g, state, reduce_op, measure, max_iters, graph_id, m, seed):
     )
     return NeighbourhoodRun(
         graph_id=gid, n=g.n, m=m, seed=seed, values=values,
-        iterations=len(values) - 1, exact=(m == 0), truncated=truncated,
+        iterations=len(values) - 1, truncated=truncated,
     )
 
 

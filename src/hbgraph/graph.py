@@ -25,7 +25,6 @@ __all__ = [
     "save_permutation",
     "gap_histogram",
     "avg_degree",
-    "density",
     "info_lower_bound",
 ]
 
@@ -277,17 +276,6 @@ def avg_degree(g: Graph) -> float:
     if g.n < 1:
         raise ValueError("average degree needs at least one node")
     return g.num_arcs / g.n
-
-
-def density(g: Graph) -> float:
-    """Fraction of possible node pairs carrying an arc.
-
-    Equals 2*edges / (n*(n-1)) under the undirected convention, since a
-    symmetric graph stores each edge as two arcs.
-    """
-    if g.n < 2:
-        raise ValueError("density needs at least two nodes")
-    return g.num_arcs / (g.n * (g.n - 1))
 
 
 def gap_histogram(g: Graph) -> np.ndarray:

@@ -88,7 +88,11 @@ def _check_m(m: int) -> None:
 
 
 def words_per_counter(m: int) -> int:
-    """64-bit words that the m one-byte registers of one counter occupy."""
+    """64-bit words that the m one-byte registers of one counter occupy.
+
+    Nothing in the package calls it: the benchmark (`perfbench/run.py
+    --trace 1`) imports it to size a counter.
+    """
     return m // 8
 
 
@@ -183,15 +187,8 @@ class CounterArray:
         self.registers[:] = 0
         self.registers[np.arange(self.count), j] = rho
 
-    def register_values(self, i: int | None = None) -> np.ndarray:
-        """Copy of the registers: (m,) for one counter or (count, m) for all."""
-        return (self.registers if i is None else self.registers[i]).copy()
-
     def estimate(self, i: int) -> float:
         return float(estimate_registers(self.registers[i : i + 1], self.m)[0])
-
-    def estimate_all(self) -> np.ndarray:
-        return estimate_registers(self.registers, self.m)
 
     # ---- unions ----
 
@@ -209,8 +206,3 @@ class CounterArray:
         changed = bool((row > dst).any())
         np.maximum(dst, row, out=dst)
         return changed
-
-    def copy(self) -> "CounterArray":
-        dup = CounterArray(self.count, self.m, self.seed)
-        dup.registers[:] = self.registers
-        return dup

@@ -344,9 +344,6 @@ class EncodedGraph:
     def interval_fraction(self) -> float:
         return self.interval_arcs / self.num_arcs if self.num_arcs else 0.0
 
-    def successors(self, x: int) -> np.ndarray:
-        return decode_node(self, x)
-
     def decode(self) -> Graph:
         return decode(self)
 

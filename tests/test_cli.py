@@ -225,6 +225,16 @@ class TestAnfStats:
 
 
 class TestDiameterGaps:
+    def test_directed_graph_refusal_names_the_flag(self, tmp_path, capsys):
+        src = tmp_path / "e.txt"
+        src.write_text("0 1\n1 2\n")
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", str(src), "-o", hbg])
+        capsys.readouterr()
+        assert main(["diameter", hbg]) == 1
+        assert "--allow-asymmetric" in capsys.readouterr().err
+        ok(["diameter", hbg, "--allow-asymmetric"])
+
     def test_diameter_json(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
         ok(["import", edges_file, "-o", hbg])

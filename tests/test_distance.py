@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hbgraph import distance
 from hbgraph.distance import (
     STATISTIC_NAMES,
     jackknife,
@@ -104,6 +106,31 @@ class TestEffectiveDiameter:
         eds = [dist.effective_diameter(q) for q in qs]
         assert eds == sorted(eds)
         assert eds[-1] <= dist.support[-1]
+
+    def test_quantile_one_when_summed_counts_fall_short(self):
+        # the steps of this curve add up to 3.6e-15 below its last value
+        curve = [4.7, 12.9, 19.7, 28.1]
+        dist = to_distribution(curve, 1)
+        assert np.cumsum(dist.counts)[-1] < curve[-1]
+        assert dist.effective_diameter(1.0) == 3.0
+        # a flat tail does not move the first distance that reaches all pairs
+        assert to_distribution(curve + [28.1, 28.1], 1).effective_diameter(1.0) == 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # the steps between tenths need not add up to the last one in binary
+        tenths=st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
+        q=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        include_self_pairs=st.booleans(),
+    )
+    def test_effective_diameter_stays_on_the_support(self, tenths, q, include_self_pairs):
+        curve = np.sort(tenths) / 10
+        try:
+            dist = to_distribution(curve, 3, include_self_pairs=include_self_pairs)
+        except ValueError:  # no mass
+            return
+        ed = dist.effective_diameter(q)
+        assert 0.0 <= ed <= curve.size - 1
 
     def test_within_ceiling(self):
         g = grid(5, 5)
@@ -221,6 +248,20 @@ class TestSummarize:
         # a self-pairs-only curve has no mean without them
         lone = run_exact(from_pairs(3, []), graph_id="h")
         assert math.isnan(summarize(RunSet([lone])).mean_excl_self)
+
+    @pytest.mark.parametrize("r", [1, 2, 4, 10])
+    def test_one_distribution_per_curve(self, monkeypatch, r):
+        # the mean curve, R leave-one-out curves and the mean without self-pairs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return to_distribution(*args, **kwargs)
+
+        rs = RunSet([run(grid(4, 5), m=16, seed=s, graph_id="g") for s in seed_sequence(8, r)])
+        monkeypatch.setattr(distance, "to_distribution", counted)
+        summarize(rs)
+        assert len(calls) <= r + 2
 
     def test_text_and_dict_round_out(self):
         rs = RunSet(

@@ -458,7 +458,7 @@ class TestRunSet:
         # sketched (m > 0) and exact (m = 0) runs with any values, seeds,
         # iteration counts and truncated flags
         runs = [
-            NeighbourhoodRun(graph_id, n, m, seed, values, iters, exact=(m == 0), truncated=cut)
+            NeighbourhoodRun(graph_id, n, m, seed, values, iters, truncated=cut)
             for seed, values, iters, cut in rows
         ]
         with tempfile.TemporaryDirectory() as d:
@@ -468,6 +468,14 @@ class TestRunSet:
             back.save(second)
             assert first.read_bytes() == second.read_bytes()
         assert back.runs == runs
+
+    def test_exactness_is_m_zero(self):
+        # run files record exactness only as m_registers: 0
+        assert NeighbourhoodRun("g", 3, 0, 0, [3.0], 0).exact
+        sketched = NeighbourhoodRun("g", 3, 64, 0, [3.0], 0)
+        assert not sketched.exact
+        with pytest.raises(ValueError, match="duplicate seeds"):
+            RunSet([sketched, sketched])
 
     def test_exact_runs_allowed_alongside(self):
         g = from_pairs(3, [(0, 1), (1, 2)])
@@ -485,26 +493,26 @@ class TestErrorEvolution:
         assert np.all(r == 0.0) and np.all(dr == 0.0)
 
     def test_relative_error_definition(self):
-        ex = NeighbourhoodRun("g", 3, 0, 0, [2.0, 4.0], 1, exact=True)
+        ex = NeighbourhoodRun("g", 3, 0, 0, [2.0, 4.0], 1)
         est = NeighbourhoodRun("g", 3, 16, 1, [2.2, 5.0], 1)
         _, r, dr = error_evolution(est, ex)
         assert r == pytest.approx([0.1, 0.25])
         assert dr == pytest.approx([0.0, 0.15])  # first step has no predecessor
 
     def test_pads_shorter_curve(self):
-        ex = NeighbourhoodRun("g", 3, 0, 0, [2.0, 4.0, 4.0], 2, exact=True)
+        ex = NeighbourhoodRun("g", 3, 0, 0, [2.0, 4.0, 4.0], 2)
         est = NeighbourhoodRun("g", 3, 16, 1, [2.0, 4.0], 1)
         t, r, _ = error_evolution(est, ex)
         assert t.size == 3 and r[-1] == 0.0
 
     def test_rejects_mismatched_graphs(self):
-        ex = NeighbourhoodRun("g", 3, 0, 0, [2.0], 0, exact=True)
+        ex = NeighbourhoodRun("g", 3, 0, 0, [2.0], 0)
         est = NeighbourhoodRun("h", 3, 16, 1, [2.0], 0)
         with pytest.raises(ValueError):
             error_evolution(est, ex)
 
     def test_rejects_nonpositive_exact(self):
-        ex = NeighbourhoodRun("g", 3, 0, 0, [0.0, 2.0], 1, exact=True)
+        ex = NeighbourhoodRun("g", 3, 0, 0, [0.0, 2.0], 1)
         est = NeighbourhoodRun("g", 3, 16, 1, [1.0, 2.0], 1)
         with pytest.raises(ValueError):
             error_evolution(est, ex)

@@ -7,7 +7,6 @@ from hbgraph.graph import (
     Graph,
     apply_permutation,
     avg_degree,
-    density,
     gap_histogram,
     info_lower_bound,
     load_edge_list,
@@ -179,10 +178,9 @@ class TestTranspose:
 
 
 class TestStatistics:
-    def test_avg_degree_and_density(self):
+    def test_avg_degree(self):
         g = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         assert avg_degree(g) == pytest.approx(3 / 4)
-        assert density(g) == pytest.approx(3 / 12)
 
     def test_gap_histogram_path(self):
         # 0->1 and 1->2: both first gaps are |s - x| + 1 = 2, so bin 1
