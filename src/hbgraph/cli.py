@@ -40,7 +40,7 @@ from .graph import (
     save_edge_list,
     transpose,
 )
-from .storage import MAGIC, CodecConfig, encode
+from .storage import VERSIONS, CodecConfig, encode
 from .storage import load as load_compressed
 from .storage import save as save_compressed
 
@@ -178,8 +178,8 @@ def _load_graph(path: str):
     next to compressed input, restores the original node ids.
     """
     with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-    if head == MAGIC:
+        head = fh.read(4)
+    if head in VERSIONS:
         enc = load_compressed(path)
         g = enc.decode()
         sidecar = path + ".ids"
@@ -239,8 +239,10 @@ def _encode_and_save(g: Graph, cfg: CodecConfig, out: str) -> list:
     enc = encode(g, cfg)
     save_compressed(enc, out)
     outputs = [out] + _save_ids(g, out)
-    floor = info_lower_bound(g.n, g.num_arcs)
-    floor_per_arc = floor / g.num_arcs if g.num_arcs else 0.0
+
+    def per_arc(bits):
+        return bits / g.num_arcs if g.num_arcs else 0.0
+
     _print_table(
         [
             ("nodes", g.n),
@@ -249,9 +251,10 @@ def _encode_and_save(g: Graph, cfg: CodecConfig, out: str) -> list:
             ("avg out-degree", f"{avg_degree(g):.3f}"),
             ("stream bytes", len(enc.stream)),
             ("bits per arc", f"{enc.bits_per_arc:.3f}"),
+            ("file bits per arc", f"{per_arc(8 * os.path.getsize(out)):.3f}"),
             ("copied arcs %", f"{100 * enc.copy_fraction:.2f}"),
             ("interval arcs %", f"{100 * enc.interval_fraction:.2f}"),
-            ("size floor bits/arc", f"{floor_per_arc:.3f}"),
+            ("size floor bits/arc", f"{per_arc(info_lower_bound(g.n, g.num_arcs)):.3f}"),
         ]
     )
     return outputs

@@ -14,9 +14,11 @@ web-graph playbook:
 
 Chunks carry no outdegree: the per-node bit-offset table delimits every
 chunk exactly, and instantaneous codes make "read residuals until the
-chunk ends" unambiguous. The on-disk container (magic ``HBG1``) stores the
-header, the offset table and the code stream; see FORMATS.md for the
-bit-exact layout.
+chunk ends" unambiguous. `save` writes the ``HBG2`` container: a header
+with the copied and interval arc tallies, the offsets as an Elias-Fano
+list and the code stream, under one CRC-32. `load` also reads the older
+``HBG1`` (raw u64 offsets, a CRC over the stream alone, no tallies). See
+FORMATS.md for the bit-exact layouts.
 
 Both directions work on arrays, over blocks of consecutive nodes. The
 encoder's blocks hold about _BLOCK arcs plus nodes (and read the lists
@@ -73,8 +75,10 @@ __all__ = [
     "load",
 ]
 
-MAGIC = b"HBG1"
-_HEADER = struct.Struct("<4sBBHQQIIBBBxI")  # see FORMATS.md
+MAGIC = b"HBG2"  # what save writes
+VERSIONS = {b"HBG1": 1, MAGIC: 2}  # every magic load reads, with its version
+_HEADER = struct.Struct("<4sBBBxQQIIBBBxI")  # both versions; see FORMATS.md
+_TALLIES = struct.Struct("<QQQ")  # HBG2: copied arcs, interval arcs, stream bits
 _LITTLE = 0xFE
 
 _CODE_IDS = {name: i for i, name in enumerate(CODE_NAMES)}
@@ -622,44 +626,95 @@ def decode(enc: EncodedGraph) -> Graph:
 # ---- container I/O ----
 
 
+def _ef_encode(offsets: np.ndarray):
+    """Nondecreasing `offsets` as Elias-Fano: the low width l =
+    floor(log2(U / N)) for N offsets up to U (0 when U < N), the low l
+    bits of each packed, and the high parts offset >> l as unary gaps
+    (gap zeros, then a one), both MSB-first."""
+    low_bits = max((int(offsets[-1]) // offsets.size).bit_length() - 1, 0)
+    gaps = np.diff(offsets >> np.uint64(low_bits), prepend=np.uint64(0)).astype(np.int64)
+    low = pack_words(offsets & np.uint64((1 << low_bits) - 1), np.full(offsets.size, low_bits))
+    return low_bits, low, pack_words(np.ones(offsets.size, dtype=np.uint64), gaps + 1)
+
+
+def _ef_decode(low, high, count: int, low_bits: int) -> np.ndarray:
+    """The `count` offsets whose Elias-Fano parts `_ef_encode` wrote."""
+    ones = np.unpackbits(np.frombuffer(high, dtype=np.uint8)).view(bool).nonzero()[0]
+    if ones.size != count:
+        raise ValueError(f"Elias-Fano high part holds {ones.size} ones, expected {count}")
+    offsets = (ones - np.arange(count)).astype(np.uint64) << np.uint64(low_bits)
+    if low_bits:  # the l bits at bit i*l: the 64 from its byte, and past l = 57 the next 64
+        pos = np.arange(count) * low_bits
+        table, i, s = bit_windows(low), pos >> 3, (pos & 7).astype(np.uint64)
+        window = table[i] << s
+        if low_bits > 57:
+            window |= table[i + 8] >> (np.uint64(64) - s)
+        offsets |= window >> np.uint64(64 - low_bits)
+    return offsets
+
+
+def _crc(blob) -> int:
+    """CRC-32 of an HBG2 file but its CRC field, bytes 36 to 39."""
+    with memoryview(blob) as view:
+        return zlib.crc32(view[40:], zlib.crc32(view[:36]))
+
+
 def save(enc: EncodedGraph, path) -> None:
-    """Write the HBG1 container (header, offsets, stream)."""
+    """Write the HBG2 container: header, Elias-Fano offsets, code stream."""
     cfg = enc.cfg
-    header = _HEADER.pack(  # format version 1; the u16 after the tag is reserved
-        MAGIC, 1, _LITTLE, 0, enc.n, enc.num_arcs, cfg.window, cfg.min_interval,
-        _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.symmetric), zlib.crc32(enc.stream),
-    )
+    low_bits, low, high = _ef_encode(enc.offsets)
+    blob = bytearray(_HEADER.pack(  # format version 2; the CRC goes in below
+        MAGIC, 2, _LITTLE, low_bits, enc.n, enc.num_arcs, cfg.window, cfg.min_interval,
+        _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.symmetric), 0,
+    ))
+    blob += _TALLIES.pack(enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
+    blob += low + high + enc.stream
+    struct.pack_into("<I", blob, 36, _crc(blob))
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(enc.offsets.astype("<u8").tobytes())
-        fh.write(enc.stream)
+        fh.write(blob)
 
 
 def load(path) -> EncodedGraph:
-    """Read an HBG1 container back into an EncodedGraph."""
+    """Read an HBG2 or HBG1 container back into an EncodedGraph; HBG1
+    keeps no codec tallies, so they read 0."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _HEADER.size or blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not an HBG1 graph file")
-    _, version, endian, _, n, num_arcs, window, min_interval, code_id, zeta_k, symmetric, crc = (
-        _HEADER.unpack_from(blob)
-    )
-    if version != 1:
+    if len(blob) < _HEADER.size or blob[:4] not in VERSIONS:
+        raise ValueError(f"{path}: not an HBG1 or HBG2 graph file")
+    magic, version, endian, low_bits, n, num_arcs, window, min_interval, code_id, zeta_k, \
+        symmetric, crc = _HEADER.unpack_from(blob)
+    if version != VERSIONS[magic]:
         raise ValueError(f"{path}: unsupported format version {version}")
     if endian != _LITTLE:
         raise ValueError(f"{path}: bad endianness tag {endian:#x}")
     if code_id not in _CODE_BY_ID:
         raise ValueError(f"{path}: unknown residual code id {code_id}")
-    off_start = _HEADER.size
-    off_end = off_start + 8 * (n + 1)
-    if len(blob) < off_end:
-        raise ValueError(f"{path}: truncated offset table")
-    offsets = np.frombuffer(blob[off_start:off_end], dtype="<u8").copy()
-    stream = blob[off_end:]
-    if zlib.crc32(stream) != crc:
-        raise ValueError(f"{path}: code stream checksum mismatch")
-    if offsets.size and int(offsets[-1]) > len(stream) * 8:
-        raise ValueError(f"{path}: offset table points past the stream")
+    start = _HEADER.size
+    if version == 1:
+        end = start + 8 * (n + 1)
+        if len(blob) < end:
+            raise ValueError(f"{path}: truncated offset table")
+        offsets = np.frombuffer(blob[start:end], dtype="<u8").copy()
+        stream, copied, intervals = blob[end:], 0, 0
+        if zlib.crc32(stream) != crc:
+            raise ValueError(f"{path}: code stream checksum mismatch")
+        if int(offsets[-1]) > len(stream) * 8:
+            raise ValueError(f"{path}: offset table points past the stream")
+    else:
+        if len(blob) < start + _TALLIES.size:
+            raise ValueError(f"{path}: truncated header")
+        copied, intervals, top = _TALLIES.unpack_from(blob, start)
+        start += _TALLIES.size
+        low_end = start + (low_bits * (n + 1) + 7) // 8
+        high_end = low_end + (n + 1 + (top >> low_bits) + 7) // 8
+        if len(blob) != (size := high_end + (top + 7) // 8):
+            what = "truncated file" if len(blob) < size else "bytes past the stream"
+            raise ValueError(f"{path}: {what}: {len(blob)} bytes, the header implies {size}")
+        if _crc(blob) != crc:
+            raise ValueError(f"{path}: checksum mismatch")
+        offsets = _ef_decode(blob[start:low_end], blob[low_end:high_end], n + 1, low_bits)
+        if int(offsets[-1]) != top:
+            raise ValueError(f"{path}: offsets end at bit {offsets[-1]}, the header says {top}")
+        stream = blob[high_end:]
     cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
-    # copy/interval tallies are encode-time stats; unknown after a reload
-    return EncodedGraph(n, num_arcs, bool(symmetric), cfg, stream, offsets, 0, 0)
+    return EncodedGraph(n, num_arcs, bool(symmetric), cfg, stream, offsets, copied, intervals)

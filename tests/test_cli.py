@@ -9,8 +9,9 @@ from hbgraph.cli import _build_parser, _load_graph, main, run_manifest
 from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet
 from hbgraph.graph import Graph
+from hbgraph.storage import encode
 from hbgraph.storage import load as load_compressed
-from util import er
+from util import band, er, save_hbg1
 
 
 @pytest.fixture()
@@ -40,6 +41,33 @@ class TestImport:
         a = sorted(open(edges_file).read().split("\n"))
         b = sorted(open(back).read().split("\n"))
         assert a == b
+
+    def test_report_counts_the_whole_file_and_tallies_survive(self, tmp_path, capsys):
+        g = band(400, 3)
+        src = tmp_path / "e.txt"
+        src.write_text("".join(f"{u} {v}\n" for u in range(g.n) for v in g.successors(u).tolist()))
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", str(src), "-o", hbg])
+        rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("manifest"))
+        arcs = int(rows["arcs"])
+        assert rows["file bits per arc"] == f"{8 * os.path.getsize(hbg) / arcs:.3f}"
+        assert float(rows["file bits per arc"]) > float(rows["bits per arc"])
+        # the codec tallies read the same after a reload as after encoding
+        enc = load_compressed(hbg)
+        again = encode(enc.decode(), enc.cfg)
+        assert enc.copied_arcs > 0 and enc.interval_arcs > 0
+        assert (enc.copied_arcs, enc.interval_arcs) == (again.copied_arcs, again.interval_arcs)
+        assert rows["copied arcs %"] == f"{100 * enc.copy_fraction:.2f}"
+        assert rows["interval arcs %"] == f"{100 * enc.interval_fraction:.2f}"
+
+    def test_hbg1_input_still_read(self, tmp_path, edges_file):
+        hbg, old = str(tmp_path / "g.hbg"), str(tmp_path / "old.hbg")
+        ok(["import", edges_file, "-o", hbg])
+        save_hbg1(load_compressed(hbg), old)
+        for path in (hbg, old):
+            ok(["export-edges", path, "-o", path + ".txt"])
+        assert open(hbg + ".txt").read() == open(old + ".txt").read()
 
     def test_symmetry_detected_on_paired_arcs(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")

@@ -204,11 +204,33 @@ class TestCounterArray:
             a.union_into(0, CounterArray(1, m=16, seed=1), 0)
 
     def test_estimate_registers_matches_counter(self):
-        c = CounterArray(3, m=64, seed=9)
-        c.add_many(np.arange(777, dtype=np.uint64), i=1)
-        est = estimate_registers(c.registers, 64)
-        assert est[1] == pytest.approx(c.estimate(1))
-        assert est[0] == 0.0
+        # every row against the estimator written out in scalar Python:
+        # the harmonic mean, or m ln(m / V) while it is <= 5m/2 and V > 0
+        # registers are zero; rows run from empty to saturated
+        def scalar(row, m):
+            raw = alpha(m) * m * m / sum(2.0 ** -int(r) for r in row)
+            zeros = sum(1 for r in row if r == 0)
+            return m * math.log(m / zeros) if raw <= 2.5 * m and zeros else raw
+
+        for m in (16, 64, 256):
+            rng = np.random.default_rng(m)
+            sizes = [0, 1, 2, 5, m // 2, m, 2 * m, 3 * m, 10 * m, 1000 * m]
+            c = CounterArray(len(sizes) + 2, m=m, seed=9)
+            for i, size in enumerate(sizes):
+                c.add_many(rng.integers(0, 1 << 62, size=size).astype(np.uint64), i=i)
+            c.registers[-2] = rng.integers(0, 4, size=m)  # many zeros, small values
+            c.registers[-1] = 31
+            # and rows around the switch at 5m/2: a register is k with
+            # probability (1 - p) p^k, so the zeros thin out as p grows
+            p = rng.uniform(0.5, 0.97, size=(300, 1))
+            rows = np.minimum(np.log(rng.random((300, m))) // np.log(p), 31).astype(np.uint8)
+            regs = np.concatenate([c.registers, rows])
+            est = estimate_registers(regs, m)
+            for i, row in enumerate(regs):
+                assert est[i] == pytest.approx(scalar(row, m), rel=1e-13, abs=0.0)
+            assert np.array_equal(est[: c.count], [c.estimate(i) for i in range(c.count)])
+            small = [(row == 0).any() and e <= 2.5 * m for row, e in zip(regs, est)]
+            assert est[0] == 0.0 and any(small) and not all(small)  # both branches ran
 
     def test_estimate_sums_powers_of_two_bit_for_bit(self):
         rng = np.random.default_rng(6)

@@ -1,10 +1,14 @@
 import hashlib
+import math
+import re
+import struct
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hbgraph import codes, storage
 from hbgraph.graph import Graph
@@ -17,9 +21,20 @@ from hbgraph.storage import (
     encode,
     load,
     save,
+    _crc,
+    _ef_decode,
+    _ef_encode,
     _split_runs,
 )
-from util import BitWriter, ba, band, er, from_pairs, mixed_suite, write_nat
+from util import BitWriter, ba, band, er, from_pairs, mixed_suite, save_hbg1, write_nat
+
+# the 12 knob combinations of acceptance check C8
+C8_CONFIGS = [
+    CodecConfig(window=w, min_interval=iv, residual_code=c, zeta_k=k)
+    for c, k in [("gamma", 1), ("delta", 1), ("zeta", 3)]
+    for w in (0, 7)
+    for iv in (0, 4)
+]
 
 CONFIGS = [
     CodecConfig(),
@@ -308,8 +323,9 @@ class TestContainer:
         return er(60, 0.08, seed=11, symmetric=True)
 
     def test_save_load_round_trip(self, tmp_path):
-        g = self._graph()
+        g = band(300, 4)
         enc = encode(g, CodecConfig(window=5, min_interval=3, residual_code="zeta", zeta_k=4))
+        assert enc.copied_arcs and enc.interval_arcs
         p = tmp_path / "g.hbg"
         save(enc, p)
         back = load(p)
@@ -317,18 +333,27 @@ class TestContainer:
         assert back.symmetric == enc.symmetric
         assert back.stream == enc.stream
         assert np.array_equal(back.offsets, enc.offsets)
+        assert (back.copied_arcs, back.interval_arcs) == (enc.copied_arcs, enc.interval_arcs)
         _assert_same_graph(g, back.decode())
 
     def test_magic_and_layout(self, tmp_path):
-        enc = encode(self._graph())
+        enc = encode(band(300, 4))
         p = tmp_path / "g.hbg"
         save(enc, p)
         blob = p.read_bytes()
-        assert blob[:4] == MAGIC
-        # header(40) + offsets, then the stream verbatim
-        assert blob[40 : 40 + 8 * (enc.n + 1)] == enc.offsets.astype("<u8").tobytes()
-        assert blob[40 + 8 * (enc.n + 1) :] == enc.stream
-        assert zlib.crc32(enc.stream) == int.from_bytes(blob[36:40], "little")
+        n, top = enc.n, enc.stream_bits
+        low_bits = int(math.log2(top / (n + 1)))
+        assert blob[:8] == MAGIC + bytes([2, 0xFE, low_bits, 0])
+        assert struct.unpack_from("<QQIIBBBx", blob, 8) == (
+            n, enc.num_arcs, 7, 4, 2, 3, 1)  # zeta is code 2
+        assert struct.unpack_from("<QQQ", blob, 40) == (enc.copied_arcs, enc.interval_arcs, top)
+        # header(64), the low bits, the unary high parts, then the stream verbatim
+        low_end = 64 + (low_bits * (n + 1) + 7) // 8
+        high_end = low_end + (n + 1 + (top >> low_bits) + 7) // 8
+        assert _ef_encode(enc.offsets) == (low_bits, blob[64:low_end], blob[low_end:high_end])
+        assert blob[high_end:] == enc.stream
+        crc = zlib.crc32(blob[:36] + blob[40:])
+        assert crc == int.from_bytes(blob[36:40], "little") == _crc(blob)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.hbg"
@@ -372,6 +397,168 @@ class TestContainer:
         p.write_bytes(blob[: len(blob) - len(enc.stream) // 2])
         with pytest.raises(ValueError):
             load(p)
+
+    def test_every_cut_and_extra_byte_is_named(self, tmp_path):
+        enc = encode(self._graph())
+        p = tmp_path / "g.hbg"
+        save(enc, p)
+        blob = p.read_bytes()
+        for size in (64, 65, 100, len(blob) - len(enc.stream), len(blob) - 1):
+            p.write_bytes(blob[:size])
+            want = f"truncated file: {size} bytes, the header implies {len(blob)}"
+            with pytest.raises(ValueError, match=want):
+                load(p)
+        p.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match="bytes past the stream"):
+            load(p)
+
+    @pytest.mark.parametrize("change,error", [
+        ("clear", "high part holds {} ones, expected {}"),
+        ("set", "high part holds {} ones, expected {}"),
+        ("move", "offsets end at bit {}, the header says {}"),
+    ])
+    def test_high_part_checked_past_the_checksum(self, change, error, tmp_path):
+        # the parts are rewritten under a valid CRC, so only the Elias-Fano
+        # checks can see the change
+        enc = encode(self._graph())
+        low_bits, low, high = _ef_encode(enc.offsets)
+        start = 64 + len(low)
+        bits = np.unpackbits(np.frombuffer(high, dtype=np.uint8))
+        ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+        count = ones.size
+        if change in ("clear", "move"):
+            bits[ones[-1]] = 0
+            count -= 1
+        if change in ("set", "move"):
+            bits[zeros[0]] = 1  # before the last one, or in the padding
+            count += 1
+        p = tmp_path / "g.hbg"
+        save(enc, p)
+        blob = bytearray(p.read_bytes())
+        blob[start : start + len(high)] = np.packbits(bits).tobytes()
+        struct.pack_into("<I", blob, 36, _crc(blob))
+        p.write_bytes(bytes(blob))
+        args = (count, enc.n + 1) if change != "move" else (r"\d+", enc.stream_bits)
+        with pytest.raises(ValueError, match=error.format(*args)):
+            load(p)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    def test_hbg1_files_still_load(self, cfg, tmp_path):
+        g = band(300, 4)
+        enc = encode(g, cfg)
+        p = tmp_path / "g.hbg"
+        save_hbg1(enc, p)
+        back = load(p)
+        assert back.cfg == enc.cfg and back.stream == enc.stream
+        assert np.array_equal(back.offsets, enc.offsets)
+        assert (back.copied_arcs, back.interval_arcs) == (0, 0)  # HBG1 keeps no tallies
+        _assert_same_graph(g, back.decode())
+        assert np.array_equal(decode_node(back, 150), g.successors(150))
+
+    @pytest.mark.parametrize("cut,error", [
+        (lambda b, s: b[:60], "truncated offset table"),
+        (lambda b, s: b[:-1] + bytes([b[-1] ^ 1]), "code stream checksum mismatch"),
+        # no stream at all, whose CRC is 0
+        (lambda b, s: b[:36] + bytes(4) + b[40 : len(b) - len(s)],
+         "offset table points past the stream"),
+    ], ids=["offsets", "stream", "empty-stream"])
+    def test_hbg1_checks(self, cut, error, tmp_path):
+        enc = encode(self._graph())
+        p = tmp_path / "g.hbg"
+        save_hbg1(enc, p)
+        p.write_bytes(cut(p.read_bytes(), enc.stream))
+        with pytest.raises(ValueError, match=error):
+            load(p)
+
+    @pytest.mark.parametrize("cfg", C8_CONFIGS, ids=_cfg_id)
+    def test_save_load_save_is_byte_identical(self, cfg, tmp_path):
+        for i, g in enumerate(mixed_suite(seed=904, count=8, max_n=80) + [band(400, 5)]):
+            first, second = tmp_path / f"{i}.hbg", tmp_path / f"{i}-again.hbg"
+            save(encode(g, cfg), first)
+            save(load(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A directory and the bytes of three saved HBG2 files: with copies
+    and intervals, with neither, and without arcs."""
+    where = tmp_path_factory.mktemp("flips")
+    blobs = {}
+    for name, g, cfg in [("band", band(200, 3), CodecConfig()),
+                         ("er", er(60, 0.08, seed=11), CodecConfig(window=0, min_interval=0)),
+                         ("arcless", from_pairs(9, []), CodecConfig())]:
+        save(encode(g, cfg), where / name)
+        blobs[name] = (where / name).read_bytes()
+    return where, blobs
+
+
+class TestBitFlips:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_flipped_bit_is_refused(self, saved_files, data):
+        # header, offsets or stream: the CRC covers them all
+        where, blobs = saved_files
+        blob = bytearray(blobs[data.draw(st.sampled_from(sorted(blobs)))])
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        (where / "flipped").write_bytes(bytes(blob))
+        with pytest.raises(ValueError):
+            load(where / "flipped")
+
+
+def _offset_arrays():
+    """Nondecreasing u64 arrays: any start below 2^40, then gaps that are
+    mostly small, often 0 (flat runs) and now and then huge."""
+    gap = st.just(0) | st.integers(0, 3) | st.integers(0, 1 << 20) | st.integers(0, 1 << 40)
+    return st.builds(
+        lambda start, gaps: np.cumsum([start] + gaps).astype(np.uint64),
+        st.just(0) | st.integers(0, 1 << 40),
+        st.lists(gap, max_size=300),
+    )
+
+
+class TestEliasFano:
+    @settings(max_examples=200, deadline=None)
+    @given(_offset_arrays())
+    @example(np.zeros(1, dtype=np.uint64))  # N = 1, U = 0
+    @example(np.array([1 << 40], dtype=np.uint64))  # N = 1, U near 2^40
+    @example(np.zeros(500, dtype=np.uint64))  # U = 0
+    @example(np.arange(100, dtype=np.uint64) // 3)  # U < N
+    @example(np.array([0] * 200 + [(1 << 40) - 1] * 200, dtype=np.uint64))  # one huge gap
+    @example(np.array([5, 7, 7, 1 << 40, (1 << 40) + 9], dtype=np.uint64))
+    @example(np.array([(1 << 58) - 1, (1 << 60) + 3, (1 << 63) + 5], dtype=np.uint64))  # l = 61
+    def test_round_trip_and_size(self, offsets):
+        count, top = offsets.size, int(offsets[-1])
+        low_bits, low, high = _ef_encode(offsets)
+        # the largest l with N * 2^l <= U, or 0
+        assert low_bits == max((b for b in range(64) if count << b <= top), default=0)
+        back = _ef_decode(low, high, count, low_bits)
+        assert back.dtype == np.uint64 and np.array_equal(back, offsets)
+        # l bits each, then one stop bit each and top >> l zeros in all
+        bits = count * low_bits + count + (top >> low_bits)
+        assert len(low) == (count * low_bits + 7) // 8
+        assert len(high) == (count + (top >> low_bits) + 7) // 8
+        # top >> l < 2N, so at most l + 3 bits each, and within Elias and
+        # Fano's 2 + log2(U/N)
+        assert bits <= count * (low_bits + 3) - 1
+        if top >= count:
+            assert bits <= count * (2 + math.log2(top / count)) * (1 + 1e-12)
+
+
+def _formats_example():
+    """The offsets and hex bytes of the worked example in FORMATS.md."""
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    block = text.split("### Elias-Fano worked example")[1].split("```")[1]
+    fields = dict(re.findall(r"^(\w+)\s*:\s*(.*?)\s*(?:#.*)?$", block, re.M))
+    hexes = {k: bytes.fromhex(fields[k]) for k in ("low", "high")}
+    return np.array(fields["offsets"].split(), dtype=np.uint64), int(fields["l"]), hexes
+
+
+def test_formats_md_elias_fano_example():
+    offsets, low_bits, parts = _formats_example()
+    assert _ef_encode(offsets) == (low_bits, parts["low"], parts["high"])
+    assert np.array_equal(_ef_decode(parts["low"], parts["high"], offsets.size, low_bits), offsets)
 
 
 def _hand_built(chunks, num_arcs, window=7, min_interval=0):
@@ -537,23 +724,25 @@ GOLDEN_GRAPHS = {
 }
 
 
-def _golden_record(graphs, cfg, tmp_path):
-    """sha256 over the saved files of `graphs`, in order, and the summed
-    copied and interval arc counts."""
+def _golden_record(graphs, cfg, tmp_path, write=save_hbg1):
+    """sha256 over the files that `write` makes of the encodings of
+    `graphs`, in order, and their summed copied and interval arc counts.
+    As HBG1 files they pin the code stream and the raw offsets."""
     digest = hashlib.sha256()
     copied = interval = 0
     for i, g in enumerate(graphs):
         enc = encode(g, cfg)
         path = tmp_path / f"{i}.hbg"
-        save(enc, path)
+        write(enc, path)
         digest.update(path.read_bytes())
         copied += enc.copied_arcs
         interval += enc.interval_arcs
     return digest.hexdigest(), copied, interval
 
 
-# (sha256, copied_arcs, interval_arcs), recorded with the per-node
-# encoder that the array encoder replaced; never regenerate these
+# (sha256 of the HBG1 files, copied_arcs, interval_arcs), recorded with
+# the per-node encoder that the array encoder replaced; never regenerate
+# these
 GOLDEN = {
     ("arcless", "w7-i4-zeta3"): (
         "2920db3132dafb743618916ab83f56e62b112855e11ec7dfef58666dd5002be2", 0, 0,
@@ -663,9 +852,96 @@ GOLDEN = {
 }
 
 
+# sha256 of the HBG2 files of the same encodings, recorded when HBG2
+# replaced HBG1 as what save() writes; GOLDEN pins their streams and
+# offsets, and the tallies they carry are GOLDEN's. Never regenerate.
+GOLDEN_HBG2 = {
+    ("arcless", "w7-i4-zeta3"):
+        "b60fa8af7c2b119215a4e6ec8c27cebf7ac8a00b25a630231a03affd1b3fd0ba",
+    ("arcless", "w0-i0-gamma3"):
+        "489a9a02d0a46b52e1b63f46326d0d668a467587c22f09883650aee393a0b6b4",
+    ("arcless", "w4-i2-delta3"):
+        "040dd70373c8c3daa9f9c8bbf0b93fa655e6af2d4666f7f120156e6dac409e25",
+    ("arcless", "w1-i0-zeta2"):
+        "db61a7e0d211809f94f739694102de72c3d889b6cac4a9e3bff3b4c8d95c1a7f",
+    ("arcless", "w16-i8-zeta5"):
+        "c82c1317a5071c7081c383626854a6fcbb3a54d49f510a5a39f77f72642d6f5a",
+    ("band", "w7-i4-zeta3"):
+        "c4e2258da8e6ca4b4d311d6168522fac2ad102693cbba1f0703d32562b36ed2d",
+    ("band", "w0-i0-gamma3"):
+        "9aaedb3801f85e4e527c87dff7c4465f4b9ece4dd6a7e7bef85a6d005d93dbd2",
+    ("band", "w4-i2-delta3"):
+        "1e1fe161bd43bb43c8e5e7d3673253dfaf60a8d17398b63a9d12110bb7e08844",
+    ("band", "w1-i0-zeta2"):
+        "fb92f051cf813ccaba394dd9c0631f3931c21fe46cc6397a218fe20a9c98317f",
+    ("band", "w16-i8-zeta5"):
+        "12c0d5de14db41924ba730322f66568ad8bfbfe57a8b564717849d529f19620d",
+    ("empty", "w7-i4-zeta3"):
+        "e9c1549fe53893180a864d13b7f2c9576bba07034fe5b903c253948a69d6d6fd",
+    ("empty", "w0-i0-gamma3"):
+        "d5994644e60a6acd3f738e61a04d8d086dc2a7f986f778289d5bacd84a0772ba",
+    ("empty", "w4-i2-delta3"):
+        "3058476f69b8c038113d996e68845facfccdbf08dc20db4fdab892f206a1e5f1",
+    ("empty", "w1-i0-zeta2"):
+        "514632b9c4025adc6b74c0fd308c399c6de3a39b14d1d4ef177afd60406d1469",
+    ("empty", "w16-i8-zeta5"):
+        "1a36da38863998820d24df4a7553ce4b237843f4b661bd3c6ca504236ef3927a",
+    ("mixed", "w7-i4-zeta3"):
+        "ffd3ed0874d0d7032108efd6d010a1011afa19d7ac26a133545adfb8403718ec",
+    ("mixed", "w0-i0-gamma3"):
+        "6c3bcaa87a0d98ee81c0027c9e47eccbe1094ef5968fbdf20e5ec1f2988460e3",
+    ("mixed", "w4-i2-delta3"):
+        "cfb12a911bc3a05d60ae4567422b3419e19c9f74deec01b3d0f858796606319b",
+    ("mixed", "w1-i0-zeta2"):
+        "18c73a2844dcb49d09dea0658f548e83990b63fe651f64be09d1247bbb6613b1",
+    ("mixed", "w16-i8-zeta5"):
+        "43799947b9721e0ee5edc3ef563b771017d4d113868155499b2a3d6ea0b64866",
+    ("self_loops", "w7-i4-zeta3"):
+        "878299d18e81cb7bb555baadca882a014b729106f075567a1509f56fac8ad176",
+    ("self_loops", "w0-i0-gamma3"):
+        "68951f74869d9e21242d871a7ff7dccaab56eb56a371592c4bc2392ac75c7705",
+    ("self_loops", "w4-i2-delta3"):
+        "aa2ae70c2699536324933a83d361712438730c2bc261fa9eb0f1d411f5743986",
+    ("self_loops", "w1-i0-zeta2"):
+        "c3adec57f4702fd28df0cf59e84bfaebc32e60c4a759f222de895d405fba8e11",
+    ("self_loops", "w16-i8-zeta5"):
+        "01f50df99ae51d5855cb05b28325b9822877a8ab43a5c7db00dcc18de3a84e8d",
+    ("ties", "w7-i4-zeta3"):
+        "d3caf934350ae17c9c5843bbf757a8a3d5e23bbff67a2556b3885433f43eec24",
+    ("ties", "w0-i0-gamma3"):
+        "5ee676d91cae1b30c5a50102ded5e01173394873a4f13919e3b77e6c1ac18671",
+    ("ties", "w4-i2-delta3"):
+        "eb488fa7789c46f5cafae406e888f1d5b44a3717cd22231451b3668690309e4b",
+    ("ties", "w1-i0-zeta2"):
+        "952634d9d7c36cf96153b2a963dc851687880a8de518d8358d3a1e59fe3c5a40",
+    ("ties", "w16-i8-zeta5"):
+        "7d2aec5f4ecaaa06d07ff88e780bfcfd2b0eb2cd5c0cd1d185f17974747c43f4",
+    ("worked", "w7-i4-zeta3"):
+        "ef99e053482f1319c8aa8eafcc1a22967ca0bd8705990f01c4d99ae99e58e0e4",
+    ("worked", "w0-i0-gamma3"):
+        "f990677a5d53895333390540b81402c8c87b533c4391fca00441b74079466176",
+    ("worked", "w4-i2-delta3"):
+        "a3ddb28d53034927483fedaf715798fc18794485116c9ef27cc874c7a96488f6",
+    ("worked", "w1-i0-zeta2"):
+        "8fc7c60537b1b934514b20d1a3787af0949695c88a684ab4bfaf913240f87bf2",
+    ("worked", "w16-i8-zeta5"):
+        "862f19c7268ff89154be5371466575d8958596f0d243f5712555ddc941777ab2",
+}
+
+
 class TestGolden:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_saved_bytes_and_tallies(self, name, cfg, tmp_path):
         got = _golden_record(GOLDEN_GRAPHS[name](), cfg, tmp_path)
         assert got == GOLDEN[name, _cfg_id(cfg)]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_hbg2_bytes_and_reloaded_tallies(self, name, cfg, tmp_path):
+        graphs = GOLDEN_GRAPHS[name]()
+        digest = _golden_record(graphs, cfg, tmp_path, save)[0]
+        back = [load(tmp_path / f"{i}.hbg") for i in range(len(graphs))]
+        tallies = sum(b.copied_arcs for b in back), sum(b.interval_arcs for b in back)
+        assert digest == GOLDEN_HBG2[name, _cfg_id(cfg)]
+        assert tallies == GOLDEN[name, _cfg_id(cfg)][1:]

@@ -6,12 +6,14 @@ reader. The point is to verify the vectorized implementations against
 code too simple to be wrong in the same way.
 """
 
+import struct
+import zlib
 from collections import deque
 
 import numpy as np
 
 import hbgraph.engine as engine
-from hbgraph.codes import nat_words
+from hbgraph.codes import CODE_NAMES, nat_words
 from hbgraph.graph import Graph
 from hbgraph.hll import CounterArray, estimate_registers
 
@@ -257,6 +259,25 @@ def ref_register_update(m, regs, x, seed):
         rho = 1 + (len(bin(rem)) - len(bin(rem).rstrip("0")))
     rho = min(rho, 31)
     regs[j] = max(regs[j], rho)
+
+
+# ---- the HBG1 container (hbgraph.storage reads it, and writes HBG2) ----
+
+
+def save_hbg1(enc, path):
+    """Write `enc` as HBG1: a 40-byte header whose CRC-32 covers the code
+    stream alone, the n + 1 offsets as raw little-endian u64 words, then
+    the stream. Codec tallies are not stored."""
+    cfg = enc.cfg
+    header = struct.pack(  # format version 1; the u16 after the tag is reserved
+        "<4sBBHQQIIBBBxI", b"HBG1", 1, 0xFE, 0, enc.n, enc.num_arcs, cfg.window,
+        cfg.min_interval, CODE_NAMES.index(cfg.residual_code), cfg.zeta_k,
+        int(enc.symmetric), zlib.crc32(enc.stream),
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(enc.offsets.astype("<u8").tobytes())
+        fh.write(enc.stream)
 
 
 # ---- scalar bit I/O (the oracle for hbgraph.codes' array forms) ----
