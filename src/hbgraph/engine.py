@@ -8,20 +8,21 @@ process stops the first time no register anywhere moves.
 
 Every mode runs one sweep kernel in the layout of SELL-C-sigma sparse
 matrices: successor lists are cut into chunks of at most _WIDTH arcs,
-sorted by length once per run, so the chunks longer than j are a prefix
-and a step is one row gather and one in-place max (or or) per column j,
-then one fold per extra chunk index for nodes past _WIDTH successors.
-max and or are commutative and idempotent, so neither the column order
-nor the chunking changes a bit of the result.
+sorted by length and stored column by column once per run, so the
+chunks longer than j are a prefix of column j. A step gathers the rows
+of its arcs into one buffer per run, n rows per np.take at most, and
+folds each column's slice of it into a row per chunk with one in-place
+max (or or); nodes past _WIDTH successors then fold their later chunks
+into their first. max and or are commutative and idempotent, so neither
+the column order nor the chunking changes a bit of the result.
 
 Two refinements from the same playbook:
 
 * every step after the first is change-driven (HyperANF's systolic
   refinement): a node is recomputed at step t only if one of its
-  successors changed at step t - 1. The dirty set comes from the forward
-  arcs, one boolean gather and one segmented or over the successor
-  lists, and selects the kernel's chunks. No other row can move, so the
-  result is bit-identical to recomputing every node.
+  successors changed at step t - 1, found with one flag gathered per
+  arc and one or per column. No other row can move, so the result is
+  bit-identical to recomputing every node.
 * **exact mode** runs the identical diffusion with one-bit-per-node sets
   instead of sketches, giving exact N(t) at O(n^2/64) words of state;
   it is the oracle the estimates are judged against.
@@ -185,13 +186,15 @@ def seed_sequence(master_seed: int, count: int) -> list[int]:
 _WIDTH = 32
 
 
-def _plan(indptr: np.ndarray):
+def _plan(indptr: np.ndarray, indices: np.ndarray):
     """Successor lists cut into chunks of <= _WIDTH arcs, longest first.
 
-    Returns (owner, base, length, part): chunk c holds the arcs
-    base[c] .. base[c] + length[c] - 1 of node owner[c], and is that
-    node's part[c]-th chunk. The sort is stable, so a node's chunks keep
-    their order; nodes without successors get no chunk.
+    Returns (owner, width, targets, heads, extra, home, cuts): chunk c is
+    node owner[c]'s; column j holds arc j of chunks 0 .. width[j] - 1 and
+    targets their successor ids, column after column. heads open a
+    node's list, extra are the other chunks by their place in it (which
+    moves on at each cut), home their nodes' heads. The sort is stable, so
+    a node's chunks keep their order; nodes without successors get none.
     """
     deg = np.diff(indptr)
     parts = -(-deg // _WIDTH)
@@ -201,74 +204,111 @@ def _plan(indptr: np.ndarray):
     base = indptr[owner] + part * _WIDTH
     length = np.minimum(indptr[owner + 1] - base, _WIDTH)
     order = np.argsort(-length, kind="stable")
-    return owner[order], base[order], length[order], part[order]
+    owner, base, part = owner[order], base[order], part[order]
+    width = owner.size - np.cumsum(np.bincount(length))[:-1]
+    targets = np.concatenate([indices[base[:k] + j] for j, k in enumerate(width)] or [indices])
+    heads, extra = np.split(np.argsort(part, kind="stable"), [np.count_nonzero(part == 0)])
+    slot = np.empty(deg.size, dtype=np.int64)
+    slot[owner[heads]] = heads
+    cuts = np.cumsum(np.bincount(part[extra]))
+    return owner, width, targets, heads, extra, slot[owner[extra]], cuts
 
 
-def _diffuse(state, indices, plan, reduce_op, mask=None):
-    """One synchronous step over the nodes in `mask` (all when None).
+def _workspace(plan, state):
+    """(acc, buf, flags, idx), reused at every step of a run: a row per chunk,
+    min(n, arcs) rows to gather into, a flag and a successor id per arc.
+    Takes into them use mode="clip": with out=, "raise" copies via a temporary."""
+    (n, w), chunks, arcs = state.shape, plan[0].size, plan[2].size
+    return (np.empty((chunks, w), state.dtype), np.empty((min(n, arcs), w), state.dtype),
+            np.empty(arcs, dtype=bool), np.empty(arcs, dtype=np.int64))
 
-    Returns (changed node ids, their new rows), the ids in chunk order.
-    `state` is only read, so every row is reduced with its successors'
-    values from the previous step; the module docstring explains the
-    column order and why it gives the same rows as any other.
+
+def _diffuse(state, plan, work, reduce_op, hit):
+    """One synchronous step over the nodes with an arc into `hit`.
+
+    Returns (changed node ids in chunk order, their new rows in `work`,
+    valid until the next step). `state` is only read, so every row is
+    reduced with its successors' values from the previous step.
     """
-    owner, base, length, part = plan
-    if mask is not None:
-        pick = mask[owner]
-        owner, base, length, part = owner[pick], base[pick], length[pick], part[pick]
-    if owner.size == 0:
-        return owner, state[:0]
-    acc = state[indices[base]]
-    longer = owner.size - np.cumsum(np.bincount(length))  # chunks longer than j
-    for j in range(1, int(length[0])):
-        k = longer[j]
-        reduce_op(acc[:k], state[indices[base[:k] + j]], out=acc[:k])
-    extra = np.flatnonzero(part)
-    if extra.size:
-        heads = np.flatnonzero(part == 0)
-        slot = np.empty(state.shape[0], dtype=np.int64)
-        slot[owner[heads]] = heads
-        extra = extra[np.argsort(part[extra], kind="stable")]
-        cuts = np.cumsum(np.bincount(part[extra]))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            h = slot[owner[extra[lo:hi]]]
-            merged = acc[h]
-            reduce_op(merged, acc[extra[lo:hi]], out=merged)
-            acc[h] = merged
-        owner, acc = owner[heads], acc[heads]
-    old = state[owner]
-    reduce_op(acc, old, out=acc)
-    diff = (acc != old).any(axis=1)
-    return owner[diff], acc[diff]
+    (owner, width, targets, heads, extra, home, cuts), (acc, buf, flags, idx) = plan, work
+    cols = list(zip((np.cumsum(width) - width).tolist(), width.tolist()))
+    np.take(hit, targets, out=flags, mode="clip")  # the arcs into hit
+    pick = flags[: owner.size]
+    for a, k in cols[1:]:  # the chunks with such an arc
+        np.logical_or(pick[:k], flags[a : a + k], out=pick[:k])
+    if extra.size:  # all chunks of their nodes
+        np.logical_or.at(pick, home, pick[extra])
+        pick[extra] = pick[home]
+    rank = np.cumsum(pick)  # picked chunks up to each chunk
+    if rank.size == 0 or rank[-1] == 0:
+        return owner[:0], state[:0]
+    ends = np.cumsum(rank[width - 1]).tolist()  # of each column in idx
+    for (a, k), lo, hi in zip(cols, [0] + ends, ends):
+        idx[lo:hi] = targets[a : a + k][pick[:k]]
+    np.take(state, idx[: ends[0]], axis=0, out=acc[: ends[0]], mode="clip")
+    j = 1
+    for lo in range(ends[0], ends[-1], len(buf)):
+        at, hi = lo, min(lo + len(buf), ends[-1])
+        rows = np.take(state, idx[lo:hi], axis=0, out=buf[: hi - lo], mode="clip")
+        while at < hi:  # the part of column j in this block, then j + 1
+            top = min(ends[j], hi)
+            a, b = at - ends[j - 1], top - ends[j - 1]
+            reduce_op(acc[a:b], rows[at - lo : top - lo], out=acc[a:b])
+            at, j = top, j + (top == ends[j])
+    if extra.size:  # fold each later chunk into its head; rank - 1 is a row of acc
+        for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            keep = pick[extra[lo:hi]]
+            e, h = rank[extra[lo:hi][keep]] - 1, rank[home[lo:hi][keep]] - 1
+            acc[h] = reduce_op(acc[h], acc[e])
+        heads = heads[pick[heads]]
+        owner, acc = owner[heads], _compact(acc, rank[heads] - 1, buf)
+    else:
+        owner, acc = owner[pick], acc[: ends[0]]
+    diff = []
+    for lo in range(0, owner.size, len(buf)):  # against the previous rows
+        part = owner[lo : lo + len(buf)]
+        old = np.take(state, part, axis=0, out=buf[: part.size], mode="clip")
+        new = reduce_op(acc[lo : lo + part.size], old, out=acc[lo : lo + part.size])
+        # uint64 words, their flags read as wider ints: any() on short rows is slow
+        ne = new.view(np.uint64) != old.view(np.uint64)
+        while ne.shape[1] > 1 and ne.shape[1] % 2 == 0:
+            ne = ne.view(f"u{min(8, ne.shape[1] & -ne.shape[1])}") != 0
+        diff.append(lo + np.flatnonzero(ne.any(axis=1)))
+    diff = np.concatenate(diff)
+    return owner[diff], _compact(acc, diff, buf)
+
+
+def _compact(acc, keep, buf):
+    """Move acc[keep] to acc's front through buf; keep[i] >= i, so no row is lost."""
+    for lo in range(0, keep.size, len(buf)):
+        part = keep[lo : lo + len(buf)]
+        acc[lo : lo + part.size] = np.take(acc, part, axis=0, out=buf[: part.size], mode="clip")
+    return acc[: keep.size]
 
 
 def _sweep(g, state, reduce_op, measure, max_iters):
     """Diffuse `state` in place until no row changes; (N(0..T), truncated).
 
     `measure` maps rows to the sizes of the sets they describe; N(t) is
-    their sum after step t. After the first step, a step recomputes only
-    the nodes with an arc into the set that changed in the step before.
+    their sum after step t. A step recomputes the nodes with an arc into
+    the set that changed in the step before; for the first, every node.
     """
     if max_iters is not None and max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     sizes = measure(state)
     values = [float(sizes.sum())]
-    plan = _plan(g.indptr)
-    heads = np.flatnonzero(np.diff(g.indptr))  # nodes with successors
-    starts = g.indptr[heads]
-    dirty = None
+    plan = _plan(g.indptr, g.indices)
+    work = _workspace(plan, state)
+    hit = np.ones(g.n, dtype=bool)
     while max_iters is None or len(values) <= max_iters:
-        changed, rows = _diffuse(state, g.indices, plan, reduce_op, dirty)
+        changed, rows = _diffuse(state, plan, work, reduce_op, hit)
         if changed.size == 0:
             return values, False
         state[changed] = rows
         sizes[changed] = measure(rows)
-        del rows  # free before the next step allocates its own
         values.append(float(sizes.sum()))
-        hit = np.zeros(g.n, dtype=bool)
+        hit[:] = False
         hit[changed] = True
-        dirty = np.zeros(g.n, dtype=bool)
-        dirty[heads] = np.logical_or.reduceat(hit[g.indices], starts)
     return values, True
 
 
@@ -277,10 +317,10 @@ def _sweep(g, state, reduce_op, measure, max_iters):
 
 def _peak_bytes(g: Graph, m: int) -> int:
     """Upper bound on the bytes a counter run allocates; see run()."""
-    n, rows = g.n, g.n * m
-    chunks = int((-(-np.diff(g.indptr) // _WIDTH)).sum())
-    step = max(2 * chunks * m, 3 * rows, rows + 4 * min(rows, max(_EST_CELLS, m)))
-    return rows + 65 * chunks + 96 * n + 68 * 1024 + step
+    deg, n, a, s = np.diff(g.indptr), g.n, g.num_arcs, g.n * m
+    c, r, k = int((-(-deg // _WIDTH)).sum()), min(n, a), int((deg > _WIDTH).sum())
+    step = max(3 * k * m, r * m // 4, 8 * min(s, max(_EST_CELLS, m)))
+    return s + (c + r) * m + 17 * a + 48 * c + 48 * n + 68 * 1024 + step
 
 
 def run(
@@ -294,24 +334,22 @@ def run(
     """Estimate the neighbourhood function with one counter per node.
 
     Refused if the run could allocate over `budget_bytes`. With S = n*m
-    register bytes, C chunks (the sum of ceil(d/_WIDTH) over out-degrees
-    d) and B = max(2^20, m), a run allocates at most
-    S + 65*C + 96*n + 68 KiB + max(2*C*m, 3*S, S + 4*min(S, B)) bytes:
-    the registers, the chunk plan and the dirty set's selection of it,
-    per-node arrays, numpy's index-cast buffer and array headers, plus
-    the largest of the accumulator with one column gather, the
-    accumulator with the previous rows and their comparison, and the
-    changed rows with the estimate's float64 temporary over one block of
-    at most B registers. The dirty set's gather of one flag per arc (A
-    bytes) runs after that selection is freed, and A <= _WIDTH*C, so it
-    adds no term.
+    register bytes, A arcs, C chunks (the sum of ceil(d/_WIDTH) over
+    out-degrees d), R = min(n, A), K nodes with more than _WIDTH
+    successors and B = max(2^14, m), a run allocates at most
+    S + (C + R)*m + 17*A + 48*C + 48*n + 68 KiB + max(3*K*m, R*m/4, 8*min(S, B))
+    bytes: registers, step workspace, plan and a step's chunk selection,
+    per-node arrays, numpy's buffers and headers, and the largest of the
+    fold of extra chunks, the comparison of R rows with the rows before
+    and the estimate's lookup over one block of at most B registers.
     """
     need = _peak_bytes(g, m)
     if budget_bytes is not None and need > budget_bytes:
         raise BudgetExceededError(
-            f"counter run needs up to {need} bytes = S + 65*C + 96*n + 68 KiB + "
-            f"max(2*C*m, 3*S, S + 4*min(S, B)), with S = n*m = {g.n}*{m}, "
-            f"C sweep chunks and B = max(2^20, m); budget is {budget_bytes}"
+            f"counter run needs up to {need} bytes = S + (C + R)*m + 17*A + 48*C + 48*n + "
+            f"68 KiB + max(3*K*m, R*m/4, 8*min(S, B)), with S = n*m = {g.n}*{m}, A arcs, C "
+            f"sweep chunks, R = min(n, A), K nodes past {_WIDTH} successors and "
+            f"B = max(2^14, m); budget is {budget_bytes}"
         )
     counters = CounterArray(g.n, m, seed)
     counters.init_singletons()

@@ -38,10 +38,9 @@ _INV_POW2 = np.ldexp(1.0, -np.arange(256))
 # looks up two terms at once, in either byte order since the table is
 # symmetric
 _PAIR_INV_POW2 = np.add.outer(_INV_POW2, _INV_POW2).ravel()
-# registers per block in estimate_registers: caps its float64 temporary
-# at 4 MiB. Blocks of 2^16 let the heap that a sweep frees be returned to
-# the system and faulted in again at the next step.
-_EST_CELLS = 1 << 20
+# registers per block in estimate_registers: caps the lookup's index and
+# terms at 64 KiB each
+_EST_CELLS = 1 << 14
 
 
 def _mix64(z: np.ndarray | int):
@@ -114,32 +113,35 @@ def rho_values(hashes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 def _inverse_sum(regs: np.ndarray) -> np.ndarray:
     """sum(2^-M_j) of every (N, m) register row, two registers a lookup.
 
-    Every term is a multiple of 2^-31 and a row sums to at most m, so
-    for m <= 2^21 the sum is exact in float64 and no order of addition
-    changes a bit.
+    The terms are added by a matrix-vector product. Every term is a
+    multiple of 2^-31 and a row sums to at most m, so for m <= 2^21
+    every partial sum is exact and no order of addition changes a bit.
     """
-    return _PAIR_INV_POW2[np.ascontiguousarray(regs).view(np.uint16)].sum(axis=1)
+    pairs = np.ascontiguousarray(regs).view(np.uint16)
+    return np.take(_PAIR_INV_POW2, pairs, mode="clip") @ np.ones(pairs.shape[1])
 
 
 def estimate_registers(regs: np.ndarray, m: int) -> np.ndarray:
     """Cardinality estimates for (N, m) register rows.
 
     Harmonic mean alpha_m * m^2 / sum(2^-M_j), swapped for m*ln(m/V) when
-    the raw value is <= 5m/2 and V registers are still zero. Rows go in
-    blocks of at most max(_EST_CELLS, m) registers, so the temporaries
-    (4 bytes a register) stay within one block.
+    the raw value is <= 5m/2 and V registers are still zero; only those
+    rows have their zeros counted. Rows go in blocks of at most
+    max(_EST_CELLS, m) registers, so the temporaries (an intp index and a
+    float64 term per register pair, 8 bytes a register) stay within one
+    block.
     """
     step = max(1, _EST_CELLS // m)
-    est = np.empty(len(regs))
+    inv = np.empty(len(regs))
     for i in range(0, len(regs), step):
-        block = regs[i : i + step]
-        part = (alpha(m) * m * m) / _inverse_sum(block)
-        zeros = (block == 0).sum(axis=1)
-        small = (part <= 2.5 * m) & (zeros > 0)
-        if small.any():
-            with np.errstate(divide="ignore"):
-                part[small] = m * np.log(m / zeros[small])
-        est[i : i + step] = part
+        inv[i : i + step] = _inverse_sum(regs[i : i + step])
+    est = (alpha(m) * m * m) / inv
+    small = np.flatnonzero(est <= 2.5 * m)
+    for i in range(0, small.size, step):
+        rows = small[i : i + step]
+        zeros = (regs[rows] == 0).sum(axis=1)
+        rows, zeros = rows[zeros > 0], zeros[zeros > 0]
+        est[rows] = m * np.log(m / zeros)
     return est
 
 

@@ -191,13 +191,30 @@ class TestKernel:
 
     def test_plan_covers_every_arc_once(self):
         g = hub_graph()
-        owner, base, length, part = engine._plan(g.indptr)
-        assert np.all(np.diff(length) <= 0) and length.max() == engine._WIDTH
-        assert np.all(length >= 1)
-        arcs = np.concatenate([np.arange(b, b + k) for b, k in zip(base, length)])
-        assert np.array_equal(np.sort(arcs), np.arange(g.num_arcs))
-        assert np.array_equal(np.bincount(owner, minlength=g.n) > 0, g.out_degrees() > 0)
-        assert part[owner == 0].tolist() == [0, 1, 2, 3]  # stable: node order kept
+        owner, width, targets, heads, extra, home, cuts = engine._plan(g.indptr, g.indices)
+        width = width.tolist()
+        assert width[0] == owner.size and len(width) == engine._WIDTH
+        assert all(a >= b >= 1 for a, b in zip(width, width[1:]))  # longest first
+        # column j holds arc j of chunks 0 .. width[j] - 1; read back in
+        # chunk order, a node's chunks rebuild its successor list
+        chunks = [[] for _ in range(owner.size)]
+        for a, k in zip(np.cumsum([0] + width[:-1]), width):
+            for c in range(k):
+                chunks[c].append(int(targets[a + c]))
+        lists = [[] for _ in range(g.n)]
+        for x, arcs in zip(owner, chunks):
+            assert 1 <= len(arcs) <= engine._WIDTH
+            lists[x] += arcs
+        for x in range(g.n):
+            assert lists[x] == g.successors(x).tolist()
+        assert sum(map(len, chunks)) == targets.size == g.num_arcs
+        assert np.array_equal(np.sort(owner[heads]), np.flatnonzero(g.out_degrees()))
+        # node 0 has four chunks, node 1 two: their later ones, by index
+        cuts = cuts.tolist()
+        assert [owner[extra[lo:hi]].tolist()
+                for lo, hi in zip(cuts[:-1], cuts[1:])] == [[0, 1], [0], [0]]
+        assert np.array_equal(owner[extra], owner[home])
+        assert np.isin(home, heads).all()
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -209,25 +226,80 @@ class TestKernel:
         ))
         g = from_pairs(n, sorted({(a, b) for a, b in pairs if a != b}))
         width = data.draw(st.sampled_from([1, 2, 3, 32]))
+        block = data.draw(st.none() | st.integers(1, 5))  # gather rows at a time
         seed = data.draw(st.integers(0, 2**32))
         rng = np.random.default_rng(seed)
-        mask = rng.random(n) < 0.5 if data.draw(st.booleans()) else None
-        active = np.arange(n) if mask is None else np.flatnonzero(mask)
+        hit = rng.random(n) < 0.5 if data.draw(st.booleans()) else np.ones(n, dtype=bool)
         cases = (
             (np.maximum, rng.integers(0, 32, (n, 16)).astype(np.uint8)),
             (np.bitwise_or, rng.integers(0, 2**64, (n, 2), dtype=np.uint64)),
         )
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_WIDTH", width)
-            plan = engine._plan(g.indptr)
+            plan = engine._plan(g.indptr, g.indices)
             for reduce_op, state in cases:
-                before = state.copy()
-                ids, rows = engine._diffuse(state, g.indices, plan, reduce_op, mask)
-                assert np.array_equal(state, before)  # read only
-                want_ids, want_rows = step_by_loop(g, state, reduce_op, active)
+                ids, rows = step(state, plan, reduce_op, hit, block)
+                want_ids, want_rows = step_by_loop(g, state, reduce_op, active(g, hit))
                 order = np.argsort(ids)
                 assert ids[order].tolist() == want_ids
                 assert np.array_equal(rows[order], want_rows)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+    def test_hub_folds_under_a_mask(self, block):
+        # node 0 has 110 successors (4 chunks, more than 2 * _WIDTH); with
+        # nodes 40 and 77 changed, nodes 0 and 1 are recomputed, and
+        # gather blocks of a few rows cut across every column
+        g = hub_graph()
+        plan = engine._plan(g.indptr, g.indices)
+        hit = np.zeros(g.n, dtype=bool)
+        hit[[40, 77]] = True
+        assert {0, 1} <= set(active(g, hit).tolist())
+        rng = np.random.default_rng(block)
+        for reduce_op, state in (
+            (np.maximum, rng.integers(0, 32, (g.n, 16)).astype(np.uint8)),
+            (np.bitwise_or, rng.integers(0, 2**64, (g.n, 2), dtype=np.uint64)),
+        ):
+            state[40] = 31 if reduce_op is np.maximum else ~np.uint64(0)
+            ids, rows = step(state, plan, reduce_op, hit, block)
+            want_ids, want_rows = step_by_loop(g, state, reduce_op, active(g, hit))
+            assert 0 in want_ids
+            order = np.argsort(ids)
+            assert ids[order].tolist() == want_ids
+            assert np.array_equal(rows[order], want_rows)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_runs_gather_a_few_rows_at_a_time(self, monkeypatch, block):
+        whole = [(run(g, m=16, seed=3).values, run_exact(g).values)
+                 for g in mixed_suite(seed=5, count=12, max_n=60)]
+        monkeypatch.setattr(engine, "_workspace", small_blocks(engine._workspace, block))
+        for width in (2, 32):
+            monkeypatch.setattr(engine, "_WIDTH", width)
+            assert [(run(g, m=16, seed=3).values, run_exact(g).values)
+                    for g in mixed_suite(seed=5, count=12, max_n=60)] == whole
+
+
+def small_blocks(workspace, rows):
+    """`workspace` with its gather buffer cut to `rows` rows."""
+    def cut(plan, state):
+        acc, buf, flags, idx = workspace(plan, state)
+        return acc, buf[:rows], flags, idx
+    return cut
+
+
+def step(state, plan, reduce_op, hit, block=None):
+    """One kernel step in a fresh workspace, optionally gathering `block`
+    rows at a time; checks that the step only reads `state`."""
+    acc, buf, flags, idx = engine._workspace(plan, state)
+    work = acc, buf[:block], flags, idx  # buf[:None] is all of it
+    before = state.copy()
+    ids, rows = engine._diffuse(state, plan, work, reduce_op, hit)
+    assert np.array_equal(state, before)
+    return ids, rows.copy()
+
+
+def active(g, hit):
+    """Nodes with an arc into `hit`, by a loop over the arcs."""
+    return np.array([x for x in range(g.n) if hit[g.successors(x)].any()], dtype=np.int64)
 
 
 def one_way(g):

@@ -250,6 +250,33 @@ class TestCounterArray:
         want = np.concatenate([estimate_registers(row[None], 64) for row in regs])
         assert np.array_equal(estimate_registers(regs, 64), want)
 
+    @pytest.mark.parametrize("cells", [1 << 6, 1 << 10, None])
+    def test_zeros_counted_only_where_the_switch_can_fire(self, monkeypatch, cells):
+        # rows on both sides of 5m/2, with and without zero registers,
+        # against counting the zeros of every row
+        if cells is not None:
+            monkeypatch.setattr(hll, "_EST_CELLS", cells)
+        m = 64
+        rng = np.random.default_rng(3)
+        rows = np.minimum(rng.geometric(rng.uniform(0.05, 0.6, (400, 1)), (400, m)) - 1,
+                          31).astype(np.uint8)
+        edge = np.ones((5, m), dtype=np.uint8)  # raw 2 alpha m: small, no zero
+        edge[1, :20] = 0  # small with zeros
+        edge[2, 1:] = 31  # one zero left, raw far past 5m/2
+        edge[2, 0] = 0
+        edge[3] = 31  # large, no zero
+        edge[4] = 0  # empty: ln(m / m) = 0
+        regs = np.concatenate([edge, rows])
+        est = estimate_registers(regs, m)
+        raw = alpha(m) * m * m / _INV_POW2[regs].sum(axis=1)
+        zeros = (regs == 0).sum(axis=1)
+        want = raw.copy()
+        small = (raw <= 2.5 * m) & (zeros > 0)
+        want[small] = m * np.log(m / zeros[small])
+        assert np.array_equal(est, want)
+        for side in (raw <= 2.5 * m, raw > 2.5 * m):  # all four kinds of row
+            assert (zeros[side] > 0).any() and (zeros[side] == 0).any()
+
     @pytest.mark.parametrize("m", [16, 32, 64, 128, 256])
     def test_pair_sum_equals_register_sum_bit_for_bit(self, m):
         rng = np.random.default_rng(m)

@@ -12,7 +12,6 @@ from collections import deque
 
 import numpy as np
 
-import hbgraph.engine as engine
 from hbgraph.codes import CODE_NAMES, nat_words
 from hbgraph.graph import Graph
 from hbgraph.hll import CounterArray, estimate_registers
@@ -197,33 +196,35 @@ def true_diameter(g):
 
 def full_recompute(g, m=0, seed=0, max_iters=None):
     """(values, iterations, truncated) of a diffusion that recomputes every
-    node at every step: the engine's kernel with no mask, iterated to a
-    fixed point. m == 0 diffuses exact reach sets.
+    node at every step, iterated to a fixed point. m == 0 diffuses exact
+    reach sets.
 
-    This is the reference for the change-driven loop of `run` and
-    `run_exact`; test_engine checks the kernel against a per-node loop.
+    A step is a plain synchronous union over the arc list: every arc
+    x -> y folds y's previous row into a copy of x's with ufunc.at, and
+    the run stops at the first step that changes no row. It shares no
+    code with the engine's kernel, so it is the reference for the
+    change-driven loop of `run` and `run_exact`.
     """
     if m:
         counters = CounterArray(g.n, m, seed)
         counters.init_singletons()
-        state, reduce_op = counters.registers, np.maximum
+        state, union = counters.registers, np.maximum
         measure = lambda rows: estimate_registers(rows, m)
     else:
         ids = np.arange(g.n)
         state = np.zeros((g.n, max((g.n + 63) // 64, 1)), dtype=np.uint64)
         state[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
-        reduce_op = np.bitwise_or
+        union = np.bitwise_or
         measure = lambda rows: np.bitwise_count(rows).sum(axis=1, dtype=np.float64)
-    plan = engine._plan(g.indptr)
-    sizes = measure(state)
-    values = [float(sizes.sum())]
+    src = np.repeat(np.arange(g.n), g.out_degrees())
+    values = [float(measure(state).sum())]
     while max_iters is None or len(values) <= max_iters:
-        changed, rows = engine._diffuse(state, g.indices, plan, reduce_op, mask=None)
-        if changed.size == 0:
+        new = state.copy()
+        union.at(new, src, state[g.indices])
+        if np.array_equal(new, state):
             return values, len(values) - 1, False
-        state[changed] = rows
-        sizes[changed] = measure(rows)
-        values.append(float(sizes.sum()))
+        state = new
+        values.append(float(measure(state).sum()))
     return values, len(values) - 1, True
 
 
