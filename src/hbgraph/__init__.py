@@ -21,7 +21,7 @@ from .graph import (
     transpose,
 )
 from .codes import CODE_NAMES
-from .storage import CodecConfig, EncodedGraph, decode, decode_node, encode
+from .storage import CodecConfig, EncodedGraph, decode, encode
 from .storage import load as load_compressed
 from .storage import save as save_compressed
 from .hll import CounterArray, eta, hash64
@@ -77,7 +77,6 @@ __all__ = [
     "EncodedGraph",
     "encode",
     "decode",
-    "decode_node",
     "save_compressed",
     "load_compressed",
     # counters

@@ -202,7 +202,7 @@ def ifub(
                 lb = max(lb, int(du.max()))
         # everything at depth < current has ecc <= 2(depth - 1)
         if lb >= 2 * (depth - 1):
-            return DiameterResult(lb, lb, True, bfs_count, comp_size)
+            break
     return DiameterResult(lb, lb, True, bfs_count, comp_size)
 
 

@@ -188,23 +188,3 @@ class CounterArray:
         j, rho = rho_values(hash64(keys, self.seed), self.m)
         self.registers[:] = 0
         self.registers[np.arange(self.count), j] = rho
-
-    def estimate(self, i: int) -> float:
-        return float(estimate_registers(self.registers[i : i + 1], self.m)[0])
-
-    # ---- unions ----
-
-    def _check_compatible(self, other: "CounterArray") -> None:
-        if self.m != other.m or self.seed != other.seed:
-            raise ValueError(
-                f"incompatible counters: (m={self.m}, seed={self.seed:#x}) vs "
-                f"(m={other.m}, seed={other.seed:#x})"
-            )
-
-    def union_into(self, i: int, src: "CounterArray", k: int) -> bool:
-        """dst[i] := max(dst[i], src[k]) per register; True if any grew."""
-        self._check_compatible(src)
-        dst, row = self.registers[i], src.registers[k]
-        changed = bool((row > dst).any())
-        np.maximum(dst, row, out=dst)
-        return changed

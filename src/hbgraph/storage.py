@@ -33,25 +33,24 @@ ties go to no copying, then to the smallest r (copying nothing costs at
 least 3 bits more than no copying). A stable sort on node puts the kept
 fields in chunk order for `codes.pack_words`; their widths give offsets.
 
-The decoder's blocks hold about _BLOCK nodes plus stream bytes.
-`codes.read_nats` reads field i of every chunk at once: the reference,
-the block count, then one round per repeated field (copy blocks,
-intervals, residuals) over the nodes that still have one, residuals
-until each cursor reaches its chunk's end. Once fewer than _FEW nodes
-have one, `codes.read_runs` reads the rest of theirs at once, so a hub
-costs a read per bit of its chunk, not a round per item. Interval and
-residual ids follow by segmented `cumsum`. Pointer jumping gives a whole
-copy that adds nothing the list of the first node in its chain that
-adds something, then every list's length, so each list goes straight
-into its slot. The other nodes are sorted by copy level once; a level
-copies ranges from the levels before it, adds its ids and sorts (node,
-id) keys, at a cost of what it holds. Checks raise ValueError: offsets
-nondecreasing, each cursor ending at its chunk's end (EOFError past
-it), references within min(x, window), ids in [0, n) (an interval past
-n before it is expanded), copy blocks within their reference's list,
-and the header's arc count before any write. `decode_node` reads one
-reference per node of its copy chain, then decodes the chain's chunks
-alone. The scalar bit I/O went to the tests, as their oracle.
+The decoder's blocks hold about _BLOCK nodes plus stream bytes, and each
+reads its chunks from one slice of the stream. `codes.read_nats` reads
+field i of every chunk at once: the reference, the block count, then one
+round per repeated field (copy blocks, intervals, residuals) over the
+nodes that still have one, residuals until each cursor reaches its
+chunk's end. Once fewer than _FEW nodes have one, `codes.read_runs`
+reads the rest of theirs at once, so a hub costs a read per bit of its
+chunk, not a round per item. Interval and residual ids follow by
+segmented `cumsum`. Pointer jumping gives a whole copy that adds nothing
+the list of the first node in its chain that adds something, then every
+list's length, so each list goes straight into its slot. The other nodes
+are sorted by copy level once; a level copies ranges from the levels
+before it, adds its ids and sorts (node, id) keys, at a cost of what it
+holds. Checks raise ValueError: offsets nondecreasing, each cursor
+ending at its chunk's end (EOFError past it), references within min(x,
+window), ids in [0, n) (an interval past n before it is expanded), copy
+blocks within their reference's list, and the header's arc count before
+any write. The scalar bit I/O went to the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ __all__ = [
     "EncodedGraph",
     "encode",
     "decode",
-    "decode_node",
     "save",
     "load",
 ]
@@ -428,29 +426,25 @@ def _batches(sel: np.ndarray, lengths: np.ndarray):
     return np.split(sel, np.flatnonzero(np.diff(np.cumsum(lengths[sel]) // _BLOCK)) + 1)
 
 
-def _chunks(enc: EncodedGraph, nodes: np.ndarray):
-    """Bit windows over the bytes of the chunks of `nodes`, gathered in
-    order, and each chunk's start and end in them."""
-    lo, hi = enc.offsets[nodes], enc.offsets[nodes + 1]
+def _chunks(enc: EncodedGraph, a: int, b: int):
+    """Bit windows over the stream bytes of the chunks of nodes a..b-1,
+    and each chunk's start and end in them."""
+    lo, hi = enc.offsets[a:b], enc.offsets[a + 1 : b + 1]
     if (hi < lo).any():
-        raise ValueError(f"node {nodes[(hi < lo).argmax()]}: chunk ends before it starts")
-    if int(hi.max()) > 8 * len(enc.stream):
+        raise ValueError(f"node {a + (hi < lo).argmax()}: chunk ends before it starts")
+    if int(hi[-1]) > 8 * len(enc.stream):
         raise ValueError("corrupt offsets: a chunk ends past the stream")
-    first = (lo >> 3).astype(np.int64)
-    size = ((hi + 7) >> 3).astype(np.int64) - first
-    raw = np.frombuffer(enc.stream, dtype=np.uint8)[_spans(first, size)]
-    # from stream bits to `raw` bits; where chunks share a byte the shift
-    # is negative, and uint64 arithmetic wraps it back
-    shift = 8 * (first - np.cumsum(size) + size)
-    return bit_windows(raw), lo - shift.astype(np.uint64), hi - shift.astype(np.uint64)
+    first = int(lo[0]) >> 3
+    shift = np.uint64(8 * first)
+    return bit_windows(enc.stream[first : (int(hi[-1]) + 7) >> 3]), lo - shift, hi - shift
 
 
-def _read_chunks(enc: EncodedGraph, nodes: np.ndarray):
-    """Every field of the chunks of `nodes`: the references, the block
-    counts and blocks, the interval counts, gaps and lengths, and the
-    residual counts and residuals, repeated fields node-major."""
-    cfg, m, every = enc.cfg, nodes.size, np.arange(nodes.size)
-    table, pos, end = _chunks(enc, nodes)
+def _read_chunks(enc: EncodedGraph, a: int, b: int):
+    """Every field of the chunks of nodes a..b-1: the references, the
+    block counts and blocks, the interval counts, gaps and lengths, and
+    the residual counts and residuals, repeated fields node-major."""
+    cfg, m, every = enc.cfg, b - a, np.arange(b - a)
+    table, pos, end = _chunks(enc, a, b)
 
     def read(sel, code="gamma", k=3):
         values, pos[sel] = read_nats(table, pos[sel], end[sel], code, k)
@@ -475,9 +469,9 @@ def _read_chunks(enc: EncodedGraph, nodes: np.ndarray):
         return items, np.bincount(who, minlength=m)
 
     ref = read(every) if cfg.window else np.zeros(m, dtype=np.int64)
-    if (bad := ref > np.minimum(nodes, cfg.window)).any():
+    if (bad := ref > np.minimum(every + a, cfg.window)).any():
         i = bad.argmax()
-        raise ValueError(f"node {nodes[i]}: reference {ref[i]} reaches before the window")
+        raise ValueError(f"node {a + i}: reference {ref[i]} reaches before the window")
     nblocks = np.zeros(m, dtype=np.int64)
     nblocks[ref > 0] = read(every[ref > 0])
     blocks = rounds(nblocks)[0]
@@ -488,12 +482,12 @@ def _read_chunks(enc: EncodedGraph, nodes: np.ndarray):
     return ref, nblocks, blocks, icount, ivals[0::2], ivals[1::2], rcount, res
 
 
-def _decode_lists(enc: EncodedGraph, nodes: np.ndarray, indptr=None, out=None):
-    """Decode the lists of `nodes` (sorted ids) into `out` after the lists
-    before them (which `indptr` locates, for copies), or into a new array.
-    Returns the list lengths and the array."""
-    n, m, every = enc.n, nodes.size, np.arange(nodes.size)
-    ref, nblocks, blocks, icount, gaps, lens, rcount, res = _read_chunks(enc, nodes)
+def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out: np.ndarray):
+    """Decode the lists of nodes a..b-1 into `out`, after the lists before
+    them, which `indptr` locates; returns the list lengths."""
+    n, m, every = enc.n, b - a, np.arange(b - a)
+    nodes = every + a
+    ref, nblocks, blocks, icount, gaps, lens, rcount, res = _read_chunks(enc, a, b)
     copying = ref > 0
 
     # interval and residual ids by segmented cumsum; a field past 2n gives
@@ -520,11 +514,10 @@ def _decode_lists(enc: EncodedGraph, nodes: np.ndarray, indptr=None, out=None):
     # a whole copy (no blocks) adding nothing has the list of the first node
     # in its chain that adds something, or of an earlier node: its source
     target = nodes - ref
-    local = np.minimum(np.searchsorted(nodes, target), m - 1)
-    inside = copying & (nodes[local] == target)
+    local, inside = target - a, copying & (target >= a)
     whole = copying & (nblocks == 0) & (adds == 0)
     source = _chase(np.where(whole & inside, local, -1), every)[1][np.where(inside, local, every)]
-    outside = copying & (~inside | whole[source])  # copies a list before `nodes`
+    outside = copying & (~inside | whole[source])  # copies a list of an earlier block
     ext_start, ext_len = np.zeros((2, m), dtype=np.int64)
     if outside.any():
         earlier = np.where(inside, target[source], target)[outside]
@@ -538,10 +531,8 @@ def _decode_lists(enc: EncodedGraph, nodes: np.ndarray, indptr=None, out=None):
     reach = np.where(outside, ext_len, length[source])  # the copied list's length
     if (bad := copying & (spent > reach)).any():
         raise ValueError(f"node {nodes[bad.argmax()]}: copy blocks run past the reference list")
-    at = 0 if indptr is None else int(indptr[nodes[0]])
-    if out is None:
-        out = np.empty(int(length.sum()), dtype=np.int64)
-    elif at + length.sum() > out.size:
+    at = int(indptr[a])
+    if at + length.sum() > out.size:
         raise ValueError(f"corrupt stream: decoded more arcs than the header's {out.size}")
     start = at + np.cumsum(length) - length
     copy_from = np.where(outside, ext_start, start[source])
@@ -591,24 +582,7 @@ def _decode_lists(enc: EncodedGraph, nodes: np.ndarray, indptr=None, out=None):
             write(piece)
     for piece in _batches(np.flatnonzero(whole), length):
         out[_spans(start[piece], length[piece])] = out[_spans(copy_from[piece], length[piece])]
-    return length, out
-
-
-def decode_node(enc: EncodedGraph, x: int) -> np.ndarray:
-    """Successor list of one node: the decoder run over its copy chain."""
-    if not 0 <= x < enc.n:
-        raise IndexError(f"node {x} out of range [0, {enc.n})")
-    chain = [x]
-    while enc.cfg.window:
-        node = chain[-1]
-        ref = int(read_nats(*_chunks(enc, np.array([node])))[0][0])
-        if ref > min(node, enc.cfg.window):
-            raise ValueError(f"node {node}: reference {ref} reaches before the window")
-        if not ref:
-            break
-        chain.append(node - ref)
-    length, out = _decode_lists(enc, np.array(chain[::-1], dtype=np.int64))
-    return out[out.size - length[-1] :].copy()
+    return length
 
 
 def decode(enc: EncodedGraph) -> Graph:
@@ -616,7 +590,7 @@ def decode(enc: EncodedGraph) -> Graph:
     n, arcs = enc.n, enc.num_arcs
     indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(arcs, dtype=np.int64)
     for a, b in _blocks(enc.offsets, 3):  # nodes plus stream bytes
-        length = _decode_lists(enc, np.arange(a, b), indptr, indices)[0]
+        length = _decode_lists(enc, a, b, indptr, indices)
         indptr[a + 1 : b + 1] = indptr[a] + np.cumsum(length)
     if indptr[-1] != arcs:
         raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, header claims {arcs}")

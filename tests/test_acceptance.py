@@ -16,7 +16,7 @@ from hbgraph.distance import jackknife, to_distribution
 from hbgraph.diameter import double_sweep, giant_component, ifub, run_length_lower_bound
 from hbgraph.engine import RunSet, error_evolution, run, run_exact, seed_sequence
 from hbgraph.graph import Graph, gap_histogram
-from hbgraph.hll import CounterArray, eta
+from hbgraph.hll import CounterArray, estimate_registers, eta
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.cli import main as cli_main, run_manifest
 from util import (
@@ -48,7 +48,7 @@ def test_c01_single_counter_calibration():
         for k in range(trials):
             c = CounterArray(1, m=m, seed=k)
             c.add_many(items)
-            ests[k] = c.estimate(0)
+            ests[k] = estimate_registers(c.registers[0:1], m)[0]
         rel = ests / 100_000 - 1.0
         spread = float(rel.std())
         within = float(np.mean(np.abs(rel) <= 3 * eta(m)))

@@ -17,7 +17,6 @@ from hbgraph.storage import (
     CodecConfig,
     EncodedGraph,
     decode,
-    decode_node,
     encode,
     load,
     save,
@@ -26,7 +25,7 @@ from hbgraph.storage import (
     _ef_encode,
     _split_runs,
 )
-from util import BitWriter, ba, band, er, from_pairs, mixed_suite, save_hbg1, write_nat
+from util import BitWriter, band, er, from_pairs, mixed_suite, save_hbg1, write_nat
 
 # the 12 knob combinations of acceptance check C8
 C8_CONFIGS = [
@@ -81,7 +80,7 @@ class TestIntervalisation:
     def test_worked_example_round_trips(self):
         g = from_pairs(21, [(7, t) for t in (13, 15, 16, 17, 20)])
         enc = encode(g, CodecConfig(window=0, min_interval=3))
-        assert decode_node(enc, 7).tolist() == [13, 15, 16, 17, 20]
+        assert decode(enc).successors(7).tolist() == [13, 15, 16, 17, 20]
         assert enc.interval_arcs == 3
         assert enc.interval_fraction == pytest.approx(3 / 5)
 
@@ -123,13 +122,6 @@ class TestRoundTrip:
         assert refd.stream_bits < plain.stream_bits
         _assert_same_graph(g, refd.decode())
 
-    def test_decode_node_matches_full_decode(self):
-        g = ba(120, 4, seed=5)
-        enc = encode(g)
-        h = decode(enc)
-        for x in range(g.n):
-            assert np.array_equal(decode_node(enc, x), h.successors(x))
-
     def test_offsets_monotone_and_complete(self):
         g = er(80, 0.05, seed=3)
         enc = encode(g)
@@ -170,8 +162,6 @@ class TestRoundTrip:
         monkeypatch.setattr(storage, "_BLOCK", block)
         for g, enc in encs:
             _assert_same_graph(g, decode(enc))
-            for x in (0, g.n // 2, g.n - 1):
-                assert np.array_equal(decode_node(enc, x), g.successors(x))
 
     def test_200k_arc_band_graph_encodes_fast(self):
         # the per-node planner took about 14 s here
@@ -180,8 +170,7 @@ class TestRoundTrip:
         t0 = time.perf_counter()
         enc = encode(g)
         assert time.perf_counter() - t0 < 2.0
-        for x in (0, 6999, 13999):
-            assert np.array_equal(decode_node(enc, x), g.successors(x))
+        _assert_same_graph(g, decode(enc))
 
     @pytest.mark.parametrize("k", [12, 13, 31])
     def test_zeta_k_past_the_lookup_table(self, k):
@@ -190,8 +179,6 @@ class TestRoundTrip:
         for g in mixed_suite(seed=903, count=6, max_n=80) + [long_chunk("residuals", 300)]:
             enc = encode(g, cfg)
             _assert_same_graph(g, decode(enc))
-            for x in (0, g.n // 2, g.n - 1):
-                assert np.array_equal(decode_node(enc, x), g.successors(x))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -214,8 +201,6 @@ class TestRoundTrip:
             storage._BLOCK = block
         h = enc.decode()
         _assert_same_graph(g, h)
-        for x in range(n):
-            assert np.array_equal(decode_node(enc, x), h.successors(x))
 
 
 def star_of(leaves):
@@ -248,8 +233,8 @@ DEEP_CHAINS = {
 
 
 class TestDeepCopyChains:
-    """HBG1 does not bound copy chains; decode must resolve them without
-    a pass over the block per level."""
+    """Neither HBG1 nor HBG2 bounds copy chains; decode must resolve them
+    without a pass over the block per level."""
 
     @pytest.mark.parametrize("name", sorted(DEEP_CHAINS))
     def test_decodes_fast_and_whole(self, name):
@@ -261,8 +246,6 @@ class TestDeepCopyChains:
         # a level loop that re-sorts its block takes 1.1-3.0 s here
         assert time.perf_counter() - t0 < 1.0
         _assert_same_graph(g, h)
-        for x in (0, g.n // 2, g.n - 1):
-            assert np.array_equal(decode_node(enc, x), g.successors(x))
 
 
 LONG_CHUNKS = ("residuals", "intervals", "blocks")
@@ -300,7 +283,6 @@ class TestLongChunks:
         # it 0.17-0.32 s
         assert time.perf_counter() - t0 < 0.15
         _assert_same_graph(g, h)
-        assert np.array_equal(decode_node(enc, node), g.successors(node))
 
     @pytest.mark.parametrize("few,run", [(1, 4096), (16, 64), (10**9, 100)])
     def test_rounds_and_passes_agree(self, few, run, monkeypatch):
@@ -314,8 +296,6 @@ class TestLongChunks:
         monkeypatch.setattr(codes, "_RUN", run)
         for g, enc in encs:
             _assert_same_graph(g, decode(enc))
-            for x in (0, g.n // 2, g.n - 1):
-                assert np.array_equal(decode_node(enc, x), g.successors(x))
 
 
 class TestContainer:
@@ -453,7 +433,6 @@ class TestContainer:
         assert np.array_equal(back.offsets, enc.offsets)
         assert (back.copied_arcs, back.interval_arcs) == (0, 0)  # HBG1 keeps no tallies
         _assert_same_graph(g, back.decode())
-        assert np.array_equal(decode_node(back, 150), g.successors(150))
 
     @pytest.mark.parametrize("cut,error", [
         (lambda b, s: b[:60], "truncated offset table"),
@@ -587,7 +566,6 @@ class TestCorruptStreams:
         # node 0 -> 1; node 1 copies node 0's list and adds 0
         enc = _hand_built([[0, 1], [1, 0, 2]], 3)
         assert decode(enc).successors(1).tolist() == [0, 1]
-        assert decode_node(enc, 1).tolist() == [0, 1]
 
     @pytest.mark.parametrize("chunks,window,node", [
         ([[3], [0]], 7, 0),  # before node 0
@@ -595,10 +573,9 @@ class TestCorruptStreams:
     ], ids=["before-node-0", "beyond-window"])
     def test_reference_out_of_reach(self, chunks, window, node):
         enc = _hand_built(chunks, 0, window)
-        with pytest.raises(ValueError, match="reaches before the window"):
+        want = rf"node {node}: reference \d+ reaches before the window"
+        with pytest.raises(ValueError, match=want):
             decode(enc)
-        with pytest.raises(ValueError, match="reaches before the window"):
-            decode_node(enc, node)
 
     @pytest.mark.parametrize("chunks,node", [
         ([[0, 3], [0]], 0),  # node 0 -> 2 on 2 nodes
@@ -606,24 +583,20 @@ class TestCorruptStreams:
     ], ids=["id-n", "id-negative"])
     def test_successor_out_of_range(self, chunks, node):
         enc = _hand_built(chunks, 1)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=f"node {node}: decoded successor out of range"):
             decode(enc)
-        with pytest.raises(ValueError, match="out of range"):
-            decode_node(enc, node)
 
     def test_interval_past_n_fails_before_it_is_expanded(self):
         # reference 0, one interval: left 0, length 2 + 2^40
         enc = _hand_built([[0, 1, 0, 2**40], [0, 0]], 0, min_interval=2)
         with pytest.raises(ValueError, match="node 0: decoded successor out of range"):
             decode(enc)
-        with pytest.raises(ValueError, match="node 0: decoded successor out of range"):
-            decode_node(enc, 0)
 
     def test_successor_out_of_range_through_a_copy(self):
         # node 1 copies node 0's bad list and adds nothing
         enc = _hand_built([[0, 3], [1, 0]], 2)
         with pytest.raises(ValueError, match="node 0: decoded successor out of range"):
-            decode_node(enc, 1)
+            decode(enc)
 
     @pytest.mark.parametrize("claimed,error", [
         (0, "decoded more arcs than the header's 0"),
@@ -638,8 +611,6 @@ class TestCorruptStreams:
         enc = _hand_built([[0, 1, 0], [0, 2], [0]], claimed)
         with pytest.raises(ValueError, match=f"corrupt stream: {error}$"):
             decode(enc)
-        # decode_node reads one list and cannot see the count
-        assert [decode_node(enc, x).tolist() for x in range(3)] == [[1, 2], [0], []]
 
 
 class TestDecoderChecks:
@@ -649,17 +620,14 @@ class TestDecoderChecks:
     def test_copy_blocks_past_the_reference_list(self):
         # node 0 -> 1; node 1 copies a block of 5 from that list of 1
         enc = _hand_built([[0, 1], [1, 1, 5]], 1)
-        for call in (lambda: decode(enc), lambda: decode_node(enc, 1)):
-            with pytest.raises(ValueError, match="node 1: copy blocks run past the reference list"):
-                call()
+        with pytest.raises(ValueError, match="node 1: copy blocks run past the reference list"):
+            decode(enc)
 
     def test_offsets_must_not_decrease(self):
         enc = _hand_built([[0, 1], [0], [0]], 1)
         enc.offsets[2] = enc.offsets[1] - np.uint64(1)
         with pytest.raises(ValueError, match="node 1: chunk ends before it starts"):
             decode(enc)
-        with pytest.raises(ValueError, match="chunk ends before it starts"):
-            decode_node(enc, 1)
 
     def test_offsets_past_the_stream(self):
         enc = _hand_built([[0, 1], [0]], 1)
@@ -667,14 +635,26 @@ class TestDecoderChecks:
         with pytest.raises(ValueError, match="past the stream"):
             decode(enc)
 
-    def test_decode_node_reads_only_its_chain(self):
-        # node 1's chunk is empty, so it has no reference to read; nodes 0
-        # and 2 (-> 1 each) do not copy from it
-        enc = _hand_built([[0, 1], [], [0, 2]], 2)
-        with pytest.raises((ValueError, EOFError)):
-            decode(enc)
-        assert decode_node(enc, 2).tolist() == [1]
-        assert decode_node(enc, 0).tolist() == [1]
+    @pytest.mark.parametrize("block", [1, 16, storage._BLOCK])
+    def test_offset_checks_at_block_edges(self, block, monkeypatch):
+        # a block reads its chunks as one byte range, so the per-node
+        # checks must fire where a block starts or ends: with block 1
+        # every node is an edge, with 16 blocks hold 2-3 nodes of this
+        # graph, and with the default its one block ends at node 299; node
+        # 0's chunk starts at bit 0, so it cannot end before it
+        enc = encode(band(300, 2))
+        good = enc.offsets.copy()
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        edge = [b for _, b in storage._blocks(good, 3)][0]
+        for node in sorted({1, 2, 17, 150, 299, edge - 1, edge} - {0, enc.n}):
+            enc.offsets = good.copy()
+            enc.offsets[node + 1] = good[node] - np.uint64(1)
+            with pytest.raises(ValueError, match=f"node {node}: chunk ends before it starts"):
+                decode(enc)
+            enc.offsets = good.copy()
+            enc.offsets[node + 1 :] += np.uint64(8 * len(enc.stream))
+            with pytest.raises(ValueError, match="corrupt offsets: a chunk ends past the stream"):
+                decode(enc)
 
     def test_codeword_cut_by_the_chunk_end(self):
         # node 0's residual (gamma of 1000, 19 bits) loses its last 3 bits
@@ -683,8 +663,6 @@ class TestDecoderChecks:
         enc.offsets[1] -= np.uint64(3)
         with pytest.raises((ValueError, EOFError)):
             decode(enc)
-        with pytest.raises((ValueError, EOFError)):
-            decode_node(enc, 0)
 
 
 class TestCodecConfig:
