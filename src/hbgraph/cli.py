@@ -200,43 +200,52 @@ def _save_ids(g: Graph, hbg_path: str) -> list:
         return []
     sidecar = hbg_path + ".ids"
     with open(sidecar, "w", encoding="ascii") as fh:
-        for v in np.asarray(g.original_ids):
-            fh.write(f"{int(v)}\n")
+        fh.write("".join(f"{v}\n" for v in np.asarray(g.original_ids).tolist()))
     return [sidecar]
 
 
 def _codec_args(sp: argparse.ArgumentParser) -> None:
+    # unset, an option keeps the input file's value; for an edge list,
+    # encode chooses it by the bits it saves on this graph
+    unset = "unset: the input file's, or for an edge list"
     sp.add_argument(
         "--window", type=int, default=None,
-        help="how many previous lists a node may copy from (0 disables)",
+        help="how many previous lists a node may copy from (0 disables); "
+             f"{unset} 7 or 0, whichever makes the smaller file",
     )
     sp.add_argument(
         "--min-interval", type=int, default=None,
-        help="shortest consecutive run stored as an interval (0 disables)",
+        help="shortest consecutive run stored as an interval (0 disables); "
+             f"{unset} 4 or 0, whichever makes the smaller file",
     )
     sp.add_argument(
         "--code", dest="residual_code", choices=("gamma", "delta", "zeta"),
-        default=None, help="residual code",
+        default=None, help=f"residual code; {unset} the one of the fewest bits",
     )
     sp.add_argument(
-        "--zeta-k", type=int, default=None, help="shape parameter for zeta"
+        "--zeta-k", type=int, default=None,
+        help=f"shape parameter for zeta; {unset} the best of 1 to 7",
     )
 
 
-def _codec_config(ns, fallback: CodecConfig | None) -> CodecConfig:
-    """Fill the codec options left unset from fallback (the input file's
-    settings) or the defaults, in ns too so the manifest records them."""
-    base = fallback if fallback is not None else CodecConfig()
-    fields = ("window", "min_interval", "residual_code", "zeta_k")
-    for field in fields:
-        if getattr(ns, field) is None:
-            setattr(ns, field, getattr(base, field))
-    return CodecConfig(*(getattr(ns, field) for field in fields))
+_CODEC_FIELDS = ("window", "min_interval", "residual_code", "zeta_k")
 
 
-def _encode_and_save(g: Graph, cfg: CodecConfig, out: str) -> list:
-    """Encode, save, print the compression report; returns outputs."""
-    enc = encode(g, cfg)
+def _encode_and_save(g: Graph, ns, fallback: CodecConfig | None) -> list:
+    """Encode, save, print the compression report; returns outputs.
+
+    Codec options left unset in ns come from fallback (the input file's
+    settings) or, with none, are left for encode to choose. The values
+    used go back into ns, so the manifest records them and its replay
+    writes the same bytes.
+    """
+    given = [getattr(ns, field) for field in _CODEC_FIELDS]
+    if fallback is not None:
+        given = [getattr(fallback, f) if v is None else v for f, v in zip(_CODEC_FIELDS, given)]
+    enc = encode(g, CodecConfig(*given))
+    for field in _CODEC_FIELDS:
+        setattr(ns, field, getattr(enc.cfg, field))
+    out = ns.output
     save_compressed(enc, out)
     outputs = [out] + _save_ids(g, out)
 
@@ -270,7 +279,7 @@ def cmd_import(ns) -> int:
     if not g.symmetric and g.is_symmetric():
         # arcs already come in pairs; record that so diameter tools accept it
         g.symmetric = True
-    outputs = _encode_and_save(g, _codec_config(ns, None), ns.output)
+    outputs = _encode_and_save(g, ns, None)
     _write_manifest(ns, [ns.edges], outputs)
     return 0
 
@@ -284,7 +293,7 @@ def cmd_permute(ns) -> int:
     else:
         perm = random_permutation(g.n, ns.seed)
     g2 = apply_permutation(g, perm)
-    outputs = _encode_and_save(g2, _codec_config(ns, file_cfg), ns.output)
+    outputs = _encode_and_save(g2, ns, file_cfg)
     inputs = [ns.graph] if ns.perm is None else [ns.graph, ns.perm]
     _write_manifest(ns, inputs, outputs)
     return 0
@@ -292,7 +301,7 @@ def cmd_permute(ns) -> int:
 
 def cmd_transpose(ns) -> int:
     g, file_cfg = _load_graph(ns.graph)
-    outputs = _encode_and_save(transpose(g), _codec_config(ns, file_cfg), ns.output)
+    outputs = _encode_and_save(transpose(g), ns, file_cfg)
     _write_manifest(ns, [ns.graph], outputs)
     return 0
 

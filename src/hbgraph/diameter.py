@@ -253,26 +253,30 @@ def giant_component(g: Graph, allow_asymmetric: bool = False) -> Graph:
 
     Nodes are relabelled to 0..k-1 in ascending order of their old ids;
     the old ids (mapped through g.original_ids when present) ride along
-    as original_ids on the result.
+    as original_ids on the result. A component holds every arc of its
+    nodes, so the result is their rows of g's CSR with the ids mapped:
+    the map is increasing, so the lists stay sorted. When the component
+    is the whole graph, the result shares g's arrays.
     """
     labels = component_labels(g, allow_asymmetric=allow_asymmetric)
     if labels.size == 0:
         raise ValueError("empty graph")
     sizes = np.bincount(labels)
     best = int(np.argmax(sizes))  # first maximum = smallest seed id
+    if sizes[best] == g.n:
+        old_ids = np.arange(g.n) if g.original_ids is None else np.asarray(g.original_ids)
+        return Graph(g.n, g.indptr, g.indices, symmetric=g.symmetric, original_ids=old_ids)
     keep = np.flatnonzero(labels == best)
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.out_degrees())
-    mask = (remap[src] >= 0) & (remap[g.indices] >= 0)
+    degree = g.out_degrees()[keep]
+    indptr = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    start = g.indptr[keep]
+    arcs = np.repeat(start - indptr[:-1], degree) + np.arange(indptr[-1])
     old_ids = keep if g.original_ids is None else np.asarray(g.original_ids)[keep]
-    return Graph.from_arcs(
-        keep.size,
-        remap[src[mask]],
-        remap[g.indices[mask]],
-        symmetric=g.symmetric,
-        original_ids=old_ids,
-    )
+    return Graph(keep.size, indptr, remap[g.indices[arcs]], symmetric=g.symmetric,
+                 original_ids=old_ids)
 
 
 def run_length_lower_bound(run: NeighbourhoodRun) -> int:

@@ -23,15 +23,23 @@ FORMATS.md for the bit-exact layouts.
 Both directions work on arrays, over blocks of consecutive nodes. The
 encoder's blocks hold about _BLOCK arcs plus nodes (and read the lists
 of the `window` nodes before, as references). Each candidate, no copying
-and then copying from x - r for r = 1..window, builds every node's
+for every node and then copying from x - r for r = 1..window for the
+nodes whose reference shares an arc with them, builds those nodes'
 fields once: copy masks come from `searchsorted` on the sorted arc keys
 u*n + y, copy blocks, intervals and gaps from segmented `diff` and
-`cumsum`, and code words from `codes.nat_words`. A field kind is a
-(nodes, words, widths) triple, listed in chunk order. A node keeps the
-fields of the first candidate strictly cheaper than those before, so
-ties go to no copying, then to the smallest r (copying nothing costs at
-least 3 bits more than no copying). A stable sort on node puts the kept
-fields in chunk order for `codes.pack_words`; their widths give offsets.
+`cumsum`. A field kind is a (nodes, values) pair, listed in chunk order;
+`codes.nat_words` gives the widths of a candidate's fields in two calls,
+gamma and the residual code. A node keeps the fields of the first
+candidate strictly cheaper than those before, so ties go to no copying,
+then to the smallest r (copying nothing costs at least 3 bits more than
+no copying, so those nodes are not tried). A stable sort on node puts
+the kept fields in chunk order for `codes.pack_words`; their widths
+give offsets.
+
+`encode` chooses each knob that the config leaves None for the graph at
+hand (`_choose`): the residual code of the fewest bits over the graph's
+gaps, then the window and min_interval pair of the fewest stream bits,
+from one pass that totals the candidates without packing anything.
 
 The decoder's blocks hold about _BLOCK nodes plus stream bytes, and each
 reads its chunks from one slice of the stream. `codes.read_nats` reads
@@ -89,23 +97,28 @@ class CodecConfig:
 
     window=0 disables copying, min_interval=0 disables intervalisation;
     min_interval=1 would make every lone id an interval, so the smallest
-    useful value is 2.
+    useful value is 2. `encode` chooses each knob left None for the graph
+    at hand (see `encode`); the defaults are the web-graph ones.
     """
 
-    window: int = 7
-    min_interval: int = 4
-    residual_code: str = "zeta"
-    zeta_k: int = 3
+    window: int | None = 7
+    min_interval: int | None = 4
+    residual_code: str | None = "zeta"
+    zeta_k: int | None = 3
 
     def __post_init__(self):
-        if self.window < 0:
+        if self.window is not None and self.window < 0:
             raise ValueError("window must be >= 0")
-        if self.min_interval < 0 or self.min_interval == 1:
+        if self.min_interval is not None and (self.min_interval < 0 or self.min_interval == 1):
             raise ValueError("min_interval must be 0 (disabled) or >= 2")
-        if self.residual_code not in CODE_NAMES:
+        if self.residual_code not in (None, *CODE_NAMES):
             raise ValueError(f"residual_code must be one of {CODE_NAMES}")
-        if self.zeta_k < 1 or self.zeta_k > 31:
+        if self.zeta_k is not None and not 1 <= self.zeta_k <= 31:
             raise ValueError("zeta_k out of range [1, 31]")
+
+
+_DEFAULT = CodecConfig()
+_NONE = np.zeros(0, dtype=np.int64)
 
 
 def _heads(nodes: np.ndarray) -> np.ndarray:
@@ -150,20 +163,16 @@ def _gaps(nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
     return gaps, head
 
 
-def _fields(nodes: np.ndarray, values: np.ndarray, code="gamma", k=3):
-    """One field kind as (nodes, words, widths), in narrow dtypes: a
-    block's local node ids fit int32 and every width fits uint8."""
-    words, widths = nat_words(values, code, k)
-    return nodes.astype(np.int32), words, widths.astype(np.uint8)
-
-
 def _rest_fields(nodes, ids, own: np.ndarray, base: int, cfg: CodecConfig):
     """Field kinds of the ids that copying left over, in chunk order.
 
-    These are the interval count of every node in `own`, the intervals
-    (left extreme then length, per interval) and the residuals, each in
-    stream order within a node.
+    These are the interval count of every node in `own` (sorted), the
+    intervals (left extreme then length, per interval) and the residuals,
+    each in stream order within a node; with min_interval 0, the
+    residuals alone.
     """
+    if not cfg.min_interval:
+        return [(nodes, _gaps(nodes, ids, ids, base)[0])]
     starts, lengths, resid = _split_runs(nodes, ids, cfg.min_interval)
     inodes, left = nodes[starts], ids[starts]
     lgap, head = _gaps(inodes, left, left + lengths - 1, base)
@@ -171,31 +180,29 @@ def _rest_fields(nodes, ids, own: np.ndarray, base: int, cfg: CodecConfig):
     ivals = np.empty(2 * starts.size, dtype=np.int64)
     ivals[0::2] = lgap
     ivals[1::2] = lengths - cfg.min_interval
+    counts = np.bincount(np.searchsorted(own, inodes), minlength=own.size)
     rnodes, rids = nodes[resid], ids[resid]
-    kinds = []
-    if cfg.min_interval:
-        counts = np.bincount(inodes - own[0], minlength=own.size)
-        kinds += [_fields(own, counts), _fields(np.repeat(inodes, 2), ivals)]
     gaps = _gaps(rnodes, rids, rids, base)[0]
-    return kinds + [_fields(rnodes, gaps, cfg.residual_code, cfg.zeta_k)]
+    return [(own, counts), (np.repeat(inodes, 2), ivals), (rnodes, gaps)]
 
 
-def _copy_fields(keys, indptr, n: int, r: int, own: np.ndarray):
-    """Every node x copying from x - r: its copied arcs and block fields.
+def _copy_fields(keys, nodes, indptr, n: int, r: int, own: np.ndarray):
+    """The nodes x of `own` that copy something from x - r, with their
+    copied arcs and block fields.
 
     `keys` are the sorted arc keys u*n + y of a CSR slice with row
-    pointers `indptr`. Arc (u, y) is in the copy mask of x = u + r when
-    key (u + r)*n + y exists; the arc it finds is an arc of x that
-    copying covers. Blocks are the runs of the mask over u's list,
+    pointers `indptr`, `nodes` their u. Arc (u, y) is in the copy mask of
+    x = u + r when key (u + r)*n + y exists; the arc it finds is an arc of
+    x that copying covers. Blocks are the runs of the mask over u's list,
     alternating copy and skip and starting with a copy run that may be
-    empty; the last run is implicit. Returns the mask of covered arcs,
-    the arcs each node of `own` copies (none for x < r) and the field
-    kinds: the reference r, the block count and a 0 block where the mask
-    starts with a skip, for `own`, then the runs but the last (the first
-    as-is, later ones minus 1), also for nodes before `own`, which the
-    caller never picks.
+    empty; the last run is implicit. A node whose mask is empty is left
+    out: it costs at least 3 bits more than not copying, so it is never
+    picked. Returns those nodes x, the mask of covered arcs, the arcs each
+    x copies and the field kinds: the reference r, the block count, a 0
+    block where the mask starts with a skip, then the runs but the last
+    (the first as-is, later ones minus 1).
     """
-    m, arcs = indptr.size - 1, keys.size
+    arcs = keys.size
     query = keys + r * n
     pos = np.searchsorted(keys, query)
     np.minimum(pos, arcs - 1, out=pos)
@@ -204,45 +211,49 @@ def _copy_fields(keys, indptr, n: int, r: int, own: np.ndarray):
     copied = np.zeros(arcs, dtype=bool)
     copied[pos[hit]] = True
     del pos
-    first = indptr[:-1]
-    listed = indptr[1:] > first
-    brk = np.ones(arcs, dtype=bool)
+    count = np.bincount(nodes[hit], minlength=indptr.size - 1)  # by reference u
+    x = own[own >= r]
+    x = x[count[x - r] > 0]
+    first, size = indptr[x - r], np.diff(indptr)[x - r]
+    hit = hit[_spans(first, size)]  # the masks of the references, list by list
+    first = np.cumsum(size) - size
+    brk = np.ones(hit.size, dtype=bool)
     brk[1:] = hit[1:] != hit[:-1]
-    brk[first[listed]] = True
+    brk[first] = True
     run_starts = np.flatnonzero(brk)
     del brk
-    run_len = np.diff(run_starts, append=arcs)
-    run_hit = hit[run_starts]
-    del hit
+    run_vals = np.diff(run_starts, append=hit.size) - 1
     lo = np.searchsorted(run_starts, first)
-    runs = np.searchsorted(run_starts, indptr[1:]) - lo
-    count = np.bincount(np.repeat(np.arange(m), runs), weights=run_len * run_hit, minlength=m)
-    opens_hit = np.zeros(m, dtype=bool)
-    opens_hit[listed] = run_hit[lo[listed]]
-    lead0 = listed & ~opens_hit
-    nblocks = np.maximum(runs - 1, 0) + lead0
-    run_vals = run_len - 1
+    runs = np.diff(lo, append=run_starts.size)
+    opens_hit = hit[first]
+    del hit
     run_vals[lo[opens_hit]] += 1
     explicit = np.ones(run_starts.size, dtype=bool)
-    explicit[lo[listed] + runs[listed] - 1] = False
-    run_nodes = np.repeat(np.arange(r, m + r), runs)[explicit]
-
-    def shift(a):  # from the reference u to the node x = u + r, over own
-        return np.concatenate([np.zeros(r, dtype=a.dtype), a])[own]
-
-    zero = own[shift(lead0)]
+    explicit[lo + runs - 1] = False
+    zero = x[~opens_hit]
     kinds = [
-        _fields(own, np.full(own.size, r)),
-        _fields(own, shift(nblocks)),
-        _fields(zero, np.zeros(zero.size, dtype=np.int64)),
-        _fields(run_nodes, run_vals[explicit]),
+        (x, np.full(x.size, r)),
+        (x, runs - opens_hit),
+        (zero, np.zeros(zero.size, dtype=np.int64)),
+        (np.repeat(x, runs)[explicit], run_vals[explicit]),
     ]
-    return copied, shift(count).astype(np.int64), kinds
+    return x, copied, count[x - r], kinds
 
 
-def _bits(kinds, m: int) -> np.ndarray:
+def _words(kinds, cfg: CodecConfig):
+    """The nodes, code words and widths of the fields of `kinds`, in
+    kind order: the last kind, the residuals, in cfg's code, the others
+    in gamma."""
+    *front, last = kinds
+    words, widths = zip(nat_words(np.concatenate([f[1] for f in front] + [_NONE])),
+                        nat_words(last[1], cfg.residual_code, cfg.zeta_k))
+    return np.concatenate([f[0] for f in kinds]), np.concatenate(words), np.concatenate(widths)
+
+
+def _bits(kinds, m: int, cfg: CodecConfig) -> np.ndarray:
     """Sum of the widths of each node's fields."""
-    return sum(np.bincount(f[0], weights=f[2], minlength=m) for f in kinds).astype(np.int64)
+    nodes, _, widths = _words(kinds, cfg)
+    return np.bincount(nodes, weights=widths, minlength=m).astype(np.int64)
 
 
 def _pick(field, chose: np.ndarray):
@@ -269,52 +280,87 @@ def _blocks(start: np.ndarray, shift: int = 0):
         a = b
 
 
-def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
-    """Code words of nodes a..b-1, with their bit counts and tallies.
+def _candidates(g: Graph, a: int, b: int, cfgs):
+    """Candidates of nodes a..b-1 under each of `cfgs`, which differ in
+    min_interval alone: no copying, for every node, then copying from
+    x - r, r = 1..window, for the nodes that copy something.
 
-    The block also reads the lists of up to `window` nodes before a, as
-    references; local node i is node base + i.
+    Yields (nodes x, the arcs each copies, the field kinds under each cfg,
+    the bits of each x under each cfg). The block also reads the lists
+    of up to `window` nodes before a, as references; local node i, as x
+    and in the kinds, is node base + i.
     """
-    base = max(a - cfg.window, 0)
+    window = cfgs[0].window
+    base = max(a - window, 0)
     ptr = g.indptr[base : b + 1]
     indptr = ptr - ptr[0]
     ids = g.indices[ptr[0] : ptr[-1]]
     m, front = b - base, a - base
     nodes = np.repeat(np.arange(m), np.diff(indptr))
-    keys = nodes * g.n + ids
     own, start = np.arange(front, m), indptr[front]
     own_nodes, own_ids = nodes[start:], ids[start:]
 
-    # candidates: no copy (reference 0), then r = 1..window; a node keeps
-    # the fields of the first strictly cheaper one
-    empty = _fields(own[:0], own[:0])
-    no_copy = [_fields(own, np.zeros(own.size, dtype=np.int64)), empty, empty, empty]
-    best = (no_copy if cfg.window else []) + _rest_fields(own_nodes, own_ids, own, base, cfg)
-    best_bits = _bits(best, m)[front:]
-    best_count = np.zeros(own.size, dtype=np.int64)
-    chose = np.zeros(m, dtype=bool)
-    for r in range(1, min(cfg.window, m - 1) + 1) if keys.size else ():
-        copied, count, kinds = _copy_fields(keys, indptr, g.n, r, own)
-        keep = ~copied[start:]
-        kinds += _rest_fields(own_nodes[keep], own_ids[keep], own, base, cfg)
-        bits = _bits(kinds, m)[front:]
-        better = bits < best_bits
+    def candidate(x, count, front_kinds, keep):
+        kinds = [front_kinds + _rest_fields(own_nodes[keep], own_ids[keep], x, base, c)
+                 for c in cfgs]
+        return x, count, kinds, [_bits(k, m, c)[x] for k, c in zip(kinds, cfgs)]
+
+    empty = (_NONE, _NONE)
+    no_copy = [(own, np.zeros(own.size, dtype=np.int64)), empty, empty, empty]
+    yield candidate(own, None, no_copy if window else [], slice(None))
+    keys = nodes * g.n + ids
+    for r in range(1, min(window, m - 1) + 1) if keys.size else ():
+        x, copied, count, copy = _copy_fields(keys, nodes, indptr, g.n, r, own)
+        keep = np.zeros(m, dtype=bool)
+        keep[x] = True
+        yield candidate(x, count, copy, keep[own_nodes] & ~copied[start:])
+
+
+def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
+    """Code words of nodes a..b-1, with their bit counts and tallies.
+
+    A node keeps the fields of the first candidate strictly cheaper than
+    those before.
+    """
+    cands = _candidates(g, a, b, [cfg])
+    own, _, [best], [own_bits] = next(cands)
+    m = own[-1] + 1
+    best_bits, best_count = np.zeros((2, m), dtype=np.int64)
+    best_bits[own] = own_bits
+    for x, count, [kinds], [bits] in cands:
+        better = bits < best_bits[x]
         if better.any():
-            chose[front:] = better
+            x = x[better]
+            chose = np.zeros(m, dtype=bool)
+            chose[x] = True
             best = [
                 tuple(map(np.concatenate, zip(_pick(f, ~chose), _pick(c, chose))))
                 for f, c in zip(best, kinds)
             ]
-            best_bits[better] = bits[better]
-            best_count[better] = count[better]
-        del keep, kinds, bits, better
+            best_bits[x] = bits[better]
+            best_count[x] = count[better]
+        del kinds, bits, better
     copied = int(best_count.sum())
     # every own arc is copied, in an interval or a residual
-    intervals = own_ids.size - copied - best[-1][0].size
-    field_nodes, words, widths = map(np.concatenate, zip(*best))
+    intervals = int(g.indptr[b] - g.indptr[a]) - copied - best[-1][0].size
+    field_nodes, words, widths = _words(best, cfg)
     del best
     order = np.argsort(field_nodes, kind="stable")
-    return words[order], widths[order], best_bits, copied, intervals
+    return words[order], widths[order], best_bits[own], copied, intervals
+
+
+def _block_bits(g: Graph, a: int, b: int, cfgs):
+    """Stream bits of nodes a..b-1 under each of `cfgs`, which differ in
+    min_interval alone: as (window 0, the cfg's window). Window 0 saves
+    the 1-bit reference of no copying and loses the copy candidates."""
+    cands = _candidates(g, a, b, cfgs)
+    own, _, _, plain = next(cands)
+    best = np.zeros((len(cfgs), own[-1] + 1), dtype=np.int64)
+    best[:, own] = plain
+    for x, _, _, bits in cands:
+        best[:, x] = np.minimum(best[:, x], bits)
+    refs = own.size if cfgs[0].window else 0
+    return [(int(p.sum()) - refs, int(t.sum())) for p, t in zip(plain, best)]
 
 
 class EncodedGraph:
@@ -350,14 +396,58 @@ class EncodedGraph:
         return decode(self)
 
 
+def _residual_code(g: Graph, cfg: CodecConfig):
+    """The (code, k) of the fewest bits over g's gaps with no copying and
+    no intervals, among gamma, delta and zeta_1..zeta_7, as far as `cfg`
+    leaves them open; ties go to the first of these."""
+    k = _DEFAULT.zeta_k if cfg.zeta_k is None else cfg.zeta_k
+    options = [(c, k) for c in ("gamma", "delta")]
+    options += [("zeta", j) for j in (range(1, 8) if cfg.zeta_k is None else [k])]
+    options = [o for o in options if cfg.residual_code in (None, o[0])]
+    cost = np.zeros(len(options), dtype=np.int64)
+    for a, b in _blocks(g.indptr) if len(options) > 1 else ():
+        ptr = g.indptr[a : b + 1]
+        ids = g.indices[ptr[0] : ptr[-1]]
+        gaps = _gaps(np.repeat(np.arange(b - a), np.diff(ptr)), ids, ids, a)[0]
+        values, counts = np.unique(gaps, return_counts=True)
+        cost += [nat_words(values, c, j)[1] @ counts for c, j in options]
+    return options[int(cost.argmin())]
+
+
+def _choose(g: Graph, cfg: CodecConfig) -> CodecConfig:
+    """`cfg` with every knob it leaves None chosen for g by measured bits.
+
+    The residual code comes first (`_residual_code`). Then the window is
+    the given one or the cheaper of 7 and 0, the min_interval the given
+    one or the cheaper of 4 and 0, by the exact stream bits of each pair
+    under that code: one pass over the candidates (`_block_bits`) gives
+    all four totals. Ties go to 0. The offsets' Elias-Fano part does not
+    shrink as the stream grows, so the fewest bits make the smallest file.
+    """
+    code, k = _residual_code(g, cfg)
+    windows = [0, _DEFAULT.window] if cfg.window is None else [cfg.window]
+    mins = [0, _DEFAULT.min_interval] if cfg.min_interval is None else [cfg.min_interval]
+    cfgs = [CodecConfig(windows[-1], i, code, k) for i in mins]
+    if len(windows) * len(mins) == 1:
+        return cfgs[0]
+    total = np.zeros((len(mins), 2), dtype=np.int64)  # by min_interval: window 0, windows[-1]
+    for a, b in _blocks(g.indptr):
+        total += _block_bits(g, a, b, cfgs)
+    pairs = [(w, j) for w in windows for j in range(len(mins))]  # 0 first, to win ties
+    w, j = min(pairs, key=lambda p: total[p[1], int(p[0] > 0)])
+    return CodecConfig(w, mins[j], code, k)
+
+
 def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     """Compress a graph's successor structure under `cfg`.
 
     Every node takes the cheapest of no copying and copying from each
     x - r, r = 1..window; ties go to no copying, then to the smallest r.
-    Nodes are coded in blocks of about _BLOCK arcs plus nodes.
+    Nodes are coded in blocks of about _BLOCK arcs plus nodes. Knobs that
+    `cfg` leaves None are chosen first (`_choose`); the result's cfg holds
+    the values used.
     """
-    cfg = cfg or CodecConfig()
+    cfg = _choose(g, cfg or CodecConfig())
     n = g.n
     offsets = np.zeros(n + 1, dtype=np.uint64)
     stream = bytearray()

@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from hbgraph.cli import _build_parser, _load_graph, main, run_manifest
+from hbgraph.cli import _build_parser, _load_graph, _save_ids, main, run_manifest
 from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet
 from hbgraph.graph import Graph
-from hbgraph.storage import encode
+from hbgraph.storage import CodecConfig, encode
+from hbgraph.storage import save as save_compressed
 from hbgraph.storage import load as load_compressed
 from util import band, er, save_hbg1
 
@@ -47,7 +48,8 @@ class TestImport:
         src = tmp_path / "e.txt"
         src.write_text("".join(f"{u} {v}\n" for u in range(g.n) for v in g.successors(u).tolist()))
         hbg = str(tmp_path / "g.hbg")
-        ok(["import", str(src), "-o", hbg])
+        # copying and intervals given, so that both tallies count something
+        ok(["import", str(src), "-o", hbg, "--window", "7", "--min-interval", "4"])
         rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
                     if not line.startswith("manifest"))
         arcs = int(rows["arcs"])
@@ -99,6 +101,43 @@ class TestImport:
         back = str(tmp_path / "back.txt")
         ok(["export-edges", hbg, "-o", back, "--original-ids"])
         assert sorted(open(back).read().split()) == sorted("100 200 200 300".split())
+
+    @pytest.mark.parametrize("flags", [
+        ["--window", "7", "--min-interval", "4", "--code", "zeta", "--zeta-k", "3"],
+        ["--window", "3", "--min-interval", "2", "--code", "delta", "--zeta-k", "4"],
+        ["--window", "0", "--min-interval", "0", "--code", "gamma", "--zeta-k", "2"],
+    ], ids=["defaults", "w3", "w0"])
+    def test_explicit_flags_write_that_encoding(self, tmp_path, flags):
+        g = band(300, 4)
+        src = tmp_path / "e.txt"
+        src.write_text("".join(f"{u} {v}\n" for u in range(g.n) for v in g.successors(u).tolist()))
+        hbg, ref = tmp_path / "g.hbg", tmp_path / "ref.hbg"
+        ok(["import", str(src), "-o", str(hbg), *flags])
+        w, i, code, k = flags[1::2]
+        g = load_compressed(str(hbg)).decode()  # the import's relabelling of band
+        save_compressed(encode(g, CodecConfig(int(w), int(i), code, int(k))), ref)
+        assert hbg.read_bytes() == ref.read_bytes()
+
+    def test_unset_flags_are_chosen_and_recorded(self, tmp_path):
+        g = band(300, 4)
+        src = tmp_path / "e.txt"
+        src.write_text("".join(f"{u} {v}\n" for u in range(g.n) for v in g.successors(u).tolist()))
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", str(src), "-o", hbg])
+        enc = load_compressed(hbg)
+        cfg = enc.cfg
+        assert cfg == encode(enc.decode(), CodecConfig(None, None, None, None)).cfg
+        argv = json.loads(open(hbg + ".manifest.json").read())["argv"]
+        assert argv[argv.index("--window"):] == [
+            "--window", str(cfg.window), "--min-interval", str(cfg.min_interval),
+            "--code", cfg.residual_code, "--zeta-k", str(cfg.zeta_k)]
+        _assert_replays(hbg + ".manifest.json", str(tmp_path / "replay"))
+
+    def test_ids_sidecar_bytes(self, tmp_path):
+        g = Graph.from_arcs(3, [0, 1], [1, 2], original_ids=np.array([2**40 + 7, 0, 2**32]))
+        assert _save_ids(g, str(tmp_path / "g.hbg")) == [str(tmp_path / "g.hbg.ids")]
+        assert (tmp_path / "g.hbg.ids").read_bytes() == b"1099511627783\n0\n4294967296\n"
+        assert _save_ids(Graph.from_arcs(2, [0], [1]), str(tmp_path / "h.hbg")) == []
 
     def test_self_loop_rejected_without_flag(self, tmp_path, capsys):
         src = tmp_path / "e.txt"

@@ -207,6 +207,43 @@ class TestComponents:
         assert gc.original_ids.tolist() == [30, 40, 50]
 
 
+def _giant_by_arcs(g):
+    """The giant as the arc filter and rebuild that giant_component did."""
+    labels = component_labels(g)
+    keep = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    remap = np.full(g.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    src = np.repeat(np.arange(g.n), g.out_degrees())
+    mask = remap[src] >= 0
+    ids = keep if g.original_ids is None else np.asarray(g.original_ids)[keep]
+    return Graph.from_arcs(keep.size, remap[src[mask]], remap[g.indices[mask]],
+                           symmetric=g.symmetric, original_ids=ids)
+
+
+class TestGiantSlice:
+    @pytest.mark.parametrize("name", ["dusty", "connected", "dusty-ids", "connected-ids"])
+    def test_matches_the_rebuild(self, name):
+        if name.startswith("dusty"):
+            core = small_world(60, 4, 0.2, seed=3)
+            pairs = [(u, v) for u in range(core.n) for v in core.successors(u).tolist()]
+            # 30 paths of 1 to 3 nodes after it
+            pairs += [(60 + 3 * i + j, 61 + 3 * i + j) for i in range(30) for j in range(i % 3)]
+            g = sym_from_pairs(150, pairs)
+        else:
+            g = small_world(80, 4, 0.2, seed=4)
+        if name.endswith("ids"):
+            g.original_ids = np.arange(g.n) * 7 + 2**33
+        want, got = _giant_by_arcs(g), giant_component(g)
+        assert got == want
+        assert np.array_equal(got.original_ids, want.original_ids)
+        # --start maps to the same node, and the diameter is the same
+        for start in want.original_ids[[0, want.n // 2, -1]].tolist():
+            local = int(np.searchsorted(got.original_ids, start))
+            assert got.original_ids[local] == start
+            assert ifub(got, start=local) == ifub(want, start=local)
+        if name.startswith("connected"):
+            assert got.indices is g.indices
+
 class TestRunLengthBound:
     def test_exact_run_on_connected_graph_hits_diameter(self):
         for g in (cycle(12), grid(5, 6), random_tree(40, seed=2)):

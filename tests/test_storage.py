@@ -25,7 +25,7 @@ from hbgraph.storage import (
     _ef_encode,
     _split_runs,
 )
-from util import BitWriter, band, er, from_pairs, mixed_suite, save_hbg1, write_nat
+from util import BitWriter, ba, band, er, from_pairs, mixed_suite, save_hbg1, write_nat
 
 # the 12 knob combinations of acceptance check C8
 C8_CONFIGS = [
@@ -680,6 +680,114 @@ class TestCodecConfig:
             CodecConfig(residual_code="huffman")
         with pytest.raises(ValueError):
             CodecConfig(residual_code="zeta", zeta_k=0)
+        # None leaves a knob for encode to choose
+        assert CodecConfig(None, None, None, None).window is None
+
+
+def shared_successors(n, seed, group=8, share=40):
+    """Each group of `group` consecutive nodes links to the same `share`
+    random nodes: copying pays, intervals almost never fire."""
+    rng = np.random.default_rng(seed)
+    succ = np.array([rng.choice(n, share, replace=False) for _ in range(0, n, group)])
+    return Graph.from_arcs(n, np.repeat(np.arange(n), share), succ[np.arange(n) // group].ravel())
+
+
+def dust(count, seed):
+    """`count` paths of 2 or 3 nodes, in both directions."""
+    sizes = np.random.default_rng(seed).integers(2, 4, size=count)
+    first = np.cumsum(sizes) - sizes
+    u = np.concatenate([f + np.arange(s - 1) for f, s in zip(first.tolist(), sizes.tolist())])
+    return Graph.from_arcs(int(sizes.sum()), np.concatenate([u, u + 1]),
+                           np.concatenate([u + 1, u]), symmetric=True)
+
+
+CHOOSER_GRAPHS = {
+    "band": lambda: band(1500, 7),
+    "ba": lambda: ba(2000, 3, 1),
+    "dust": lambda: dust(3000, 2),
+    "shared": lambda: shared_successors(1000, 5),
+}
+ALL_CODES = [("gamma", 3), ("delta", 3)] + [("zeta", k) for k in range(1, 8)]
+OPEN = CodecConfig(None, None, None, None)
+
+
+def _file_bytes(enc, tmp_path, name):
+    path = tmp_path / name
+    save(enc, path)
+    return path.read_bytes()
+
+
+class TestChooser:
+    @pytest.mark.parametrize("name", CHOOSER_GRAPHS)
+    def test_no_larger_than_any_pair_or_the_defaults(self, name, tmp_path):
+        g = CHOOSER_GRAPHS[name]()
+        enc = encode(g, OPEN)
+        cfg = enc.cfg
+        _assert_same_graph(g, decode(enc))
+        size = len(_file_bytes(enc, tmp_path, "chosen"))
+        # the code: fewest bits with no copying and no intervals, where
+        # the residuals are the whole stream
+        plain = [encode(g, CodecConfig(0, 0, c, k)).stream_bits for c, k in ALL_CODES]
+        assert ALL_CODES[int(np.argmin(plain))] == (cfg.residual_code, cfg.zeta_k)
+        # window and intervals: the fewest stream bits of the four pairs
+        pairs = {(w, i): encode(g, CodecConfig(w, i, cfg.residual_code, cfg.zeta_k))
+                 for w in (0, 7) for i in (0, 4)}
+        assert enc.stream_bits == min(e.stream_bits for e in pairs.values())
+        assert pairs[cfg.window, cfg.min_interval].stream == enc.stream
+        for (w, i), other in pairs.items():
+            assert size <= len(_file_bytes(other, tmp_path, f"w{w}i{i}"))
+        assert size <= len(_file_bytes(encode(g), tmp_path, "default"))
+
+    @pytest.mark.parametrize("block", [64, 1 << 13])
+    def test_totals_are_the_stream_bits(self, block, monkeypatch):
+        # the chooser's one pass gives, for each min_interval, the stream
+        # bits of window 0 and of the window, exactly
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        for g in (band(300, 3), shared_successors(400, 3), dust(200, 1)):
+            cfgs = [CodecConfig(7, i, "zeta", 2) for i in (0, 4)]
+            total = np.zeros((2, 2), dtype=np.int64)
+            for a, b in storage._blocks(g.indptr):
+                total += storage._block_bits(g, a, b, cfgs)
+            want = [[encode(g, CodecConfig(w, i, "zeta", 2)).stream_bits for w in (0, 7)]
+                    for i in (0, 4)]
+            assert total.tolist() == want
+
+    def test_picks_per_graph(self):
+        picks = {name: encode(make(), OPEN).cfg for name, make in CHOOSER_GRAPHS.items()}
+        assert picks["band"] == CodecConfig(0, 0, "zeta", 2)
+        assert picks["ba"] == CodecConfig(0, 0, "zeta", 4)
+        assert picks["dust"] == CodecConfig(0, 0, "gamma", 3)
+        # shared lists: copying stays, intervals go
+        assert picks["shared"] == CodecConfig(7, 0, "zeta", 3)
+
+    def test_given_knobs_are_kept(self):
+        g = shared_successors(400, 3)
+        for given in (CodecConfig(), CodecConfig(3, 2, "delta", 4), CodecConfig(0, 0, "gamma")):
+            assert encode(g, given).cfg == given
+        # each knob left None is chosen alone; the others stay as given
+        enc = encode(g, CodecConfig(window=None, min_interval=4))
+        assert (enc.cfg.window, enc.cfg.min_interval) == (7, 4)
+        assert (enc.cfg.residual_code, enc.cfg.zeta_k) == ("zeta", 3)
+        enc = encode(g, CodecConfig(window=0, min_interval=None, residual_code="zeta", zeta_k=None))
+        assert enc.cfg.window == 0 and enc.cfg.residual_code == "zeta"
+        assert 1 <= enc.cfg.zeta_k <= 7
+        enc = encode(g, CodecConfig(2, 0, residual_code="gamma", zeta_k=None))
+        assert enc.cfg == CodecConfig(2, 0, "gamma", 3)
+
+    def test_chosen_settings_survive_a_reload(self, tmp_path):
+        g = shared_successors(400, 3)
+        enc = encode(g, OPEN)
+        save(enc, tmp_path / "g.hbg")
+        back = load(tmp_path / "g.hbg")
+        assert back.cfg == enc.cfg
+        _assert_same_graph(g, decode(back))
+
+    @pytest.mark.parametrize("g", [from_pairs(0, []), from_pairs(9, []), from_pairs(3, [(0, 1)])],
+                             ids=["empty", "arcless", "one-arc"])
+    def test_degenerate_graphs(self, g):
+        enc = encode(g, OPEN)
+        _assert_same_graph(g, decode(enc))
+        assert None not in vars(enc.cfg).values()
 
 
 # Node 4 costs 13 bits with no copy, r=1 and r=2 under CodecConfig(), so
