@@ -312,12 +312,8 @@ def cmd_anf(ns) -> int:
     if ns.exact:
         if ns.runs not in (None, 1):
             raise ValueError("--exact computes one deterministic run; drop --runs")
-        if ns.budget_bytes is not None:
-            raise ValueError(
-                "--exact is bounded by its node cap, not a byte budget; "
-                "drop --budget-bytes"
-            )
-        runs = [run_exact(g, max_iters=ns.max_iters, graph_id=gid)]
+        runs = [run_exact(g, max_iters=ns.max_iters, budget_bytes=ns.budget_bytes,
+                          graph_id=gid)]
     else:
         if ns.runs is None:
             ns.runs = 10
@@ -590,7 +586,7 @@ def main(argv=None) -> int:
     )
     try:
         return ns.func(ns)
-    except (ValueError, OSError, RuntimeError, EOFError, LookupError) as exc:
+    except (ValueError, OSError, RuntimeError, EOFError, LookupError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

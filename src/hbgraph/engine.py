@@ -315,12 +315,32 @@ def _sweep(g, state, reduce_op, measure, max_iters):
 # ---- public entry points ----
 
 
+def _row_bytes(n: int, m: int) -> int:
+    """Bytes of one node's state: m registers, or exact mode's reach set."""
+    return m or 8 * max(-(-n // 64), 1)
+
+
 def _peak_bytes(g: Graph, m: int) -> int:
-    """Upper bound on the bytes a counter run allocates; see run()."""
-    deg, n, a, s = np.diff(g.indptr), g.n, g.num_arcs, g.n * m
+    """Upper bound on the bytes a run allocates; m == 0 marks exact mode.
+    The terms are those of run()'s docstring."""
+    deg, n, a = np.diff(g.indptr), g.n, g.num_arcs
+    b = _row_bytes(n, m)
+    s = n * b
     c, r, k = int((-(-deg // _WIDTH)).sum()), min(n, a), int((deg > _WIDTH).sum())
-    step = max(3 * k * m, r * m // 4, 8 * min(s, max(_EST_CELLS, m)))
-    return s + (c + r) * m + 17 * a + 48 * c + 48 * n + 68 * 1024 + step
+    measure = 8 * min(s, max(_EST_CELLS, m)) if m else s // 8 + 8 * n
+    step = max(3 * k * b, r * b // 4, measure)
+    return s + (c + r) * b + 17 * a + 48 * c + 48 * n + 68 * 1024 + step
+
+
+def _check_budget(g: Graph, m: int, budget_bytes: int | None) -> None:
+    """Refuse, before any state exists, a run that could exceed the budget."""
+    need = _peak_bytes(g, m)
+    if budget_bytes is not None and need > budget_bytes:
+        raise BudgetExceededError(
+            f"{'counter' if m else 'exact'} run needs up to {need} bytes for {g.n} nodes "
+            f"of {_row_bytes(g.n, m)}-byte state rows and {g.num_arcs} arcs; "
+            f"budget is {budget_bytes}"
+        )
 
 
 def run(
@@ -333,24 +353,20 @@ def run(
 ) -> NeighbourhoodRun:
     """Estimate the neighbourhood function with one counter per node.
 
-    Refused if the run could allocate over `budget_bytes`. With S = n*m
-    register bytes, A arcs, C chunks (the sum of ceil(d/_WIDTH) over
-    out-degrees d), R = min(n, A), K nodes with more than _WIDTH
-    successors and B = max(2^14, m), a run allocates at most
-    S + (C + R)*m + 17*A + 48*C + 48*n + 68 KiB + max(3*K*m, R*m/4, 8*min(S, B))
-    bytes: registers, step workspace, plan and a step's chunk selection,
+    Refused if the run could allocate over `budget_bytes`. With b bytes of
+    state per node (m for counters; 8*ceil(n/64) for run_exact's reach
+    sets), S = n*b, A arcs, C chunks (the sum of ceil(d/_WIDTH) over
+    out-degrees d), R = min(n, A) and K nodes with more than _WIDTH
+    successors, a run allocates at most
+    S + (C + R)*b + 17*A + 48*C + 48*n + 68 KiB + max(3*K*b, R*b/4, M)
+    bytes: state, step workspace, plan and a step's chunk selection,
     per-node arrays, numpy's buffers and headers, and the largest of the
     fold of extra chunks, the comparison of R rows with the rows before
-    and the estimate's lookup over one block of at most B registers.
+    and the measure of up to n rows. M is the estimate's lookup over one
+    block of at most max(2^14, m) registers, 8*min(S, max(2^14, m)); in
+    exact mode, the popcount of every row and its sums, S/8 + 8*n.
     """
-    need = _peak_bytes(g, m)
-    if budget_bytes is not None and need > budget_bytes:
-        raise BudgetExceededError(
-            f"counter run needs up to {need} bytes = S + (C + R)*m + 17*A + 48*C + 48*n + "
-            f"68 KiB + max(3*K*m, R*m/4, 8*min(S, B)), with S = n*m = {g.n}*{m}, A arcs, C "
-            f"sweep chunks, R = min(n, A), K nodes past {_WIDTH} successors and "
-            f"B = max(2^14, m); budget is {budget_bytes}"
-        )
+    _check_budget(g, m, budget_bytes)
     counters = CounterArray(g.n, m, seed)
     counters.init_singletons()
     return _diffusion(
@@ -362,23 +378,19 @@ def run(
 def run_exact(
     g: Graph,
     max_iters: int | None = None,
-    max_nodes: int = 1_000_000,
+    budget_bytes: int | None = None,
     graph_id: str | None = None,
 ) -> NeighbourhoodRun:
     """Exact N(t) by diffusing one-bit-per-node reach sets.
 
     Equivalent to accumulating per-node BFS ball sizes, but runs the same
-    change-driven sweep as the estimator, word-packed 64 nodes at a time.
-    State is n^2/8 bytes: refuse anything past `max_nodes` (and in
-    practice memory gives out long before that default).
+    change-driven sweep as the estimator, word-packed 64 nodes at a time,
+    so the state is n^2/8 bytes. Refused like run() if it could allocate
+    over `budget_bytes`, by the same bound with 8*ceil(n/64) bytes a row.
     """
+    _check_budget(g, 0, budget_bytes)
     n = g.n
-    if n > max_nodes:
-        raise BudgetExceededError(
-            f"exact mode on {n} nodes exceeds the max_nodes={max_nodes} guard"
-        )
-    wds = (n + 63) // 64
-    state = np.zeros((n, max(wds, 1)), dtype=np.uint64)
+    state = np.zeros((n, _row_bytes(n, 0) // 8), dtype=np.uint64)
     ids = np.arange(n)
     state[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
     return _diffusion(

@@ -62,8 +62,7 @@ class Graph:
             key = np.unique(key)  # sorts by (src, dst) and drops duplicates
             src, dst = key // n, key % n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(n, indptr, dst, symmetric=symmetric, original_ids=original_ids)
 
     # ---- queries ----
@@ -84,12 +83,11 @@ class Graph:
         return np.diff(self.indptr)
 
     def is_symmetric(self) -> bool:
-        """Structural check: arc set equals its transpose."""
-        t = transpose(self)
-        return (
-            np.array_equal(self.indptr, t.indptr)
-            and np.array_equal(self.indices, t.indices)
-        )
+        """Structural check: arc set equals its transpose. The arcs' keys
+        u*n + v, in CSR order, must equal the sorted keys v*n + u of the
+        reversed arcs; no transposed Graph is built."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees())
+        return np.array_equal(src * self.n + self.indices, np.sort(self.indices * self.n + src))
 
     def fingerprint(self) -> str:
         """Short content hash; stable provenance tag for run files."""

@@ -151,7 +151,7 @@ class CounterArray:
     `registers` is the (count, m) uint8 matrix; row i is counter i.
     """
 
-    __slots__ = ("count", "m", "seed", "registers", "_b")
+    __slots__ = ("count", "m", "seed", "registers")
 
     def __init__(self, count: int, m: int = 64, seed: int = 0):
         _check_m(m)
@@ -161,18 +161,6 @@ class CounterArray:
         self.m = int(m)
         self.seed = int(seed) & _MASK64
         self.registers = np.zeros((self.count, self.m), dtype=np.uint8)
-        self._b = m.bit_length() - 1
-
-    # ---- single-counter operations ----
-
-    def add(self, i: int, x: int) -> None:
-        """Fold item x into counter i."""
-        h = hash64(x, self.seed)
-        j = h & (self.m - 1)
-        rem = h >> self._b
-        rho = min((65 - self._b) if rem == 0 else (rem & -rem).bit_length(), _RHO_MAX)
-        if rho > self.registers[i, j]:
-            self.registers[i, j] = rho
 
     def add_many(self, items: np.ndarray, i: int = 0) -> None:
         """Fold a whole array of items into counter i (vectorized)."""

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CODE_NAMES, bit_windows, nat_words, pack_words, read_nats, read_runs
+from .codes import CODE_NAMES, _peek, bit_windows, nat_words, pack_words, read_nats, read_runs
 from .graph import Graph
 
 __all__ = [
@@ -707,14 +707,8 @@ def _ef_decode(low, high, count: int, low_bits: int) -> np.ndarray:
     if ones.size != count:
         raise ValueError(f"Elias-Fano high part holds {ones.size} ones, expected {count}")
     offsets = (ones - np.arange(count)).astype(np.uint64) << np.uint64(low_bits)
-    if low_bits:  # the l bits at bit i*l: the 64 from its byte, and past l = 57 the next 64
-        pos = np.arange(count) * low_bits
-        table, i, s = bit_windows(low), pos >> 3, (pos & 7).astype(np.uint64)
-        window = table[i] << s
-        if low_bits > 57:
-            window |= table[i + 8] >> (np.uint64(64) - s)
-        offsets |= window >> np.uint64(64 - low_bits)
-    return offsets
+    pos = np.arange(count, dtype=np.uint64) * np.uint64(low_bits)  # of each low part
+    return offsets | _peek(bit_windows(low), pos) >> np.uint64(64 - low_bits)
 
 
 def _crc(blob) -> int:

@@ -7,7 +7,7 @@ import pytest
 
 from hbgraph.cli import _build_parser, _load_graph, _save_ids, main, run_manifest
 from hbgraph.diameter import giant_component
-from hbgraph.engine import RunSet
+from hbgraph.engine import RunSet, _peak_bytes
 from hbgraph.graph import Graph
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.storage import save as save_compressed
@@ -211,13 +211,31 @@ class TestAnfStats:
         assert rc == 1
         assert "drop --runs" in capsys.readouterr().err
 
-    def test_anf_exact_refuses_budget(self, tmp_path, edges_file, capsys):
-        # exact mode is bounded by its node cap; a budget would be ignored
+    def test_anf_exact_budget(self, tmp_path, edges_file, capsys):
+        # a budget at the bound changes nothing; one byte under it is refused
         hbg = self._import(tmp_path, edges_file)
-        out = str(tmp_path / "r.json")
-        rc = main(["anf", hbg, "-o", out, "--exact", "--budget-bytes", "1"])
+        bound = _peak_bytes(_load_graph(hbg)[0], 0)
+        free, held, out = (str(tmp_path / f) for f in ("free.json", "held.json", "r.json"))
+        ok(["anf", hbg, "-o", free, "--exact"])
+        ok(["anf", hbg, "-o", held, "--exact", "--budget-bytes", str(bound)])
+        assert open(free, "rb").read() == open(held, "rb").read()
+        capsys.readouterr()
+        rc = main(["anf", hbg, "-o", out, "--exact", "--budget-bytes", str(bound - 1)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"needs up to {bound} bytes" in err
+        assert not os.path.exists(out)
+
+    def test_memory_error_is_one_line(self, tmp_path, edges_file, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 125. GiB")
+
+        hbg = self._import(tmp_path, edges_file)
+        monkeypatch.setattr("hbgraph.cli.run_exact", exhausted)
+        out = str(tmp_path / "r.json")
+        capsys.readouterr()
+        assert main(["anf", hbg, "-o", out, "--exact"]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 125. GiB\n"
         assert not os.path.exists(out)
 
     def test_anf_exact_run(self, tmp_path, edges_file):

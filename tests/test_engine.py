@@ -51,11 +51,6 @@ class TestExactRuns:
             assert np.array_equal(got, padded[: got.size])
             assert got[-1] == want[-1]
 
-    def test_node_cap(self):
-        g = from_pairs(10, [(0, 1)])
-        with pytest.raises(BudgetExceededError, match="max_nodes"):
-            run_exact(g, max_nodes=5)
-
     def test_truncation_boundary(self):
         # path has T = 4; a cap of 4 leaves stabilization unconfirmed
         g = from_pairs(5, [(i, i + 1) for i in range(4)])
@@ -353,6 +348,28 @@ class TestBudget:
         g = dense_digraph()
         bound = engine._peak_bytes(g, 16)
         assert traced_peak(lambda: run(g, m=16, seed=1)) <= bound
+
+    # exact mode, 8*ceil(n/64) bytes a row: without arcs, the first
+    # popcount of every row sets the peak
+    EXACT = {
+        "small_world": lambda g: g,
+        "one_way": one_way,
+        "dense": lambda g: dense_digraph(),
+        "star": lambda g: star(4000),
+        "path": lambda g: from_pairs(3000, [(i, i + 1) for i in range(2999)]),
+        "100_arcs": lambda g: Graph.from_arcs(
+            5000, *np.random.default_rng(0).integers(0, 5000, (2, 100))),
+        "no_arcs": lambda g: from_pairs(8000, []),
+    }
+
+    @pytest.mark.parametrize("shape", list(EXACT))
+    def test_exact_formula_bounds_the_traced_peak(self, shape):
+        g = self.EXACT[shape](self.g)
+        bound = engine._peak_bytes(g, 0)
+        peak = traced_peak(lambda: run_exact(g, budget_bytes=bound))
+        assert peak <= bound <= 1.5 * peak
+        with pytest.raises(BudgetExceededError, match=f"needs up to {bound} bytes"):
+            run_exact(g, budget_bytes=bound - 1)
 
 
 # N(t) as float.hex() on small_world(40, 2, 0.2, 3), recorded with the

@@ -45,6 +45,12 @@ class TestFromArcs:
         assert not from_pairs(3, [(0, 1)]).is_symmetric()
         # flag and structure are independent: the check is structural
         assert from_pairs(2, [(0, 1), (1, 0)]).is_symmetric()
+        # a self-loop is its own reverse
+        assert from_pairs(3, [(0, 1), (1, 0), (2, 2)]).is_symmetric()
+        # symmetric but for one arc, whose reverse is missing
+        pairs = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0)]
+        assert not from_pairs(4, pairs).is_symmetric()
+        assert from_pairs(4, pairs + [(0, 3)]).is_symmetric()
 
     def test_fingerprint_distinguishes(self):
         a = from_pairs(3, [(0, 1), (1, 2)])

@@ -95,7 +95,7 @@ class TestLayout:
         # an item lands in the column its hash's low log2(m) bits name
         m, seed = 16, 4
         c = CounterArray(2, m=m, seed=seed)
-        c.add(1, 99)
+        c.add_many(np.array([99]), i=1)
         j, rho = rho_values(np.array([hash64(99, seed)], dtype=np.uint64), m)
         want = np.zeros((2, m), dtype=np.uint8)
         want[1, j[0]] = rho[0]
@@ -123,28 +123,30 @@ class TestConstants:
 
 class TestCounterArray:
     def test_add_matches_reference(self):
+        # one item at a time: the registers after every insertion
         m, seed = 16, 5
         c = CounterArray(1, m=m, seed=seed)
         ref = [0] * m
         for x in range(200):
-            c.add(0, x)
+            c.add_many(np.array([x]))
             ref_register_update(m, ref, x, seed)
-        assert c.registers[0].tolist() == ref
+            assert c.registers[0].tolist() == ref
 
     def test_add_many_matches_add(self):
+        # one batch, with repeated register indices, against item by item
         m = 64
-        a = CounterArray(1, m=m, seed=1)
-        b = CounterArray(1, m=m, seed=1)
+        c = CounterArray(1, m=m, seed=1)
         items = np.arange(500, dtype=np.uint64)
-        a.add_many(items)
+        c.add_many(items)
+        ref = [0] * m
         for x in items.tolist():
-            b.add(0, x)
-        assert np.array_equal(a.registers, b.registers)
+            ref_register_update(m, ref, x, 1)
+        assert c.registers[0].tolist() == ref
 
     def test_single_item_small_range_estimate(self):
         # one occupied register: the occupancy correction m*ln(m/(m-1))
         c = CounterArray(1, m=16, seed=0)
-        c.add(0, 1234)
+        c.add_many(np.array([1234]))
         assert estimate_registers(c.registers[0:1], c.m)[0] == pytest.approx(16 * math.log(16 / 15))
 
     def test_empty_counter_estimates_zero(self):
@@ -154,19 +156,19 @@ class TestCounterArray:
         n, m = 20, 64
         c = CounterArray(n, m=m, seed=3)
         c.init_singletons()
-        d = CounterArray(n, m=m, seed=3)
+        ref = [[0] * m for _ in range(n)]
         for i in range(n):
-            d.add(i, i)
-        assert np.array_equal(c.registers, d.registers)
+            ref_register_update(m, ref[i], i, 3)
+        assert c.registers.tolist() == ref
 
     def test_init_singletons_custom_keys(self):
         keys = np.array([100, 200, 300], dtype=np.uint64)
         c = CounterArray(3, m=16, seed=1)
         c.init_singletons(keys)
-        d = CounterArray(3, m=16, seed=1)
+        ref = [[0] * 16 for _ in keys]
         for i, k in enumerate(keys.tolist()):
-            d.add(i, k)
-        assert np.array_equal(c.registers, d.registers)
+            ref_register_update(16, ref[i], k, 1)
+        assert c.registers.tolist() == ref
 
     def test_estimate_tracks_cardinality(self):
         c = CounterArray(1, m=1024, seed=7)
