@@ -252,6 +252,9 @@ def _encode_and_save(g: Graph, ns, fallback: CodecConfig | None) -> list:
     def per_arc(bits):
         return bits / g.num_arcs if g.num_arcs else 0.0
 
+    loops = int(np.count_nonzero(g.indices == np.repeat(np.arange(g.n), g.out_degrees())))
+    floor = info_lower_bound(g.n, g.num_arcs, g.symmetric, loops)
+
     _print_table(
         [
             ("nodes", g.n),
@@ -263,7 +266,7 @@ def _encode_and_save(g: Graph, ns, fallback: CodecConfig | None) -> list:
             ("file bits per arc", f"{per_arc(8 * os.path.getsize(out)):.3f}"),
             ("copied arcs %", f"{100 * enc.copy_fraction:.2f}"),
             ("interval arcs %", f"{100 * enc.interval_fraction:.2f}"),
-            ("size floor bits/arc", f"{per_arc(info_lower_bound(g.n, g.num_arcs)):.3f}"),
+            ("size floor bits/arc", f"{per_arc(floor):.3f}"),
         ]
     )
     return outputs

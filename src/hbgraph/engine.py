@@ -327,7 +327,7 @@ def _peak_bytes(g: Graph, m: int) -> int:
     b = _row_bytes(n, m)
     s = n * b
     c, r, k = int((-(-deg // _WIDTH)).sum()), min(n, a), int((deg > _WIDTH).sum())
-    measure = 8 * min(s, max(_EST_CELLS, m)) if m else s // 8 + 8 * n
+    measure = 8 * min(s, max(_EST_CELLS, m)) if m else min(s // 8, max(_EST_CELLS, b // 8)) + 8 * n
     step = max(3 * k * b, r * b // 4, measure)
     return s + (c + r) * b + 17 * a + 48 * c + 48 * n + 68 * 1024 + step
 
@@ -364,7 +364,8 @@ def run(
     fold of extra chunks, the comparison of R rows with the rows before
     and the measure of up to n rows. M is the estimate's lookup over one
     block of at most max(2^14, m) registers, 8*min(S, max(2^14, m)); in
-    exact mode, the popcount of every row and its sums, S/8 + 8*n.
+    exact mode, the popcount of one block of at most max(2^14, b/8) words
+    and the rows' sums, min(S/8, max(2^14, b/8)) + 8*n.
     """
     _check_budget(g, m, budget_bytes)
     counters = CounterArray(g.n, m, seed)
@@ -393,11 +394,18 @@ def run_exact(
     state = np.zeros((n, _row_bytes(n, 0) // 8), dtype=np.uint64)
     ids = np.arange(n)
     state[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
-    return _diffusion(
-        g, state, np.bitwise_or,
-        lambda rows: np.bitwise_count(rows).sum(axis=1, dtype=np.float64),
-        max_iters, graph_id, 0, 0,
-    )
+    return _diffusion(g, state, np.bitwise_or, _reach_sizes, max_iters, graph_id, 0, 0)
+
+
+def _reach_sizes(rows: np.ndarray) -> np.ndarray:
+    """Sizes of the sets of exact-mode rows: their popcounts, summed in
+    blocks of at most max(_EST_CELLS, w) words of w a row, so the uint8
+    popcount temporary stays within one block, as estimate_registers'."""
+    step = max(1, _EST_CELLS // rows.shape[1])
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), step):
+        out[i : i + step] = np.bitwise_count(rows[i : i + step]).sum(axis=1, dtype=np.float64)
+    return out
 
 
 def _diffusion(g, state, reduce_op, measure, max_iters, graph_id, m, seed):

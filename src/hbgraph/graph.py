@@ -296,15 +296,22 @@ def gap_histogram(g: Graph) -> np.ndarray:
     return np.bincount(bins)
 
 
-def info_lower_bound(n: int, m: int) -> float:
+def info_lower_bound(n: int, m: int, symmetric: bool = False, loops: int = 0) -> float:
     """Information-theoretic size floor for an n-node m-arc graph, in bits.
 
     log2 of (n^2 choose m): no encoding that distinguishes all graphs with
-    these counts can beat it on average.
+    these counts can beat it on average. A symmetric graph whose m arcs
+    hold `loops` self-loops is (m + loops)/2 edges among the n(n+1)/2
+    unordered pairs, a self-loop being a pair of its own, so its floor is
+    log2 of (n(n+1)/2 choose (m + loops)/2).
     """
-    if n < 0 or m < 0:
+    if n < 0 or m < 0 or loops < 0:
         raise ValueError("counts must be nonnegative")
     pairs = n * n
+    if symmetric:
+        if loops > m or (m + loops) % 2:
+            raise ValueError(f"{m} arcs with {loops} self-loops cannot be symmetric")
+        pairs, m = n * (n + 1) // 2, (m + loops) // 2
     if m > pairs:
         raise ValueError(f"more arcs ({m}) than node pairs ({pairs})")
     if m == 0 or m == pairs:

@@ -14,11 +14,14 @@ web-graph playbook:
 
 Chunks carry no outdegree: the per-node bit-offset table delimits every
 chunk exactly, and instantaneous codes make "read residuals until the
-chunk ends" unambiguous. `save` writes the ``HBG2`` container: a header
-with the copied and interval arc tallies, the offsets as an Elias-Fano
-list and the code stream, under one CRC-32. `load` also reads the older
-``HBG1`` (raw u64 offsets, a CRC over the stream alone, no tallies). See
-FORMATS.md for the bit-exact layouts.
+chunk ends" unambiguous. A symmetric graph stores each edge once: node
+x's chunk codes only its successors y >= x, and `decode` mirrors the
+rest. `save` writes the ``HBG3`` container: a header with the copied and
+interval arc tallies, the offsets as an Elias-Fano list and the code
+stream, under one CRC-32. `load` also reads the older ``HBG2`` (the same
+layout, full lists for symmetric graphs too) and ``HBG1`` (raw u64
+offsets, a CRC over the stream alone, no tallies). See FORMATS.md for
+the bit-exact layouts.
 
 Both directions work on arrays, over blocks of consecutive nodes. The
 encoder's blocks hold about _BLOCK arcs plus nodes (and read the lists
@@ -58,7 +61,9 @@ holds. Checks raise ValueError: offsets nondecreasing, each cursor
 ending at its chunk's end (EOFError past it), references within min(x,
 window), ids in [0, n) (an interval past n before it is expanded), copy
 blocks within their reference's list, and the header's arc count before
-any write. The scalar bit I/O went to the tests, as their oracle.
+any write; for upper lists, no stored id below its node and the stored
+plus mirrored arcs equal to the header's count. The scalar bit I/O went
+to the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -81,10 +86,10 @@ __all__ = [
     "load",
 ]
 
-MAGIC = b"HBG2"  # what save writes
-VERSIONS = {b"HBG1": 1, MAGIC: 2}  # every magic load reads, with its version
-_HEADER = struct.Struct("<4sBBBxQQIIBBBxI")  # both versions; see FORMATS.md
-_TALLIES = struct.Struct("<QQQ")  # HBG2: copied arcs, interval arcs, stream bits
+MAGIC = b"HBG3"  # what save writes
+VERSIONS = {b"HBG1": 1, b"HBG2": 2, MAGIC: 3}  # every magic load reads, with its version
+_HEADER = struct.Struct("<4sBBBxQQIIBBBxI")  # every version; see FORMATS.md
+_TALLIES = struct.Struct("<QQQ")  # HBG2 on: copied arcs, interval arcs, stream bits
 _LITTLE = 0xFE
 
 _CODE_IDS = {name: i for i, name in enumerate(CODE_NAMES)}
@@ -364,12 +369,19 @@ def _block_bits(g: Graph, a: int, b: int, cfgs):
 
 
 class EncodedGraph:
-    """Compressed graph: code stream + per-node bit offsets + stats."""
+    """Compressed graph: code stream + per-node bit offsets + stats.
 
-    def __init__(self, n, num_arcs, symmetric, cfg, stream, offsets, copied_arcs, interval_arcs):
+    num_arcs counts the graph's arcs. With `upper`, the stream holds only
+    the arcs x -> y with y >= x of a symmetric graph, and the copied and
+    interval tallies count among those.
+    """
+
+    def __init__(self, n, num_arcs, symmetric, cfg, stream, offsets, copied_arcs, interval_arcs,
+                 upper=False):
         self.n = int(n)
         self.num_arcs = int(num_arcs)
         self.symmetric = bool(symmetric)
+        self.upper = bool(upper)
         self.cfg = cfg
         self.stream = stream
         self.offsets = offsets  # (n + 1) uint64 bit offsets
@@ -438,22 +450,35 @@ def _choose(g: Graph, cfg: CodecConfig) -> CodecConfig:
     return CodecConfig(w, mins[j], code, k)
 
 
+def _upper(g: Graph) -> Graph:
+    """The arcs x -> y of g with y >= x, all a symmetric graph's stream holds."""
+    src = np.repeat(np.arange(g.n), g.out_degrees())
+    keep = g.indices >= src
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=g.n), out=indptr[1:])
+    return Graph(g.n, indptr, g.indices[keep])
+
+
 def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     """Compress a graph's successor structure under `cfg`.
 
-    Every node takes the cheapest of no copying and copying from each
-    x - r, r = 1..window; ties go to no copying, then to the smallest r.
-    Nodes are coded in blocks of about _BLOCK arcs plus nodes. Knobs that
-    `cfg` leaves None are chosen first (`_choose`); the result's cfg holds
-    the values used.
+    A symmetric graph is coded as its arcs x -> y with y >= x (`_upper`);
+    its flag must hold. Every node takes the cheapest of no copying and
+    copying from each x - r, r = 1..window; ties go to no copying, then to
+    the smallest r. Nodes are coded in blocks of about _BLOCK arcs plus
+    nodes. Knobs that `cfg` leaves None are chosen first (`_choose`); the
+    result's cfg holds the values used.
     """
-    cfg = _choose(g, cfg or CodecConfig())
+    if g.symmetric and not g.is_symmetric():
+        raise ValueError("graph is flagged symmetric but some arc has no reverse")
+    stored = _upper(g) if g.symmetric else g
+    cfg = _choose(stored, cfg or CodecConfig())
     n = g.n
     offsets = np.zeros(n + 1, dtype=np.uint64)
     stream = bytearray()
     copied = intervals = 0
-    for a, b in _blocks(g.indptr):
-        words, widths, node_bits, c, i = _encode_block(g, a, b, cfg)
+    for a, b in _blocks(stored.indptr):
+        words, widths, node_bits, c, i = _encode_block(stored, a, b, cfg)
         offsets[a + 1 : b + 1] = offsets[a] + np.cumsum(node_bits).astype(np.uint64)
         lead = int(offsets[a]) % 8
         piece = pack_words(words, widths, lead)
@@ -463,7 +488,8 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
         stream += piece
         copied += c
         intervals += i
-    return EncodedGraph(n, g.num_arcs, g.symmetric, cfg, bytes(stream), offsets, copied, intervals)
+    return EncodedGraph(n, g.num_arcs, g.symmetric, cfg, bytes(stream), offsets, copied, intervals,
+                        upper=g.symmetric)
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -675,13 +701,41 @@ def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out: np
     return length
 
 
+def _mirror(n: int, ptr: np.ndarray, upper: np.ndarray, arcs: int) -> Graph:
+    """The symmetric graph whose arcs x -> y with y >= x are the lists
+    (ptr, upper): node y's list is the x < y that hold y, ascending, then
+    its own. One stable argsort on y puts the mirrored arcs in node order,
+    x ascending within each y."""
+    src = np.repeat(np.arange(n), np.diff(ptr))
+    if (bad := upper < src).any():
+        i = bad.argmax()
+        raise ValueError(f"node {src[i]}: stored successor {upper[i]} is below it")
+    lower = upper != src  # a self-loop is not mirrored
+    y = upper[lower]
+    if ptr[-1] + y.size != arcs:
+        raise ValueError(f"corrupt stream: {ptr[-1]} stored and {y.size} mirrored arcs, "
+                         f"header claims {arcs}")
+    order = np.argsort(y, kind="stable")
+    before = np.cumsum(np.bincount(y, minlength=n))  # mirrored arcs of nodes up to y
+    indptr = ptr.copy()
+    indptr[1:] += before
+    indices = np.empty(arcs, dtype=np.int64)
+    # the k-th mirrored arc lands at ptr[y] + k, stored arc i at i + before[x]
+    indices[ptr[y[order]] + np.arange(y.size)] = src[lower][order]
+    indices[np.arange(upper.size) + before[src]] = upper
+    return Graph(n, indptr, indices, symmetric=True)
+
+
 def decode(enc: EncodedGraph) -> Graph:
-    """Materialize the full CSR graph, in blocks of consecutive nodes."""
+    """Materialize the full CSR graph, in blocks of consecutive nodes;
+    a stream of upper lists is mirrored (`_mirror`)."""
     n, arcs = enc.n, enc.num_arcs
     indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(arcs, dtype=np.int64)
     for a, b in _blocks(enc.offsets, 3):  # nodes plus stream bytes
         length = _decode_lists(enc, a, b, indptr, indices)
         indptr[a + 1 : b + 1] = indptr[a] + np.cumsum(length)
+    if enc.upper:
+        return _mirror(n, indptr, indices[: indptr[-1]], arcs)
     if indptr[-1] != arcs:
         raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, header claims {arcs}")
     return Graph(n, indptr, indices, symmetric=enc.symmetric)
@@ -712,18 +766,22 @@ def _ef_decode(low, high, count: int, low_bits: int) -> np.ndarray:
 
 
 def _crc(blob) -> int:
-    """CRC-32 of an HBG2 file but its CRC field, bytes 36 to 39."""
+    """CRC-32 of an HBG2 or HBG3 file but its CRC field, bytes 36 to 39."""
     with memoryview(blob) as view:
         return zlib.crc32(view[40:], zlib.crc32(view[:36]))
 
 
 def save(enc: EncodedGraph, path) -> None:
-    """Write the HBG2 container: header, Elias-Fano offsets, code stream."""
+    """Write the HBG3 container: header, Elias-Fano offsets, code stream.
+    Its symmetric flag means that the stream holds upper lists."""
+    if enc.symmetric != enc.upper:
+        raise ValueError("HBG3 stores a symmetric graph's upper lists alone; "
+                         "decode this full-list stream and encode it again")
     cfg = enc.cfg
     low_bits, low, high = _ef_encode(enc.offsets)
-    blob = bytearray(_HEADER.pack(  # format version 2; the CRC goes in below
-        MAGIC, 2, _LITTLE, low_bits, enc.n, enc.num_arcs, cfg.window, cfg.min_interval,
-        _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.symmetric), 0,
+    blob = bytearray(_HEADER.pack(  # the CRC goes in below
+        MAGIC, VERSIONS[MAGIC], _LITTLE, low_bits, enc.n, enc.num_arcs, cfg.window,
+        cfg.min_interval, _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.symmetric), 0,
     ))
     blob += _TALLIES.pack(enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
     blob += low + high + enc.stream
@@ -733,12 +791,13 @@ def save(enc: EncodedGraph, path) -> None:
 
 
 def load(path) -> EncodedGraph:
-    """Read an HBG2 or HBG1 container back into an EncodedGraph; HBG1
-    keeps no codec tallies, so they read 0."""
+    """Read an HBG3, HBG2 or HBG1 container back into an EncodedGraph;
+    HBG1 keeps no codec tallies, so they read 0. Only an HBG3 stream holds
+    a symmetric graph's upper lists."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] not in VERSIONS:
-        raise ValueError(f"{path}: not an HBG1 or HBG2 graph file")
+        raise ValueError(f"{path}: not an HBG1, HBG2 or HBG3 graph file")
     magic, version, endian, low_bits, n, num_arcs, window, min_interval, code_id, zeta_k, \
         symmetric, crc = _HEADER.unpack_from(blob)
     if version != VERSIONS[magic]:
@@ -775,4 +834,5 @@ def load(path) -> EncodedGraph:
             raise ValueError(f"{path}: offsets end at bit {offsets[-1]}, the header says {top}")
         stream = blob[high_end:]
     cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
-    return EncodedGraph(n, num_arcs, bool(symmetric), cfg, stream, offsets, copied, intervals)
+    return EncodedGraph(n, num_arcs, bool(symmetric), cfg, stream, offsets, copied, intervals,
+                        upper=bool(symmetric) and version == 3)

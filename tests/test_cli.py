@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from hbgraph.cli import _build_parser, _load_graph, _save_ids, main, run_manifest
 from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet, _peak_bytes
-from hbgraph.graph import Graph
+from hbgraph.graph import Graph, info_lower_bound
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.storage import save as save_compressed
 from hbgraph.storage import load as load_compressed
-from util import band, er, save_hbg1
+from util import band, encode_full, er, save_hbg1, save_hbg2, sym_from_pairs
 
 
 @pytest.fixture()
@@ -62,14 +63,35 @@ class TestImport:
         assert (enc.copied_arcs, enc.interval_arcs) == (again.copied_arcs, again.interval_arcs)
         assert rows["copied arcs %"] == f"{100 * enc.copy_fraction:.2f}"
         assert rows["interval arcs %"] == f"{100 * enc.interval_fraction:.2f}"
+        # a symmetric graph without self-loops: arcs / 2 edges among n(n+1)/2 pairs
+        floor = info_lower_bound(g.n, arcs, symmetric=True) / arcs
+        assert rows["size floor bits/arc"] == f"{floor:.3f}"
+        assert floor < info_lower_bound(g.n, arcs) / arcs
 
     def test_hbg1_input_still_read(self, tmp_path, edges_file):
         hbg, old = str(tmp_path / "g.hbg"), str(tmp_path / "old.hbg")
         ok(["import", edges_file, "-o", hbg])
-        save_hbg1(load_compressed(hbg), old)
+        enc = load_compressed(hbg)
+        save_hbg1(encode_full(enc.decode(), enc.cfg), old)
         for path in (hbg, old):
             ok(["export-edges", path, "-o", path + ".txt"])
         assert open(hbg + ".txt").read() == open(old + ".txt").read()
+
+    def test_every_container_reads_alike(self, tmp_path):
+        # a self-loop at 0, isolated nodes 4 and 6, and node 5, whose only
+        # neighbour is below it, so that its upper list is empty
+        g = sym_from_pairs(7, [(0, 0), (0, 2), (1, 2), (2, 3), (3, 5)])
+        assert g.successors(5).tolist() == [3]
+        paths = [str(tmp_path / f"g{v}.hbg") for v in (1, 2, 3)]
+        save_hbg1(encode_full(g), paths[0])
+        save_hbg2(encode_full(g), paths[1])
+        save_compressed(encode(g), paths[2])
+        runs = []
+        for path in paths:
+            assert _load_graph(path)[0] == g
+            ok(["anf", path, "-o", path + ".runs.json", "--seed", "1"])
+            runs.append(open(path + ".runs.json", "rb").read())
+        assert runs[0] == runs[1] == runs[2]
 
     def test_symmetry_detected_on_paired_arcs(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
@@ -144,6 +166,16 @@ class TestImport:
         src.write_text("1 1\n")
         assert main(["import", str(src), "-o", str(tmp_path / "g.hbg")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_size_floor_counts_a_self_loop_as_one_edge(self, tmp_path, capsys):
+        # arcs 0-0, 0-1 and 1-0: 2 edges among the 3 unordered pairs of 2 nodes
+        src = tmp_path / "e.txt"
+        src.write_text("0 0\n0 1\n1 0\n")
+        ok(["import", str(src), "-o", str(tmp_path / "g.hbg"), "--allow-self-loops"])
+        rows = dict(line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith("manifest"))
+        assert rows["symmetric"] == "yes"
+        assert rows["size floor bits/arc"] == f"{math.log2(3) / 3:.3f}"
 
     def test_missing_input_is_clean_error(self, tmp_path, capsys):
         rc = main(["import", str(tmp_path / "absent.txt"), "-o", str(tmp_path / "g.hbg")])

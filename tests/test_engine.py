@@ -26,6 +26,14 @@ from util import (
 
 
 class TestExactRuns:
+    @pytest.mark.parametrize("words", [1, 200, 1 << 15])
+    def test_reach_sizes_in_blocks(self, words):
+        # 200 words a row make blocks of 81 rows; 2^15 words, one row each
+        count = min(300, max(2, (1 << 16) // words))
+        rows = np.random.default_rng(words).integers(0, 1 << 63, (count, words), dtype=np.uint64)
+        want = [sum(bin(int(v)).count("1") for v in row) for row in rows]
+        assert engine._reach_sizes(rows).tolist() == want
+
     def test_directed_path(self):
         g = from_pairs(3, [(0, 1), (1, 2)])
         r = run_exact(g)
@@ -349,8 +357,9 @@ class TestBudget:
         bound = engine._peak_bytes(g, 16)
         assert traced_peak(lambda: run(g, m=16, seed=1)) <= bound
 
-    # exact mode, 8*ceil(n/64) bytes a row: without arcs, the first
-    # popcount of every row sets the peak
+    # exact mode, 8*ceil(n/64) bytes a row: without arcs, the state and
+    # the first measure of every row, a block of popcounts at a time, set
+    # the peak
     EXACT = {
         "small_world": lambda g: g,
         "one_way": one_way,

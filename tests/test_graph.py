@@ -215,6 +215,23 @@ class TestStatistics:
         with pytest.raises(ValueError):
             info_lower_bound(2, 5)
 
+    def test_info_lower_bound_symmetric_by_enumeration(self):
+        # every symmetric arc set on 3 nodes, self-loops allowed: the floor
+        # of each is log2 of how many such sets hold as many edges
+        n = 3
+        cells = [(u, v) for u in range(n) for v in range(n)]
+        found = []
+        for mask in range(1 << len(cells)):
+            arcs = {c for i, c in enumerate(cells) if mask >> i & 1}
+            if all((v, u) in arcs for u, v in arcs):
+                found.append((len(arcs), sum(u == v for u, v in arcs)))
+        assert len(found) == 2 ** 6  # one set per subset of the 6 unordered pairs
+        for arcs, loops in found:
+            same = sum((a + lp) == (arcs + loops) for a, lp in found)
+            assert info_lower_bound(n, arcs, True, loops) == pytest.approx(math.log2(same))
+        with pytest.raises(ValueError, match="cannot be symmetric"):
+            info_lower_bound(3, 3, True, 0)
+
     def test_info_lower_bound_monotone_peak(self):
         n = 10
         vals = [info_lower_bound(n, m) for m in range(0, n * n + 1)]

@@ -25,7 +25,8 @@ from hbgraph.storage import (
     _ef_encode,
     _split_runs,
 )
-from util import BitWriter, ba, band, er, from_pairs, mixed_suite, save_hbg1, write_nat
+from util import (BitWriter, ba, band, encode_full, er, from_pairs, mixed_suite, save_hbg1,
+                  save_hbg2, write_nat)
 
 # the 12 knob combinations of acceptance check C8
 C8_CONFIGS = [
@@ -233,13 +234,14 @@ DEEP_CHAINS = {
 
 
 class TestDeepCopyChains:
-    """Neither HBG1 nor HBG2 bounds copy chains; decode must resolve them
-    without a pass over the block per level."""
+    """No container bounds copy chains; decode must resolve them without
+    a pass over the block per level. The star's chain is in its full
+    lists, as HBG2 stores them; its upper lists have none."""
 
     @pytest.mark.parametrize("name", sorted(DEEP_CHAINS))
     def test_decodes_fast_and_whole(self, name):
         g = DEEP_CHAINS[name]()
-        enc = encode(g)
+        enc = encode_full(g)
         assert enc.copy_fraction > 0.45  # the chains are really there
         t0 = time.perf_counter()
         h = decode(enc)
@@ -323,7 +325,8 @@ class TestContainer:
         blob = p.read_bytes()
         n, top = enc.n, enc.stream_bits
         low_bits = int(math.log2(top / (n + 1)))
-        assert blob[:8] == MAGIC + bytes([2, 0xFE, low_bits, 0])
+        assert MAGIC == b"HBG3"
+        assert blob[:8] == MAGIC + bytes([3, 0xFE, low_bits, 0])
         assert struct.unpack_from("<QQIIBBBx", blob, 8) == (
             n, enc.num_arcs, 7, 4, 2, 3, 1)  # zeta is code 2
         assert struct.unpack_from("<QQQ", blob, 40) == (enc.copied_arcs, enc.interval_arcs, top)
@@ -425,7 +428,7 @@ class TestContainer:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     def test_hbg1_files_still_load(self, cfg, tmp_path):
         g = band(300, 4)
-        enc = encode(g, cfg)
+        enc = encode_full(g, cfg)
         p = tmp_path / "g.hbg"
         save_hbg1(enc, p)
         back = load(p)
@@ -442,7 +445,7 @@ class TestContainer:
          "offset table points past the stream"),
     ], ids=["offsets", "stream", "empty-stream"])
     def test_hbg1_checks(self, cut, error, tmp_path):
-        enc = encode(self._graph())
+        enc = encode_full(self._graph())
         p = tmp_path / "g.hbg"
         save_hbg1(enc, p)
         p.write_bytes(cut(p.read_bytes(), enc.stream))
@@ -540,9 +543,30 @@ def test_formats_md_elias_fano_example():
     assert np.array_equal(_ef_decode(parts["low"], parts["high"], offsets.size, low_bits), offsets)
 
 
-def _hand_built(chunks, num_arcs, window=7, min_interval=0):
+def test_formats_md_symmetric_example():
+    # the worked example under "Symmetric graphs": its table, offsets and
+    # stream are what encode writes, and its mirrored lists decode back
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    block = text.split("### Symmetric graphs")[1].split("```")[1]
+    fields = dict(re.findall(r"^(offsets|stream)\s*:\s*(.*?)\s*(?:#.*)?$", block, re.M))
+    rows = re.findall(r"^(\d)\s+([-\d ]+?)\s{2,}([-\d ]+?)\s{2,}", block, re.M)
+    lists = [[int(v) for v in full.split() if v != "-"] for _, full, _ in rows]
+    upper = [[int(v) for v in up.split() if v != "-"] for _, _, up in rows]
+    g = Graph.from_arcs(7, np.repeat(np.arange(7), [len(x) for x in lists]), sum(lists, []),
+                        symmetric=True)
+    assert g.is_symmetric()
+    assert upper == [[y for y in x if y >= i] for i, x in enumerate(lists)]
+    enc = encode(g, CodecConfig(0, 0, "gamma"))
+    assert enc.offsets.tolist() == [int(v) for v in fields["offsets"].split()]
+    assert enc.stream == bytes.fromhex(fields["stream"])
+    assert enc.num_arcs == 9 and enc.stream_bits == 15
+    _assert_same_graph(g, decode(enc))
+
+
+def _hand_built(chunks, num_arcs, window=7, min_interval=0, upper=False):
     """EncodedGraph whose node x's chunk is the gamma-coded naturals
-    chunks[x], read with gamma residuals."""
+    chunks[x], read with gamma residuals; with `upper`, as the upper
+    lists of a symmetric graph."""
     w, offsets = BitWriter(), [0]
     for values in chunks:
         for v in values:
@@ -550,7 +574,7 @@ def _hand_built(chunks, num_arcs, window=7, min_interval=0):
         offsets.append(w.bit_length)
     cfg = CodecConfig(window=window, min_interval=min_interval, residual_code="gamma")
     offsets = np.array(offsets, dtype=np.uint64)
-    return EncodedGraph(len(chunks), num_arcs, False, cfg, w.getvalue(), offsets, 0, 0)
+    return EncodedGraph(len(chunks), num_arcs, upper, cfg, w.getvalue(), offsets, 0, 0, upper)
 
 
 class TestCorruptStreams:
@@ -611,6 +635,47 @@ class TestCorruptStreams:
         enc = _hand_built([[0, 1, 0], [0, 2], [0]], claimed)
         with pytest.raises(ValueError, match=f"corrupt stream: {error}$"):
             decode(enc)
+
+
+class TestSymmetricFiles:
+    """HBG3 files of hand-built upper lists, through save and load: every
+    stored arc x -> y has y >= x, and the header's arc count is the stored
+    arcs plus the mirrored ones, self-loops mirrored never."""
+
+    def _decode(self, chunks, num_arcs, tmp_path):
+        save(_hand_built(chunks, num_arcs, upper=True), tmp_path / "g.hbg")
+        back = load(tmp_path / "g.hbg")
+        assert back.symmetric and back.upper
+        return decode(back)
+
+    def test_loop_is_mirrored_once(self, tmp_path):
+        # node 0 stores 0 and 1 (fold(0) = 0, then gap 0), node 1 stores 1
+        g = self._decode([[0, 0, 0], [0, 0]], 4, tmp_path)
+        assert [g.successors(x).tolist() for x in range(2)] == [[0, 1], [0, 1]]
+        assert g.symmetric and g.is_symmetric()
+        with pytest.raises(ValueError, match="3 stored and 1 mirrored arcs, header claims 5$"):
+            self._decode([[0, 0, 0], [0, 0]], 5, tmp_path)
+
+    def test_stored_arc_below_its_node(self, tmp_path):
+        # node 1 stores fold(0 - 1) = 2: the arc 1 -> 0 of a full list
+        with pytest.raises(ValueError, match="node 1: stored successor 0 is below it"):
+            self._decode([[0], [0, 2]], 2, tmp_path)
+
+    @pytest.mark.parametrize("claimed", [1, 3, 4])
+    def test_mirrored_count_must_match_the_header(self, claimed, tmp_path):
+        # node 0 stores 1 (fold(1) = 1): one stored and one mirrored arc
+        want = f"corrupt stream: 1 stored and 1 mirrored arcs, header claims {claimed}$"
+        with pytest.raises(ValueError, match=want):
+            self._decode([[0, 1], [0]], claimed, tmp_path)
+        assert self._decode([[0, 1], [0]], 2, tmp_path).successors(1).tolist() == [0]
+
+    def test_full_lists_of_a_symmetric_graph_are_not_saved(self, tmp_path):
+        with pytest.raises(ValueError, match="upper lists alone"):
+            save(encode_full(band(50, 2)), tmp_path / "g.hbg")
+
+    def test_a_flag_without_reverse_arcs_is_refused(self):
+        with pytest.raises(ValueError, match="flagged symmetric"):
+            encode(from_pairs(3, [(0, 1)], symmetric=True))
 
 
 class TestDecoderChecks:
@@ -746,8 +811,9 @@ class TestChooser:
         for g in (band(300, 3), shared_successors(400, 3), dust(200, 1)):
             cfgs = [CodecConfig(7, i, "zeta", 2) for i in (0, 4)]
             total = np.zeros((2, 2), dtype=np.int64)
-            for a, b in storage._blocks(g.indptr):
-                total += storage._block_bits(g, a, b, cfgs)
+            stored = storage._upper(g) if g.symmetric else g
+            for a, b in storage._blocks(stored.indptr):
+                total += storage._block_bits(stored, a, b, cfgs)
             want = [[encode(g, CodecConfig(w, i, "zeta", 2)).stream_bits for w in (0, 7)]
                     for i in (0, 4)]
             assert total.tolist() == want
@@ -755,7 +821,7 @@ class TestChooser:
     def test_picks_per_graph(self):
         picks = {name: encode(make(), OPEN).cfg for name, make in CHOOSER_GRAPHS.items()}
         assert picks["band"] == CodecConfig(0, 0, "zeta", 2)
-        assert picks["ba"] == CodecConfig(0, 0, "zeta", 4)
+        assert picks["ba"] == CodecConfig(0, 0, "zeta", 3)  # zeta_4 on its full lists
         assert picks["dust"] == CodecConfig(0, 0, "gamma", 3)
         # shared lists: copying stays, intervals go
         assert picks["shared"] == CodecConfig(7, 0, "zeta", 3)
@@ -810,14 +876,15 @@ GOLDEN_GRAPHS = {
 }
 
 
-def _golden_record(graphs, cfg, tmp_path, write=save_hbg1):
-    """sha256 over the files that `write` makes of the encodings of
-    `graphs`, in order, and their summed copied and interval arc counts.
-    As HBG1 files they pin the code stream and the raw offsets."""
+def _golden_record(graphs, cfg, tmp_path, write=save_hbg1, coder=encode_full):
+    """sha256 over the files that `write` makes of the encodings that
+    `coder` makes of `graphs`, in order, and their summed copied and
+    interval arc counts. As HBG1 files of full lists they pin the code
+    stream and the raw offsets."""
     digest = hashlib.sha256()
     copied = interval = 0
     for i, g in enumerate(graphs):
-        enc = encode(g, cfg)
+        enc = coder(g, cfg)
         path = tmp_path / f"{i}.hbg"
         write(enc, path)
         digest.update(path.read_bytes())
@@ -940,7 +1007,9 @@ GOLDEN = {
 
 # sha256 of the HBG2 files of the same encodings, recorded when HBG2
 # replaced HBG1 as what save() writes; GOLDEN pins their streams and
-# offsets, and the tallies they carry are GOLDEN's. Never regenerate.
+# offsets, and the tallies they carry are GOLDEN's. Since HBG3 they are
+# written by tests/util.save_hbg2, from the same full lists. Never
+# regenerate.
 GOLDEN_HBG2 = {
     ("arcless", "w7-i4-zeta3"):
         "b60fa8af7c2b119215a4e6ec8c27cebf7ac8a00b25a630231a03affd1b3fd0ba",
@@ -1015,6 +1084,118 @@ GOLDEN_HBG2 = {
 }
 
 
+# (sha256 of the HBG3 files, copied_arcs, interval_arcs) of the same graphs,
+# recorded when HBG3 replaced HBG2, once each file was checked to decode
+# to its input graph. Symmetric graphs store their upper lists alone.
+GOLDEN_HBG3 = {
+    ("arcless", "w7-i4-zeta3"): (
+        "8ea97e2a917e0bb8bf777bc69c13038a22cd31f86f117acd1f7e2a73f49f78e8", 0, 0,
+    ),
+    ("arcless", "w0-i0-gamma3"): (
+        "5ddbcb206ee1705b569e7b27ff26c943d959ceab2ca2174a142b2c21e343786a", 0, 0,
+    ),
+    ("arcless", "w4-i2-delta3"): (
+        "123b2195c8bddb439dace0a931d8289d4e2487e47e912a71bd5cebba65604054", 0, 0,
+    ),
+    ("arcless", "w1-i0-zeta2"): (
+        "bf880893af2b0611c5f40058bf1ea2b7ec82e720dd49b0048305cf306f9923f7", 0, 0,
+    ),
+    ("arcless", "w16-i8-zeta5"): (
+        "c16a129b2781e5e265308206935bd6275d046778754dbcf532bdf7442bc64548", 0, 0,
+    ),
+    ("band", "w7-i4-zeta3"): (
+        "f14757773b5f5a1e754937261268d566b97d5aee8f5b2cb033ea516d91dc2abd", 122, 129,
+    ),
+    ("band", "w0-i0-gamma3"): (
+        "a2838ff8949ed9ad7111c12ac264e437019b4e2ac2904e30c52aef79e5ae8ec8", 0, 0,
+    ),
+    ("band", "w4-i2-delta3"): (
+        "962f42f26e280b1505eee24dac7750a723361a35ee7e35bdffbd74f407eb3e8e", 725, 2827,
+    ),
+    ("band", "w1-i0-zeta2"): (
+        "3736a7670a95560268341d405a736492eee2835b5af35a77b0931a45d84ada4c", 18, 0,
+    ),
+    ("band", "w16-i8-zeta5"): (
+        "7409ed02c69fb3f4d2b78c412497ac02f0c17058d94dcf2052dd73c9aa32202f", 1738, 0,
+    ),
+    ("empty", "w7-i4-zeta3"): (
+        "14b1f1c696566207e518a2872e60461d80ccd82f0f3eabd1e8f32a86ba7cca09", 0, 0,
+    ),
+    ("empty", "w0-i0-gamma3"): (
+        "82024e6a167d24e8a310c1d538d07bb3b473494760739d66562a0218792af394", 0, 0,
+    ),
+    ("empty", "w4-i2-delta3"): (
+        "e7d03e49a82b60a86bd972d7ef83269a4abfa3c64686eaaf3f5fef16971c87c1", 0, 0,
+    ),
+    ("empty", "w1-i0-zeta2"): (
+        "c5425b932cdf8b7747ba101dc023d1db39d26690d4be27ea419698eec2fa331f", 0, 0,
+    ),
+    ("empty", "w16-i8-zeta5"): (
+        "b4ab14823bf8ecefbf3de61ffe94fcb2878fad8c309e512a3c263b9f661a12a4", 0, 0,
+    ),
+    ("mixed", "w7-i4-zeta3"): (
+        "2d4ab9a38538bfa7f523cb281c05b089e2fc1013c55d0a0f1f71a033babdfbf5", 30, 129,
+    ),
+    ("mixed", "w0-i0-gamma3"): (
+        "2996ab50da90c503efd774ace3748c16f8f5470e3daf533f1fee4fb6ff5fb336", 0, 0,
+    ),
+    ("mixed", "w4-i2-delta3"): (
+        "407a4127005ccbe818e595791af08f4ad66b9097b08bc3fd75e885476b30c9db", 28, 286,
+    ),
+    ("mixed", "w1-i0-zeta2"): (
+        "b3eb8a9bd8ce9d7dfa9ec21ee8df5d467c108a8e31ede26ff5f3e700ce853131", 1, 0,
+    ),
+    ("mixed", "w16-i8-zeta5"): (
+        "ce48e5eef887036c2a86abb4e310443cba5fadd161050d33a42addece8c59a1d", 76, 106,
+    ),
+    ("self_loops", "w7-i4-zeta3"): (
+        "99728f5c027adeec4f48b6840d5d774f52a58927a949d78d41c1212531832ba4", 0, 0,
+    ),
+    ("self_loops", "w0-i0-gamma3"): (
+        "8a2b7790064ed294896047a1c0a350f5c99e4994f6cb3428d4693affd71173d0", 0, 0,
+    ),
+    ("self_loops", "w4-i2-delta3"): (
+        "ab926b3cb9ebb4ec3fb84ddd4fb9480f835814c0c359dd39f72a61e84c3b3c63", 0, 2,
+    ),
+    ("self_loops", "w1-i0-zeta2"): (
+        "8015c7eaa6d2fdf67b82b0570b4681dc48e0c2ebdfd5e15d10a85ade033ea227", 0, 0,
+    ),
+    ("self_loops", "w16-i8-zeta5"): (
+        "577ada6026e0d3fbdc2b314be1f75a42d951be199deb42c6d14cd651ea5a0996", 0, 0,
+    ),
+    ("ties", "w7-i4-zeta3"): (
+        "dcbaf668b86226be4ee61d78cfba463ed579c1d73d25606f7d84e0c4bea5e965", 3, 0,
+    ),
+    ("ties", "w0-i0-gamma3"): (
+        "1e63da57d165d5d4a74e78ae7b9c68c74388a2640862b535725772fe0968522e", 0, 0,
+    ),
+    ("ties", "w4-i2-delta3"): (
+        "56c78da9ed2bc1443317fa5591e912dc5c231d8a5ed1fa38a02ccf6ea9586b02", 7, 4,
+    ),
+    ("ties", "w1-i0-zeta2"): (
+        "ca64eec3bb2e7f20b46b907e166827cfa2ff3d7a20aa12c5ee97a20bc49a4afb", 0, 0,
+    ),
+    ("ties", "w16-i8-zeta5"): (
+        "79325dcaa17cc7ecb156b3ea8d7f92fd4efb3c9c9001164ed183195e4e05b99f", 8, 0,
+    ),
+    ("worked", "w7-i4-zeta3"): (
+        "fb46915db9a7393d785741055ce800affc308019ba98914c7a0349630dc419ae", 0, 0,
+    ),
+    ("worked", "w0-i0-gamma3"): (
+        "bd3222688d27a37108bdaf28ed2399a913904d198986c8c7cded568f37f86c26", 0, 0,
+    ),
+    ("worked", "w4-i2-delta3"): (
+        "85018cbf11279fde135a6625b14434b2c78c0cbaa002674861048262b7526afd", 0, 3,
+    ),
+    ("worked", "w1-i0-zeta2"): (
+        "84f8a5eaa01a6c5256d09a66b9ef968512b86d251d106928df4f471b0767f7aa", 0, 0,
+    ),
+    ("worked", "w16-i8-zeta5"): (
+        "941aaa914cd9bce3008017bb3c39700fa0ea5e8397b1080df1efbc5cfc69d20e", 0, 0,
+    ),
+}
+
+
 class TestGolden:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
@@ -1026,8 +1207,20 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_hbg2_bytes_and_reloaded_tallies(self, name, cfg, tmp_path):
         graphs = GOLDEN_GRAPHS[name]()
-        digest = _golden_record(graphs, cfg, tmp_path, save)[0]
+        digest = _golden_record(graphs, cfg, tmp_path, save_hbg2)[0]
         back = [load(tmp_path / f"{i}.hbg") for i in range(len(graphs))]
         tallies = sum(b.copied_arcs for b in back), sum(b.interval_arcs for b in back)
         assert digest == GOLDEN_HBG2[name, _cfg_id(cfg)]
         assert tallies == GOLDEN[name, _cfg_id(cfg)][1:]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_hbg3_bytes_round_trip_and_reloaded_tallies(self, name, cfg, tmp_path):
+        graphs = GOLDEN_GRAPHS[name]()
+        got = _golden_record(graphs, cfg, tmp_path, save, encode)
+        back = [load(tmp_path / f"{i}.hbg") for i in range(len(graphs))]
+        for g, b in zip(graphs, back):
+            _assert_same_graph(g, b.decode())
+        tallies = sum(b.copied_arcs for b in back), sum(b.interval_arcs for b in back)
+        assert got == GOLDEN_HBG3[name, _cfg_id(cfg)]
+        assert tallies == got[1:]

@@ -15,6 +15,7 @@ import numpy as np
 from hbgraph.codes import CODE_NAMES, nat_words
 from hbgraph.graph import Graph
 from hbgraph.hll import CounterArray, estimate_registers
+from hbgraph.storage import _ef_encode, encode
 
 
 # ---- generators (all deterministic in their seed) ----
@@ -262,13 +263,22 @@ def ref_register_update(m, regs, x, seed):
     regs[j] = max(regs[j], rho)
 
 
-# ---- the HBG1 container (hbgraph.storage reads it, and writes HBG2) ----
+# ---- the HBG1 and HBG2 containers (hbgraph.storage reads them, and writes HBG3) ----
+
+
+def encode_full(g, cfg=None):
+    """`g` encoded as HBG1 and HBG2 store it: every list whole, also those
+    of a symmetric graph, under g's symmetric flag."""
+    enc = encode(Graph(g.n, g.indptr, g.indices), cfg)
+    enc.symmetric = g.symmetric
+    return enc
 
 
 def save_hbg1(enc, path):
     """Write `enc` as HBG1: a 40-byte header whose CRC-32 covers the code
     stream alone, the n + 1 offsets as raw little-endian u64 words, then
     the stream. Codec tallies are not stored."""
+    assert not enc.upper, "HBG1 holds every list whole (see encode_full)"
     cfg = enc.cfg
     header = struct.pack(  # format version 1; the u16 after the tag is reserved
         "<4sBBHQQIIBBBxI", b"HBG1", 1, 0xFE, 0, enc.n, enc.num_arcs, cfg.window,
@@ -279,6 +289,25 @@ def save_hbg1(enc, path):
         fh.write(header)
         fh.write(enc.offsets.astype("<u8").tobytes())
         fh.write(enc.stream)
+
+
+def save_hbg2(enc, path):
+    """Write `enc` as HBG2: a 64-byte header with the codec tallies and a
+    CRC-32 over every other byte, the offsets as Elias-Fano, then the
+    stream. HBG3 has this layout, but HBG2 holds every list whole."""
+    assert not enc.upper, "HBG2 holds every list whole (see encode_full)"
+    cfg = enc.cfg
+    low_bits, low, high = _ef_encode(enc.offsets)
+    blob = bytearray(struct.pack(  # format version 2; the CRC goes in below
+        "<4sBBBxQQIIBBBxI", b"HBG2", 2, 0xFE, low_bits, enc.n, enc.num_arcs, cfg.window,
+        cfg.min_interval, CODE_NAMES.index(cfg.residual_code), cfg.zeta_k,
+        int(enc.symmetric), 0,
+    ))
+    blob += struct.pack("<QQQ", enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
+    blob += low + high + enc.stream
+    struct.pack_into("<I", blob, 36, zlib.crc32(blob[40:], zlib.crc32(blob[:36])))
+    with open(path, "wb") as fh:
+        fh.write(blob)
 
 
 # ---- scalar bit I/O (the oracle for hbgraph.codes' array forms) ----
