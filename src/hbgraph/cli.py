@@ -279,9 +279,6 @@ def cmd_import(ns) -> int:
     g = load_edge_list(
         ns.edges, symmetrize=ns.symmetrize, allow_self_loops=ns.allow_self_loops
     )
-    if not g.symmetric and g.is_symmetric():
-        # arcs already come in pairs; record that so diameter tools accept it
-        g.symmetric = True
     outputs = _encode_and_save(g, ns, None)
     _write_manifest(ns, [ns.edges], outputs)
     return 0
@@ -371,7 +368,7 @@ def cmd_diameter(ns) -> int:
         # without ids attached, the giant's original_ids are the loaded
         # graph's ids, in which --start and the reported nodes stay
         bare = Graph(g.n, g.indptr, g.indices, symmetric=g.symmetric)
-        g = giant_component(bare, allow_asymmetric=ns.allow_asymmetric)
+        g = giant_component(bare)
         ids = g.original_ids
         if start is not None:
             start = int(np.searchsorted(ids, start))
@@ -379,7 +376,7 @@ def cmd_diameter(ns) -> int:
                 raise ValueError(f"start node {ns.start} is not in the giant component")
     t0 = time.perf_counter()
     if ns.sweep_only:
-        ds = double_sweep(g, start=start, allow_asymmetric=ns.allow_asymmetric)
+        ds = double_sweep(g, start=start)
         y, z, mid = (int(ids[v]) for v in (ds.y, ds.z, ds.midpoint))
         payload = {
             "lower": ds.lower,
@@ -399,7 +396,7 @@ def cmd_diameter(ns) -> int:
             ("searches", ds.bfs_count),
         ]
     else:
-        res = ifub(g, start=start, allow_asymmetric=ns.allow_asymmetric)
+        res = ifub(g, start=start)
         payload = {
             "lower": res.lower,
             "upper": res.upper,
@@ -557,8 +554,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="restrict to the largest component first")
     sp.add_argument("--sweep-only", action="store_true",
                     help="stop after the double sweep lower bound")
-    sp.add_argument("--allow-asymmetric", action="store_true",
-                    help="skip the symmetry check (results assume it anyway)")
     sp.set_defaults(func=cmd_diameter, parser=sp)
 
     sp = sub.add_parser("gaps", help="histogram of successor gaps")

@@ -8,9 +8,12 @@ i + ecc(c), and once every unexamined node provably cannot beat the
 current lower bound the bound is the diameter. On graphs whose distances
 hug the mean this terminates after a handful of per-node searches.
 
-Everything here assumes symmetric arcs (the bound arguments use both
-directions of the triangle inequality); pass allow_asymmetric=True only
-when the graph is symmetric in substance but the flag was lost.
+The searches assume symmetric arcs: the bound arguments use both
+directions of the triangle inequality, and the midpoint walk steps
+back along arcs. A graph is accepted when it is flagged symmetric or
+its arcs pair up; anything else is refused, since its sweep and
+certificate would bound reachability, not distance. Component
+labelling needs no symmetry: on one-way arcs it gives weak components.
 """
 
 from __future__ import annotations
@@ -35,53 +38,26 @@ __all__ = [
 ]
 
 
-def _check_symmetric(g: Graph, allow_asymmetric: bool) -> None:
-    if not g.symmetric and not allow_asymmetric:
-        raise ValueError(
-            "this computation is only correct on symmetric graphs; "
-            "symmetrize first or pass allow_asymmetric=True (--allow-asymmetric "
-            "on the command line) if the arcs really do come in pairs"
-        )
-
-
-def _segments(indptr: np.ndarray, nodes: np.ndarray):
-    """The nodes with successors, their out-degrees and their arc positions."""
-    lens = indptr[nodes + 1] - indptr[nodes]
-    keep = lens > 0
-    nodes, lens = nodes[keep], lens[keep]
-    gather = np.arange(int(lens.sum()), dtype=np.int64)
-    gather -= np.repeat(np.cumsum(lens) - lens - indptr[nodes], lens)
-    return nodes, lens, gather
-
-
-def bfs(g: Graph, source: int, return_parents: bool = False):
+def bfs(g: Graph, source: int):
     """Distances from source; -1 marks unreached nodes.
 
-    Level-synchronous with a numpy frontier, kept sorted. Parents, when
-    requested, are the lowest-id frontier predecessor of each node, so
-    they are deterministic too.
+    Level-synchronous with a numpy frontier, kept sorted.
     """
     if not 0 <= source < g.n:
         raise IndexError(f"source {source} out of range [0, {g.n})")
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
-    parents = np.full(g.n, -1, dtype=np.int64) if return_parents else None
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
-        nodes, lens, gather = _segments(g.indptr, frontier)
+        # the positions of the frontier's arcs, list after list
+        lens = g.indptr[frontier + 1] - g.indptr[frontier]
+        gather = np.arange(int(lens.sum()), dtype=np.int64)
+        gather -= np.repeat(np.cumsum(lens) - lens - g.indptr[frontier], lens)
         dsts = g.indices[gather]
-        fresh = dist[dsts] < 0
-        dsts = dsts[fresh]
-        if return_parents:
-            frontier, first = np.unique(dsts, return_index=True)
-            parents[frontier] = np.repeat(nodes, lens)[fresh][first]
-        else:
-            frontier = np.unique(dsts)
+        frontier = np.unique(dsts[dist[dsts] < 0])
         d += 1
         dist[frontier] = d
-    if return_parents:
-        return dist, parents
     return dist
 
 
@@ -101,26 +77,32 @@ class DoubleSweepResult:
     bfs_count: int
 
 
-def _double_sweep(g: Graph, start, allow_asymmetric):
+def _double_sweep(g: Graph, start):
     """The three searches shared by double_sweep and ifub.
 
     Returns the sweep result, the start node (resolved when None), its
     eccentricity and the midpoint's distance array.
     """
-    _check_symmetric(g, allow_asymmetric)
+    if not (g.symmetric or g.is_symmetric()):
+        raise ValueError(
+            "this computation is only correct on symmetric graphs, and some "
+            "arc has no reverse; symmetrize first (import --symmetrize)"
+        )
     if g.n == 0:
         raise ValueError("empty graph")
     if start is None:
         start = int(np.argmax(g.out_degrees()))
     d0 = bfs(g, start)
     y = int(np.argmax(d0))  # ties resolve to the smallest id
-    d1, parents = bfs(g, y, return_parents=True)
+    d1 = bfs(g, y)
     z = int(np.argmax(d1))
     lb = int(d1[z])
-    # walk from z back towards y, stopping floor(lb/2) steps from y
+    # walk from z back towards y, each step to the lowest-id neighbour one
+    # closer to y, stopping floor(lb/2) steps from y
     c = z
     for _ in range(lb - lb // 2):
-        c = int(parents[c]) if parents[c] >= 0 else c
+        nbrs = g.successors(c)
+        c = int(nbrs[d1[nbrs] == d1[c] - 1][0])
     dc = bfs(g, c)
     res = DoubleSweepResult(
         lower=lb,
@@ -133,11 +115,7 @@ def _double_sweep(g: Graph, start, allow_asymmetric):
     return res, start, int(d0.max()), dc
 
 
-def double_sweep(
-    g: Graph,
-    start: int | None = None,
-    allow_asymmetric: bool = False,
-) -> DoubleSweepResult:
+def double_sweep(g: Graph, start: int | None = None) -> DoubleSweepResult:
     """Lower-bound the diameter with three searches.
 
     BFS from start finds a far node y; BFS from y finds the farthest z,
@@ -146,7 +124,7 @@ def double_sweep(
     at the highest-degree node. On a disconnected graph the sweep stays
     inside start's component.
     """
-    return _double_sweep(g, start, allow_asymmetric)[0]
+    return _double_sweep(g, start)[0]
 
 
 @dataclass(frozen=True)
@@ -164,11 +142,7 @@ class DiameterResult:
         return self.lower
 
 
-def ifub(
-    g: Graph,
-    start: int | None = None,
-    allow_asymmetric: bool = False,
-) -> DiameterResult:
+def ifub(g: Graph, start: int | None = None) -> DiameterResult:
     """Exact diameter of start's component by fringe refinement.
 
     Seeds bounds with a double sweep from `start` (default: the
@@ -180,7 +154,7 @@ def ifub(
     the benchmark's band and scale-free graphs, which carry two 10-node
     pendant paths.
     """
-    ds, start, ecc_start, dist_c = _double_sweep(g, start, allow_asymmetric)
+    ds, start, ecc_start, dist_c = _double_sweep(g, start)
     h = ds.midpoint_ecc
     comp_size = int((dist_c >= 0).sum())
     bfs_count = ds.bfs_count
@@ -189,8 +163,6 @@ def ifub(
     lb = max(ds.lower, h, ecc_start)
     # their eccentricities are already folded into lb
     done = {start, ds.y, ds.midpoint}
-    if h == 0:
-        return DiameterResult(0, 0, True, bfs_count, comp_size)
     for depth in range(h, 0, -1):
         if lb < depth + h:  # some node here could still beat lb
             for u in np.flatnonzero(dist_c == depth):
@@ -209,7 +181,7 @@ def ifub(
 # ---- components ----
 
 
-def component_labels(g: Graph, allow_asymmetric: bool = False) -> np.ndarray:
+def component_labels(g: Graph) -> np.ndarray:
     """Connected-component label per node; labels count up from 0 in
     order of each component's smallest node id.
 
@@ -223,9 +195,8 @@ def component_labels(g: Graph, allow_asymmetric: bool = False) -> np.ndarray:
     Unlike min-label propagation, the round count does not grow with the
     component's diameter: a 200k-node path with shuffled ids takes 11-12
     rounds (0.05 s), where propagation takes tens of thousands. On
-    one-way arcs (allow_asymmetric) the labels are weak components.
+    one-way arcs the labels are weak components.
     """
-    _check_symmetric(g, allow_asymmetric)
     root = np.arange(g.n, dtype=np.int64)
     src = np.repeat(root, g.out_degrees())
     dst = g.indices
@@ -248,7 +219,7 @@ def component_labels(g: Graph, allow_asymmetric: bool = False) -> np.ndarray:
     return (np.cumsum(root == np.arange(g.n)) - 1)[root]
 
 
-def giant_component(g: Graph, allow_asymmetric: bool = False) -> Graph:
+def giant_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component (ties: smallest node id).
 
     Nodes are relabelled to 0..k-1 in ascending order of their old ids;
@@ -258,7 +229,7 @@ def giant_component(g: Graph, allow_asymmetric: bool = False) -> Graph:
     the map is increasing, so the lists stay sorted. When the component
     is the whole graph, the result shares g's arrays.
     """
-    labels = component_labels(g, allow_asymmetric=allow_asymmetric)
+    labels = component_labels(g)
     if labels.size == 0:
         raise ValueError("empty graph")
     sizes = np.bincount(labels)

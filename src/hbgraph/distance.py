@@ -145,6 +145,16 @@ def _statistics(curve, n: int, include_self_pairs: bool, q: float) -> list[float
             dist.effective_diameter(q), dist.within_ceiling_pct()]
 
 
+def _clamp(name: str, value: float, t: int) -> float:
+    """A bias-corrected estimate of statistic `name` put back in the
+    range the statistic has on curves over 0..T: [0, T] for the effective
+    diameter, [0, 100] for the within-ceiling share. A quantile is not
+    smooth in the curve, so its correction can step outside."""
+    ranges = {"effective_diameter": (0.0, t), "within_ceiling_pct": (0.0, 100.0)}
+    lo, hi = ranges.get(name, (-np.inf, np.inf))
+    return float(np.clip(value, lo, hi))
+
+
 def _jackknife(matrix: np.ndarray, stat) -> list[JackknifeResult]:
     """Jackknife every entry of `stat(curve)` over the mean curve and the R
     leave-one-out curves; a single run gives plug-in values, NaN errors."""
@@ -179,7 +189,8 @@ def jackknife(
 
     `statistic` is a name from STATISTIC_NAMES or any callable mapping a
     monotone curve to a float. Runs enter as a RunSet or an (R, T+1)
-    matrix of monotone curves.
+    matrix of monotone curves. A named statistic's estimate stays in its
+    range (`_clamp`); its standard error is not clamped.
     """
     if isinstance(runs, RunSet):
         matrix = runs.to_matrix(monotone=True)
@@ -201,7 +212,10 @@ def jackknife(
         raise ValueError(
             f"unknown statistic {statistic!r}; pick from {STATISTIC_NAMES} or pass a callable"
         )
-    return _jackknife(matrix, stat)[k]
+    res = _jackknife(matrix, stat)[k]
+    if callable(statistic):
+        return res
+    return JackknifeResult(_clamp(statistic, res.estimate, matrix.shape[1] - 1), res.se, res.runs)
 
 
 # ---- one-call summary ----
@@ -265,13 +279,14 @@ def summarize(
     """Jackknifed distance statistics for repeated runs on one graph.
 
     A single run gives its plug-in statistics with NaN standard errors.
-    The mean under the opposite self-pair convention rides along for
-    easy comparison with published tables.
+    The effective diameter stays in [0, iterations] and the within-ceiling
+    share in [0, 100] (`_clamp`). The mean under the opposite self-pair
+    convention rides along for easy comparison with published tables.
     """
     n = runs.n
     matrix = runs.to_matrix(monotone=True)
     mean_curve = np.maximum.accumulate(matrix.mean(axis=0))
-    pairs = float(n) * float(n)
+    pairs, t = float(n) * float(n), matrix.shape[1] - 1
     mean, variance, spid, diameter, ceiling, reachable = _jackknife(
         matrix, lambda c: [*_statistics(c, n, include_self_pairs, q), 100.0 * c[-1] / pairs]
     )
@@ -293,8 +308,8 @@ def summarize(
         variance_se=variance.se,
         spid=spid.estimate,
         spid_se=spid.se,
-        effective_diameter=diameter.estimate,
+        effective_diameter=_clamp("effective_diameter", diameter.estimate, t),
         effective_diameter_se=diameter.se,
-        within_ceiling_pct=ceiling.estimate,
+        within_ceiling_pct=_clamp("within_ceiling_pct", ceiling.estimate, t),
         within_ceiling_se=ceiling.se,
     )

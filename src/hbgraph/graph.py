@@ -3,7 +3,8 @@
 Graphs are immutable CSR structures over compacted node ids 0..n-1 with
 successor lists sorted ascending and duplicate arcs collapsed. Symmetric
 (undirected) graphs carry every edge as two opposite arcs plus a flag;
-nothing here assumes symmetry unless that flag is set.
+a parsed edge list gets the flag when its arcs pair up, and nothing here
+assumes symmetry unless that flag is set.
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def parse_edges(lines, symmetrize=False, allow_self_loops=False):
     Ids are compacted in first-appearance order. `#` starts a comment,
     blank lines are skipped, anything else malformed reports its line
     number. Duplicate arcs collapse; self-loops are an error unless
-    explicitly permitted.
+    explicitly permitted. The graph is flagged symmetric when symmetrized
+    or when its arcs already come in pairs.
     """
     ids: dict[int, int] = {}
     src: list[int] = []
@@ -157,7 +159,8 @@ def parse_edges(lines, symmetrize=False, allow_self_loops=False):
     if not ids:
         raise ValueError("empty edge list")
     original = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
-    g = Graph.from_arcs(len(ids), src, dst, symmetric=symmetrize, original_ids=original)
+    g = Graph.from_arcs(len(ids), src, dst, original_ids=original)
+    g.symmetric = symmetrize or g.is_symmetric()
     return g
 
 

@@ -701,41 +701,46 @@ def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out: np
     return length
 
 
-def _mirror(n: int, ptr: np.ndarray, upper: np.ndarray, arcs: int) -> Graph:
+def _mirror(n: int, ptr: np.ndarray, indices: np.ndarray) -> Graph:
     """The symmetric graph whose arcs x -> y with y >= x are the lists
-    (ptr, upper): node y's list is the x < y that hold y, ascending, then
-    its own. One stable argsort on y puts the mirrored arcs in node order,
-    x ascending within each y."""
+    (ptr, indices[:ptr[-1]]), built in `indices`, which holds every arc:
+    node y's list is the x < y that hold y, ascending, then its own.
+    Stored arc i of node x moves right, to i plus the mirrored arcs of
+    the nodes up to x, so the stored arcs shift in place; one stable
+    argsort on y puts the mirrored arcs in node order, x ascending
+    within each y, into the slots left between them."""
+    stored = int(ptr[-1])
+    upper = indices[:stored]
     src = np.repeat(np.arange(n), np.diff(ptr))
     if (bad := upper < src).any():
         i = bad.argmax()
         raise ValueError(f"node {src[i]}: stored successor {upper[i]} is below it")
     lower = upper != src  # a self-loop is not mirrored
     y = upper[lower]
-    if ptr[-1] + y.size != arcs:
-        raise ValueError(f"corrupt stream: {ptr[-1]} stored and {y.size} mirrored arcs, "
-                         f"header claims {arcs}")
+    if stored + y.size != indices.size:
+        raise ValueError(f"corrupt stream: {stored} stored and {y.size} mirrored arcs, "
+                         f"header claims {indices.size}")
     order = np.argsort(y, kind="stable")
     before = np.cumsum(np.bincount(y, minlength=n))  # mirrored arcs of nodes up to y
+    # the stored arcs move right over their own slots: copy them out first
+    indices[np.arange(stored) + before[src]] = upper.copy()
+    # the k-th mirrored arc lands at ptr[y] + k
+    indices[ptr[y[order]] + np.arange(y.size)] = src[lower][order]
     indptr = ptr.copy()
     indptr[1:] += before
-    indices = np.empty(arcs, dtype=np.int64)
-    # the k-th mirrored arc lands at ptr[y] + k, stored arc i at i + before[x]
-    indices[ptr[y[order]] + np.arange(y.size)] = src[lower][order]
-    indices[np.arange(upper.size) + before[src]] = upper
     return Graph(n, indptr, indices, symmetric=True)
 
 
 def decode(enc: EncodedGraph) -> Graph:
     """Materialize the full CSR graph, in blocks of consecutive nodes;
-    a stream of upper lists is mirrored (`_mirror`)."""
+    a stream of upper lists is mirrored in place (`_mirror`)."""
     n, arcs = enc.n, enc.num_arcs
     indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(arcs, dtype=np.int64)
     for a, b in _blocks(enc.offsets, 3):  # nodes plus stream bytes
         length = _decode_lists(enc, a, b, indptr, indices)
         indptr[a + 1 : b + 1] = indptr[a] + np.cumsum(length)
     if enc.upper:
-        return _mirror(n, indptr, indices[: indptr[-1]], arcs)
+        return _mirror(n, indptr, indices)
     if indptr[-1] != arcs:
         raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, header claims {arcs}")
     return Graph(n, indptr, indices, symmetric=enc.symmetric)

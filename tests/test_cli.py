@@ -98,6 +98,27 @@ class TestImport:
         ok(["import", edges_file, "-o", hbg])
         assert load_compressed(hbg).symmetric
 
+    def test_edge_list_input_is_its_imported_file(self, tmp_path, edges_file):
+        # a symmetric edge list given to permute, transpose, anf or
+        # diameter is flagged as its import is
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", edges_file, "-o", hbg])
+        for name, graph in (("e", edges_file), ("g", hbg)):
+            out = str(tmp_path / name)
+            ok(["permute", graph, "-o", out + ".p.hbg", "--random", "--seed", "3"])
+            ok(["transpose", graph, "-o", out + ".t.hbg"])
+            ok(["anf", graph, "-o", out + ".runs.json", "-m", "16", "-r", "2"])
+            ok(["diameter", graph, "--giant", "-o", out + ".d.json"])
+        for suffix in (".p.hbg", ".t.hbg"):
+            e, g = (load_compressed(str(tmp_path / k) + suffix) for k in "eg")
+            assert e.symmetric and e.upper and g.symmetric and g.upper
+            assert e.decode() == g.decode()
+        for suffix in (".runs.json", ".d.json"):
+            e, g = (open(str(tmp_path / k) + suffix, "rb").read() for k in "eg")
+            assert e == g, suffix
+        assert RunSet.load(str(tmp_path / "e.runs.json")).runs[0].graph_id == (
+            load_compressed(hbg).decode().fingerprint())
+
     def test_symmetrize_flag(self, tmp_path):
         src = tmp_path / "e.txt"
         src.write_text("0 1\n1 2\n")
@@ -343,14 +364,20 @@ class TestAnfStats:
 
 class TestDiameterGaps:
     def test_directed_graph_refusal_names_the_flag(self, tmp_path, capsys):
+        # the directed path 0 -> 1 -> 2 -> 3, from its file or its edge list
         src = tmp_path / "e.txt"
-        src.write_text("0 1\n1 2\n")
+        src.write_text("0 1\n1 2\n2 3\n")
         hbg = str(tmp_path / "g.hbg")
         ok(["import", str(src), "-o", hbg])
-        capsys.readouterr()
-        assert main(["diameter", hbg]) == 1
-        assert "--allow-asymmetric" in capsys.readouterr().err
-        ok(["diameter", hbg, "--allow-asymmetric"])
+        for graph in (hbg, str(src)):
+            for extra in ([], ["--sweep-only"], ["--giant"]):
+                capsys.readouterr()
+                assert main(["diameter", graph, *extra]) == 1
+                assert "--symmetrize" in capsys.readouterr().err
+        # the override is gone: asking for it is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["diameter", hbg, "--allow-asymmetric"])
+        assert exc.value.code == 2
 
     def test_diameter_json(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
@@ -550,8 +577,7 @@ FULL_CASES = [
     ["anf", "{hbg}", "-o", "{out}/r.json", "--exact", "--max-iters", "50"],
     ["stats", "{runs}", "-o", "{out}/s.json", "--tsv", "{out}/s.tsv",
      "--exclude-self-pairs", "--quantile", "0.5"],
-    ["diameter", "{hbg}", "-o", "{out}/d.json", "--start", "1", "--giant",
-     "--allow-asymmetric"],
+    ["diameter", "{hbg}", "-o", "{out}/d.json", "--start", "1", "--giant"],
     ["diameter", "{hbg}", "-o", "{out}/d.json", "--start", "1", "--sweep-only"],
     ["gaps", "{hbg}", "-o", "{out}/gaps.tsv"],
     ["bound", "{runs}", "-o", "{out}/b.json"],

@@ -18,7 +18,6 @@ from hbgraph.graph import Graph, parse_edges
 from util import (
     bfs_oracle,
     cycle,
-    er,
     from_pairs,
     grid,
     mixed_suite,
@@ -38,21 +37,6 @@ class TestBfs:
         for g in mixed_suite(seed=55, count=20, max_n=80):
             for s in (0, g.n // 2, g.n - 1):
                 assert np.array_equal(bfs(g, s), bfs_oracle(g, s))
-
-    def test_parents_form_shortest_path_tree(self):
-        g = er(90, 0.06, seed=4, symmetric=True)
-        dist, parents = bfs(g, 0, return_parents=True)
-        for v in range(g.n):
-            if dist[v] > 0:
-                assert dist[parents[v]] == dist[v] - 1
-            elif dist[v] < 0:
-                assert parents[v] == -1
-
-    def test_parent_is_lowest_id_predecessor(self):
-        # 0 -> {1, 2} -> 3: node 3 must report parent 1, not 2
-        g = sym_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        _, parents = bfs(g, 0, return_parents=True)
-        assert parents[3] == 1
 
     def test_source_out_of_range(self):
         g = from_pairs(3, [(0, 1)])
@@ -90,12 +74,33 @@ class TestDoubleSweep:
         assert res.lower == 10
         assert res.midpoint == 5
 
+    def test_midpoint_takes_the_lowest_id_step(self):
+        # from start 0, y = 3 and z = 0; the walk back from z may step to
+        # 1 or 2, and takes 1
+        g = sym_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        res = double_sweep(g, start=0)
+        assert (res.y, res.z, res.lower) == (3, 0, 2)
+        assert res.midpoint == 1
+
+    def test_midpoint_is_on_a_shortest_y_z_path(self):
+        for g in mixed_suite(seed=77, count=20, max_n=80):
+            if not g.symmetric:
+                continue
+            gc = giant_component(g)
+            for start in (0, gc.n // 2, gc.n - 1):
+                res = double_sweep(gc, start=start)
+                from_y, from_z = bfs_oracle(gc, res.y), bfs_oracle(gc, res.z)
+                assert from_y[res.midpoint] == res.lower // 2
+                assert from_z[res.midpoint] == res.lower - res.lower // 2
+
     def test_requires_symmetry_flag(self):
-        g = from_pairs(3, [(0, 1), (1, 2)])
+        # a directed path is refused; paired arcs are accepted unflagged
+        g = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="symmetric"):
             double_sweep(g)
-        g2 = parse_edges(["0 1", "1 0"])  # arcs pair up but the flag is unset
-        assert double_sweep(g2, allow_asymmetric=True).lower == 1
+        g2 = from_pairs(2, [(0, 1), (1, 0)])
+        assert not g2.symmetric
+        assert double_sweep(g2).lower == 1
 
 
 class TestIfub:
@@ -139,9 +144,17 @@ class TestIfub:
         assert wins >= 8  # the point of the algorithm
 
     def test_asymmetric_guard(self):
-        g = from_pairs(3, [(0, 1), (1, 2)])
+        # the directed path 0 -> 1 -> 2 -> 3 has no diameter to certify
+        g = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="symmetric"):
             ifub(g)
+        with pytest.raises(ValueError, match="symmetric"):
+            ifub(from_pairs(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3)]))
+
+    def test_paired_arcs_need_no_flag(self):
+        g = from_pairs(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
+        assert not g.symmetric
+        assert ifub(g).diameter == 3
 
 
 class TestComponents:
@@ -168,7 +181,8 @@ class TestComponents:
 
     def test_one_way_arcs_end_in_weak_components(self):
         g = from_pairs(5, [(1, 0), (2, 1), (3, 4)])
-        labels = component_labels(g, allow_asymmetric=True)
+        assert not g.symmetric
+        labels = component_labels(g)
         assert labels.tolist() == [0, 0, 0, 1, 1]
 
     def test_long_path_with_shuffled_ids_is_fast(self):

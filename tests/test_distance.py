@@ -11,7 +11,7 @@ from hbgraph.distance import (
     summarize,
     to_distribution,
 )
-from hbgraph.engine import RunSet, run, run_exact, seed_sequence
+from hbgraph.engine import NeighbourhoodRun, RunSet, run, run_exact, seed_sequence
 from util import (
     distance_matrix,
     exact_curve,
@@ -176,6 +176,29 @@ class TestJackknife:
         se_small = jackknife(small, "mean", n=40).se
         se_big = jackknife(big, "mean", n=40).se
         assert se_big < se_small
+
+    # curves over t = 0..2 whose bias-corrected estimates leave the range:
+    # the effective diameter at q = 1 (plug-in 2, leave-one-out 2, 2, 2, 1)
+    # corrects to 2.75, the within-ceiling share (plug-in 100, leave-one-out
+    # 70, 100, 100, 100) to 122.5
+    OUT_OF_RANGE = {
+        "effective_diameter": ([[1, 2, 3]] + [[1, 3, 3]] * 3, 1.0, 2.0),
+        "within_ceiling_pct": ([[1, 1.5, 3]] + [[1, 2.1, 3]] * 3, 0.9, 100.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+    def test_estimates_stay_in_range(self, name):
+        rows, q, edge = self.OUT_OF_RANGE[name]
+        matrix = np.array(rows, dtype=float)
+        k = STATISTIC_NAMES.index(name)
+        raw = jackknife(matrix, lambda c: distance._statistics(c, 1, True, q)[k], n=1)
+        assert raw.estimate > edge  # a callable is not clamped
+        res = jackknife(matrix, name, n=1, q=q)
+        assert res.estimate == edge and res.se == raw.se > 0
+        rs = RunSet([NeighbourhoodRun("g", 1, 16, s, row, 2) for s, row in enumerate(rows)])
+        stats = summarize(rs, q=q)
+        assert getattr(stats, name) == edge
+        assert stats.effective_diameter <= stats.iterations == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least two"):

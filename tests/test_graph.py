@@ -73,6 +73,12 @@ class TestParseEdges:
         g = parse_edges(["1 2", "2 3"], symmetrize=True)
         assert g.symmetric and g.num_arcs == 4
 
+    def test_paired_arcs_are_flagged(self):
+        assert parse_edges(["1 2", "2 1", "2 3", "3 2"]).symmetric
+        assert parse_edges(["5 5", "1 2", "2 1"], allow_self_loops=True).symmetric
+        assert not parse_edges(["1 2", "2 3"]).symmetric
+        assert not parse_edges(["1 2", "2 1", "2 3"]).symmetric
+
     def test_self_loop_rejected_then_allowed(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_edges(["1 2", "3 3"])
