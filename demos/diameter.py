@@ -22,7 +22,7 @@ def small_world(n, k, beta, seed):
                     y = int(rng.integers(n))
             src += [x, y]
             dst += [y, x]
-    return Graph.from_arcs(n, np.array(src), np.array(dst), symmetric=True)
+    return Graph.from_arcs(n, np.array(src), np.array(dst))
 
 
 def main():
@@ -50,7 +50,7 @@ def main():
     parents = np.array([int(rng.integers(i)) for i in range(1, 800)])
     child = np.arange(1, 800)
     t = Graph.from_arcs(800, np.concatenate([parents, child]),
-                        np.concatenate([child, parents]), symmetric=True)
+                        np.concatenate([child, parents]))
     ds = double_sweep(t)
     brute = max(eccentricity(t, s) for s in range(t.n))
     print(f"\nrandom tree, 800 nodes: double-sweep bound {ds.lower}, "

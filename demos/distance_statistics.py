@@ -25,7 +25,7 @@ def er(n, p, seed):
     mask |= mask.T
     np.fill_diagonal(mask, False)
     src, dst = np.nonzero(mask)
-    return Graph.from_arcs(n, src, dst, symmetric=True)
+    return Graph.from_arcs(n, src, dst)
 
 
 def main():

@@ -22,7 +22,7 @@ def small_world(n, k, beta, seed):
                     y = int(rng.integers(n))
             src += [x, y]
             dst += [y, x]
-    return Graph.from_arcs(n, np.array(src), np.array(dst), symmetric=True)
+    return Graph.from_arcs(n, np.array(src), np.array(dst))
 
 
 def main():

@@ -367,7 +367,7 @@ def cmd_diameter(ns) -> int:
     if ns.giant:
         # without ids attached, the giant's original_ids are the loaded
         # graph's ids, in which --start and the reported nodes stay
-        bare = Graph(g.n, g.indptr, g.indices, symmetric=g.symmetric)
+        bare = Graph(g.n, g.indptr, g.indices)
         g = giant_component(bare)
         ids = g.original_ids
         if start is not None:

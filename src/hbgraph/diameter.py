@@ -10,10 +10,10 @@ hug the mean this terminates after a handful of per-node searches.
 
 The searches assume symmetric arcs: the bound arguments use both
 directions of the triangle inequality, and the midpoint walk steps
-back along arcs. A graph is accepted when it is flagged symmetric or
-its arcs pair up; anything else is refused, since its sweep and
-certificate would bound reachability, not distance. Component
-labelling needs no symmetry: on one-way arcs it gives weak components.
+back along arcs. A graph is accepted only when its arcs pair up;
+anything else is refused, since its sweep and certificate would bound
+reachability, not distance. Component labelling needs no symmetry: on
+one-way arcs it gives weak components.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _double_sweep(g: Graph, start):
     Returns the sweep result, the start node (resolved when None), its
     eccentricity and the midpoint's distance array.
     """
-    if not (g.symmetric or g.is_symmetric()):
+    if not g.symmetric:
         raise ValueError(
             "this computation is only correct on symmetric graphs, and some "
             "arc has no reverse; symmetrize first (import --symmetrize)"
@@ -236,7 +236,7 @@ def giant_component(g: Graph) -> Graph:
     best = int(np.argmax(sizes))  # first maximum = smallest seed id
     if sizes[best] == g.n:
         old_ids = np.arange(g.n) if g.original_ids is None else np.asarray(g.original_ids)
-        return Graph(g.n, g.indptr, g.indices, symmetric=g.symmetric, original_ids=old_ids)
+        return Graph(g.n, g.indptr, g.indices, original_ids=old_ids)
     keep = np.flatnonzero(labels == best)
     remap = np.full(g.n, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
@@ -246,8 +246,7 @@ def giant_component(g: Graph) -> Graph:
     start = g.indptr[keep]
     arcs = np.repeat(start - indptr[:-1], degree) + np.arange(indptr[-1])
     old_ids = keep if g.original_ids is None else np.asarray(g.original_ids)[keep]
-    return Graph(keep.size, indptr, remap[g.indices[arcs]], symmetric=g.symmetric,
-                 original_ids=old_ids)
+    return Graph(keep.size, indptr, remap[g.indices[arcs]], original_ids=old_ids)
 
 
 def run_length_lower_bound(run: NeighbourhoodRun) -> int:

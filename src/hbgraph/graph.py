@@ -1,10 +1,10 @@
 """In-memory graph type and edge-list plumbing.
 
-Graphs are immutable CSR structures over compacted node ids 0..n-1 with
-successor lists sorted ascending and duplicate arcs collapsed. Symmetric
-(undirected) graphs carry every edge as two opposite arcs plus a flag;
-a parsed edge list gets the flag when its arcs pair up, and nothing here
-assumes symmetry unless that flag is set.
+Graphs are CSR structures over compacted node ids 0..n-1 with successor
+lists sorted ascending and duplicate arcs collapsed. Their arcs are never
+changed after construction; only the original-id mapping may be attached
+later. A symmetric (undirected) graph carries every edge as two opposite
+arcs, and `Graph.symmetric` is worked out from the arcs, never stated.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ __all__ = [
 class Graph:
     """Directed graph in CSR form; build via from_arcs or the loaders."""
 
-    __slots__ = ("n", "indptr", "indices", "symmetric", "original_ids", "_fingerprint")
+    __slots__ = ("n", "indptr", "indices", "original_ids", "_symmetric", "_fingerprint")
 
-    def __init__(self, n, indptr, indices, symmetric=False, original_ids=None):
+    def __init__(self, n, indptr, indices, original_ids=None):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.symmetric = bool(symmetric)
         self.original_ids = original_ids
-        self._fingerprint = None
+        self._symmetric = self._fingerprint = None
         if self.indptr.shape != (self.n + 1,):
             raise ValueError("indptr must have n + 1 entries")
         if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
@@ -50,7 +49,7 @@ class Graph:
     # ---- construction ----
 
     @classmethod
-    def from_arcs(cls, n, src, dst, symmetric=False, original_ids=None):
+    def from_arcs(cls, n, src, dst, original_ids=None):
         """Build from parallel source/target arrays; sorts and dedupes."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -64,7 +63,7 @@ class Graph:
             src, dst = key // n, key % n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n, indptr, dst, symmetric=symmetric, original_ids=original_ids)
+        return cls(n, indptr, dst, original_ids=original_ids)
 
     # ---- queries ----
 
@@ -83,12 +82,22 @@ class Graph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def is_symmetric(self) -> bool:
-        """Structural check: arc set equals its transpose. The arcs' keys
-        u*n + v, in CSR order, must equal the sorted keys v*n + u of the
-        reversed arcs; no transposed Graph is built."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees())
-        return np.array_equal(src * self.n + self.indices, np.sort(self.indices * self.n + src))
+    @property
+    def symmetric(self) -> bool:
+        """Whether the arc set equals its transpose, worked out once. The
+        arcs' keys u*n + v, in CSR order, must equal the sorted keys
+        v*n + u of the reversed arcs. Both key arrays are built in place,
+        so the check holds 16 bytes an arc at its peak."""
+        if self._symmetric is None:
+            src = np.repeat(np.arange(self.n, dtype=np.int64), self.out_degrees())
+            keys = self.indices * self.n
+            keys += src
+            keys.sort()
+            src *= self.n
+            src += self.indices
+            keys -= src
+            self._symmetric = not keys.any()
+        return self._symmetric
 
     def fingerprint(self) -> str:
         """Short content hash; stable provenance tag for run files."""
@@ -104,7 +113,6 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.symmetric == other.symmetric
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
@@ -126,8 +134,7 @@ def parse_edges(lines, symmetrize=False, allow_self_loops=False):
     Ids are compacted in first-appearance order. `#` starts a comment,
     blank lines are skipped, anything else malformed reports its line
     number. Duplicate arcs collapse; self-loops are an error unless
-    explicitly permitted. The graph is flagged symmetric when symmetrized
-    or when its arcs already come in pairs.
+    explicitly permitted.
     """
     ids: dict[int, int] = {}
     src: list[int] = []
@@ -159,9 +166,7 @@ def parse_edges(lines, symmetrize=False, allow_self_loops=False):
     if not ids:
         raise ValueError("empty edge list")
     original = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
-    g = Graph.from_arcs(len(ids), src, dst, original_ids=original)
-    g.symmetric = symmetrize or g.is_symmetric()
-    return g
+    return Graph.from_arcs(len(ids), src, dst, original_ids=original)
 
 
 def load_edge_list(path, symmetrize=False, allow_self_loops=False) -> Graph:
@@ -171,20 +176,19 @@ def load_edge_list(path, symmetrize=False, allow_self_loops=False) -> Graph:
 
 
 def save_edge_list(g: Graph, path, use_original_ids=False) -> None:
-    """Write one 'u v' line per arc (for symmetric graphs both directions)."""
+    """Write one 'u v' line per arc in CSR order (for symmetric graphs
+    both directions). Each write formats a block of 2^14 arcs at once,
+    which bounds the Python ints alive at a time."""
+    src, dst = np.repeat(np.arange(g.n), g.out_degrees()), g.indices
     if use_original_ids:
         if g.original_ids is None:
             raise ValueError("graph carries no original-id mapping")
-        names = g.original_ids
-    else:
-        names = None
+        names = np.asarray(g.original_ids)
+        src, dst = names[src], names[dst]
     with open(path, "w", encoding="ascii") as fh:
-        for x in range(g.n):
-            for y in g.successors(x):
-                if names is None:
-                    fh.write(f"{x} {y}\n")
-                else:
-                    fh.write(f"{names[x]} {names[y]}\n")
+        for i in range(0, src.size, 1 << 14):
+            arcs = np.column_stack([src[i : i + (1 << 14)], dst[i : i + (1 << 14)]])
+            fh.write("%d %d\n" * len(arcs) % tuple(arcs.ravel().tolist()))
 
 
 # ---- permutations and transposes ----
@@ -257,17 +261,13 @@ def apply_permutation(g: Graph, perm) -> Graph:
     if g.original_ids is not None:
         ids = np.empty(g.n, dtype=np.asarray(g.original_ids).dtype)
         ids[perm] = g.original_ids
-    return Graph.from_arcs(
-        g.n, perm[src], perm[g.indices], symmetric=g.symmetric, original_ids=ids
-    )
+    return Graph.from_arcs(g.n, perm[src], perm[g.indices], original_ids=ids)
 
 
 def transpose(g: Graph) -> Graph:
     """Reverse every arc (predecessor graph)."""
     src = np.repeat(np.arange(g.n, dtype=np.int64), g.out_degrees())
-    return Graph.from_arcs(
-        g.n, g.indices, src, symmetric=g.symmetric, original_ids=g.original_ids
-    )
+    return Graph.from_arcs(g.n, g.indices, src, original_ids=g.original_ids)
 
 
 # ---- whole-graph statistics ----

@@ -20,8 +20,9 @@ rest. `save` writes the ``HBG3`` container: a header with the copied and
 interval arc tallies, the offsets as an Elias-Fano list and the code
 stream, under one CRC-32. `load` also reads the older ``HBG2`` (the same
 layout, full lists for symmetric graphs too) and ``HBG1`` (raw u64
-offsets, a CRC over the stream alone, no tallies). See FORMATS.md for
-the bit-exact layouts.
+offsets, a CRC over the stream alone, no tallies); their symmetric flag
+is ignored, since the decoded arcs say it. See FORMATS.md for the
+bit-exact layouts.
 
 Both directions work on arrays, over blocks of consecutive nodes. The
 encoder's blocks hold about _BLOCK arcs plus nodes (and read the lists
@@ -376,11 +377,9 @@ class EncodedGraph:
     interval tallies count among those.
     """
 
-    def __init__(self, n, num_arcs, symmetric, cfg, stream, offsets, copied_arcs, interval_arcs,
-                 upper=False):
+    def __init__(self, n, num_arcs, upper, cfg, stream, offsets, copied_arcs, interval_arcs):
         self.n = int(n)
         self.num_arcs = int(num_arcs)
-        self.symmetric = bool(symmetric)
         self.upper = bool(upper)
         self.cfg = cfg
         self.stream = stream
@@ -462,16 +461,15 @@ def _upper(g: Graph) -> Graph:
 def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     """Compress a graph's successor structure under `cfg`.
 
-    A symmetric graph is coded as its arcs x -> y with y >= x (`_upper`);
-    its flag must hold. Every node takes the cheapest of no copying and
-    copying from each x - r, r = 1..window; ties go to no copying, then to
-    the smallest r. Nodes are coded in blocks of about _BLOCK arcs plus
-    nodes. Knobs that `cfg` leaves None are chosen first (`_choose`); the
-    result's cfg holds the values used.
+    A symmetric graph with arcs is coded as its arcs x -> y with y >= x
+    (`_upper`), any other graph as its full lists. Every node takes the
+    cheapest of no copying and copying from each x - r, r = 1..window;
+    ties go to no copying, then to the smallest r. Nodes are coded in
+    blocks of about _BLOCK arcs plus nodes. Knobs that `cfg` leaves None
+    are chosen first (`_choose`); the result's cfg holds the values used.
     """
-    if g.symmetric and not g.is_symmetric():
-        raise ValueError("graph is flagged symmetric but some arc has no reverse")
-    stored = _upper(g) if g.symmetric else g
+    upper = g.num_arcs > 0 and g.symmetric  # arcless: empty lists either way, flag 0
+    stored = _upper(g) if upper else g
     cfg = _choose(stored, cfg or CodecConfig())
     n = g.n
     offsets = np.zeros(n + 1, dtype=np.uint64)
@@ -488,8 +486,7 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
         stream += piece
         copied += c
         intervals += i
-    return EncodedGraph(n, g.num_arcs, g.symmetric, cfg, bytes(stream), offsets, copied, intervals,
-                        upper=g.symmetric)
+    return EncodedGraph(n, g.num_arcs, upper, cfg, bytes(stream), offsets, copied, intervals)
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -728,7 +725,7 @@ def _mirror(n: int, ptr: np.ndarray, indices: np.ndarray) -> Graph:
     indices[ptr[y[order]] + np.arange(y.size)] = src[lower][order]
     indptr = ptr.copy()
     indptr[1:] += before
-    return Graph(n, indptr, indices, symmetric=True)
+    return Graph(n, indptr, indices)
 
 
 def decode(enc: EncodedGraph) -> Graph:
@@ -743,7 +740,7 @@ def decode(enc: EncodedGraph) -> Graph:
         return _mirror(n, indptr, indices)
     if indptr[-1] != arcs:
         raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, header claims {arcs}")
-    return Graph(n, indptr, indices, symmetric=enc.symmetric)
+    return Graph(n, indptr, indices)
 
 
 # ---- container I/O ----
@@ -778,15 +775,12 @@ def _crc(blob) -> int:
 
 def save(enc: EncodedGraph, path) -> None:
     """Write the HBG3 container: header, Elias-Fano offsets, code stream.
-    Its symmetric flag means that the stream holds upper lists."""
-    if enc.symmetric != enc.upper:
-        raise ValueError("HBG3 stores a symmetric graph's upper lists alone; "
-                         "decode this full-list stream and encode it again")
+    Its flag byte says whether the stream holds upper lists."""
     cfg = enc.cfg
     low_bits, low, high = _ef_encode(enc.offsets)
     blob = bytearray(_HEADER.pack(  # the CRC goes in below
         MAGIC, VERSIONS[MAGIC], _LITTLE, low_bits, enc.n, enc.num_arcs, cfg.window,
-        cfg.min_interval, _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.symmetric), 0,
+        cfg.min_interval, _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.upper), 0,
     ))
     blob += _TALLIES.pack(enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
     blob += low + high + enc.stream
@@ -798,13 +792,13 @@ def save(enc: EncodedGraph, path) -> None:
 def load(path) -> EncodedGraph:
     """Read an HBG3, HBG2 or HBG1 container back into an EncodedGraph;
     HBG1 keeps no codec tallies, so they read 0. Only an HBG3 stream holds
-    a symmetric graph's upper lists."""
+    upper lists; the HBG1 and HBG2 flag byte is read and ignored."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] not in VERSIONS:
         raise ValueError(f"{path}: not an HBG1, HBG2 or HBG3 graph file")
     magic, version, endian, low_bits, n, num_arcs, window, min_interval, code_id, zeta_k, \
-        symmetric, crc = _HEADER.unpack_from(blob)
+        flag, crc = _HEADER.unpack_from(blob)
     if version != VERSIONS[magic]:
         raise ValueError(f"{path}: unsupported format version {version}")
     if endian != _LITTLE:
@@ -839,5 +833,4 @@ def load(path) -> EncodedGraph:
             raise ValueError(f"{path}: offsets end at bit {offsets[-1]}, the header says {top}")
         stream = blob[high_end:]
     cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
-    return EncodedGraph(n, num_arcs, bool(symmetric), cfg, stream, offsets, copied, intervals,
-                        upper=bool(symmetric) and version == 3)
+    return EncodedGraph(n, num_arcs, flag and version == 3, cfg, stream, offsets, copied, intervals)

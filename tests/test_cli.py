@@ -13,12 +13,12 @@ from hbgraph.graph import Graph, info_lower_bound
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.storage import save as save_compressed
 from hbgraph.storage import load as load_compressed
-from util import band, encode_full, er, save_hbg1, save_hbg2, sym_from_pairs
+from util import band, encode_full, er, from_pairs, save_hbg1, save_hbg2, sym_from_pairs
 
 
 @pytest.fixture()
 def edges_file(tmp_path):
-    g = er(80, 0.05, seed=12, symmetric=True)
+    g = er(80, 0.05, seed=12)
     p = tmp_path / "edges.txt"
     with open(p, "w") as fh:
         for u in range(g.n):
@@ -72,31 +72,37 @@ class TestImport:
         hbg, old = str(tmp_path / "g.hbg"), str(tmp_path / "old.hbg")
         ok(["import", edges_file, "-o", hbg])
         enc = load_compressed(hbg)
-        save_hbg1(encode_full(enc.decode(), enc.cfg), old)
+        save_hbg1(encode_full(enc.decode(), enc.cfg), old, True)
         for path in (hbg, old):
             ok(["export-edges", path, "-o", path + ".txt"])
         assert open(hbg + ".txt").read() == open(old + ".txt").read()
 
     def test_every_container_reads_alike(self, tmp_path):
         # a self-loop at 0, isolated nodes 4 and 6, and node 5, whose only
-        # neighbour is below it, so that its upper list is empty
+        # neighbour is below it, so that its upper list is empty; the
+        # HBG1 and HBG2 flag is ignored, so a file stored unflagged
+        # reads as the flagged one does
         g = sym_from_pairs(7, [(0, 0), (0, 2), (1, 2), (2, 3), (3, 5)])
         assert g.successors(5).tolist() == [3]
-        paths = [str(tmp_path / f"g{v}.hbg") for v in (1, 2, 3)]
-        save_hbg1(encode_full(g), paths[0])
-        save_hbg2(encode_full(g), paths[1])
-        save_compressed(encode(g), paths[2])
+        paths = [str(tmp_path / f"g{v}.hbg") for v in ("1", "1-unflagged", "2", "2-unflagged",
+                                                       "3", "3-full")]
+        save_hbg1(encode_full(g), paths[0], True)
+        save_hbg1(encode_full(g), paths[1], False)
+        save_hbg2(encode_full(g), paths[2], True)
+        save_hbg2(encode_full(g), paths[3], False)
+        save_compressed(encode(g), paths[4])
+        save_compressed(encode_full(g), paths[5])
         runs = []
         for path in paths:
             assert _load_graph(path)[0] == g
             ok(["anf", path, "-o", path + ".runs.json", "--seed", "1"])
             runs.append(open(path + ".runs.json", "rb").read())
-        assert runs[0] == runs[1] == runs[2]
+        assert all(r == runs[0] for r in runs)
 
     def test_symmetry_detected_on_paired_arcs(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
         ok(["import", edges_file, "-o", hbg])
-        assert load_compressed(hbg).symmetric
+        assert load_compressed(hbg).upper
 
     def test_edge_list_input_is_its_imported_file(self, tmp_path, edges_file):
         # a symmetric edge list given to permute, transpose, anf or
@@ -111,7 +117,7 @@ class TestImport:
             ok(["diameter", graph, "--giant", "-o", out + ".d.json"])
         for suffix in (".p.hbg", ".t.hbg"):
             e, g = (load_compressed(str(tmp_path / k) + suffix) for k in "eg")
-            assert e.symmetric and e.upper and g.symmetric and g.upper
+            assert e.upper and g.upper
             assert e.decode() == g.decode()
         for suffix in (".runs.json", ".d.json"):
             e, g = (open(str(tmp_path / k) + suffix, "rb").read() for k in "eg")
@@ -125,7 +131,7 @@ class TestImport:
         hbg = str(tmp_path / "g.hbg")
         ok(["import", str(src), "-o", hbg, "--symmetrize"])
         enc = load_compressed(hbg)
-        assert enc.symmetric and enc.num_arcs == 4
+        assert enc.upper and enc.num_arcs == 4
 
     def test_codec_flags_respected(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
@@ -379,6 +385,19 @@ class TestDiameterGaps:
             main(["diameter", hbg, "--allow-asymmetric"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("write", [save_hbg1, save_hbg2], ids=["hbg1", "hbg2"])
+    def test_a_legacy_flag_is_not_trusted(self, write, tmp_path, capsys):
+        # 0-1, 1-2 and 2-3 both ways plus the one-way arc 0 -> 3, in a
+        # file whose header says symmetric
+        g = from_pairs(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (0, 3)])
+        hbg = str(tmp_path / "g.hbg")
+        write(encode_full(g), hbg, True)
+        for extra in ([], ["--sweep-only"], ["--giant"]):
+            capsys.readouterr()
+            assert main(["diameter", hbg, *extra]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "only correct on symmetric graphs" in err
+
     def test_diameter_json(self, tmp_path, edges_file):
         hbg = str(tmp_path / "g.hbg")
         ok(["import", edges_file, "-o", hbg])
@@ -434,7 +453,7 @@ class TestDiameterGaps:
             b'  "far_pair": [\n    721,\n    217\n  ],\n  "lower": 9,\n'
             b'  "midpoint": 623,\n  "midpoint_ecc": 5,\n  "upper": null\n}\n')
         g, _ = _load_graph(hbg)
-        bare = Graph(g.n, g.indptr, g.indices, symmetric=True)
+        bare = Graph(g.n, g.indptr, g.indices)
         assert giant_component(bare).original_ids[[17, 3, 13]].tolist() == [721, 217, 623]
         assert giant_component(g).original_ids.tolist() == [
             5000, 5097, 5194, 5291, 5388, 5485, 5582, 5679, 5007,

@@ -15,13 +15,17 @@ from hbgraph.diameter import (
 )
 from hbgraph.engine import NeighbourhoodRun, run, run_exact
 from hbgraph.graph import Graph, parse_edges
+from hbgraph.storage import load
 from util import (
     bfs_oracle,
     cycle,
+    encode_full,
     from_pairs,
     grid,
     mixed_suite,
     random_tree,
+    save_hbg1,
+    save_hbg2,
     small_world,
     sym_from_pairs,
     true_diameter,
@@ -94,12 +98,12 @@ class TestDoubleSweep:
                 assert from_z[res.midpoint] == res.lower - res.lower // 2
 
     def test_requires_symmetry_flag(self):
-        # a directed path is refused; paired arcs are accepted unflagged
+        # a directed path is refused; paired arcs are accepted
         g = from_pairs(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="symmetric"):
             double_sweep(g)
         g2 = from_pairs(2, [(0, 1), (1, 0)])
-        assert not g2.symmetric
+        assert g2.symmetric
         assert double_sweep(g2).lower == 1
 
 
@@ -122,7 +126,7 @@ class TestIfub:
         assert ifub(cycle(11)).diameter == 5
         assert ifub(grid(4, 9)).diameter == 11
         assert ifub(sym_from_pairs(2, [(0, 1)])).diameter == 1
-        assert ifub(from_pairs(1, [], symmetric=True)).diameter == 0
+        assert ifub(from_pairs(1, [])).diameter == 0
 
     def test_component_restriction(self):
         # two components: a triangle and a 5-path
@@ -153,8 +157,19 @@ class TestIfub:
 
     def test_paired_arcs_need_no_flag(self):
         g = from_pairs(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)])
-        assert not g.symmetric
+        assert g.symmetric
         assert ifub(g).diameter == 3
+
+    @pytest.mark.parametrize("write", [save_hbg1, save_hbg2], ids=["hbg1", "hbg2"])
+    @pytest.mark.parametrize("search", [ifub, double_sweep])
+    def test_one_way_cycle_is_refused_not_walked(self, search, write, tmp_path):
+        # the directed 4-cycle in a file whose header says symmetric: the
+        # midpoint walk finds no step back on it, so the header must not
+        # let it past the check
+        write(encode_full(cycle(4, directed=True)), tmp_path / "g.hbg", True)
+        g = load(tmp_path / "g.hbg").decode()
+        with pytest.raises(ValueError, match="only correct on symmetric graphs"):
+            search(g)
 
 
 class TestComponents:
@@ -191,14 +206,14 @@ class TestComponents:
         ids = np.random.default_rng(0).permutation(n)
         src = np.concatenate([ids[:-1], ids[1:]])
         dst = np.concatenate([ids[1:], ids[:-1]])
-        g = Graph.from_arcs(n, src, dst, symmetric=True)
+        g = Graph.from_arcs(n, src, dst)
         t0 = time.perf_counter()
         labels = component_labels(g)
         assert time.perf_counter() - t0 < 2.0
         assert not labels.any()
 
     def test_million_isolated_nodes_under_a_second(self):
-        g = from_pairs(1_000_000, [], symmetric=True)
+        g = from_pairs(1_000_000, [])
         t0 = time.perf_counter()
         labels = component_labels(g)
         assert time.perf_counter() - t0 < 1.0
@@ -230,8 +245,7 @@ def _giant_by_arcs(g):
     src = np.repeat(np.arange(g.n), g.out_degrees())
     mask = remap[src] >= 0
     ids = keep if g.original_ids is None else np.asarray(g.original_ids)[keep]
-    return Graph.from_arcs(keep.size, remap[src[mask]], remap[g.indices[mask]],
-                           symmetric=g.symmetric, original_ids=ids)
+    return Graph.from_arcs(keep.size, remap[src[mask]], remap[g.indices[mask]], original_ids=ids)
 
 
 class TestGiantSlice:

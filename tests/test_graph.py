@@ -17,7 +17,7 @@ from hbgraph.graph import (
     save_permutation,
     transpose,
 )
-from util import from_pairs, sym_from_pairs
+from util import band, er, from_pairs, sym_from_pairs
 
 
 class TestFromArcs:
@@ -41,16 +41,34 @@ class TestFromArcs:
             from_pairs(2, [(0, 1)]).successors(2)
 
     def test_structural_symmetry_check(self):
-        assert sym_from_pairs(3, [(0, 1), (1, 2)]).is_symmetric()
-        assert not from_pairs(3, [(0, 1)]).is_symmetric()
-        # flag and structure are independent: the check is structural
-        assert from_pairs(2, [(0, 1), (1, 0)]).is_symmetric()
+        assert sym_from_pairs(3, [(0, 1), (1, 2)]).symmetric
+        assert not from_pairs(3, [(0, 1)]).symmetric
+        assert from_pairs(2, [(0, 1), (1, 0)]).symmetric
         # a self-loop is its own reverse
-        assert from_pairs(3, [(0, 1), (1, 0), (2, 2)]).is_symmetric()
+        assert from_pairs(3, [(0, 1), (1, 0), (2, 2)]).symmetric
         # symmetric but for one arc, whose reverse is missing
         pairs = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0)]
-        assert not from_pairs(4, pairs).is_symmetric()
-        assert from_pairs(4, pairs + [(0, 3)]).is_symmetric()
+        assert not from_pairs(4, pairs).symmetric
+        assert from_pairs(4, pairs + [(0, 3)]).symmetric
+
+    def test_symmetry_cannot_be_stated(self):
+        g = from_pairs(2, [(0, 1)])
+        with pytest.raises(TypeError):
+            Graph(g.n, g.indptr, g.indices, symmetric=True)
+        with pytest.raises(TypeError):
+            Graph.from_arcs(2, [0], [1], symmetric=True)
+        with pytest.raises(AttributeError):
+            g.symmetric = True
+        assert not g.symmetric
+
+    def test_fingerprints_are_pinned(self):
+        # run files carry these as graph_id, and RunSet compares them
+        # across versions: the hashed bytes, the symmetry bit included,
+        # must not drift
+        assert sym_from_pairs(3, [(0, 1), (1, 2)]).fingerprint() == "421aa51d5b90"
+        assert from_pairs(3, [(0, 1), (1, 2)]).fingerprint() == "7c5833f2b1f5"
+        assert er(40, 0.1, seed=3).fingerprint() == "3ace2a1b2f88"
+        assert er(40, 0.1, seed=3, symmetric=False).fingerprint() == "2740647ac59d"
 
     def test_fingerprint_distinguishes(self):
         a = from_pairs(3, [(0, 1), (1, 2)])
@@ -120,6 +138,32 @@ class TestEdgeListIO:
         save_edge_list(g, p, use_original_ids=True)
         lines = p.read_text().splitlines()
         assert lines == ["50 90", "90 70"]
+
+    @staticmethod
+    def _per_arc(g, path, names=None):
+        """The writer save_edge_list replaced: one write per arc."""
+        with open(path, "w", encoding="ascii") as fh:
+            for x in range(g.n):
+                for y in g.successors(x):
+                    fh.write(f"{x} {y}\n" if names is None else f"{names[x]} {names[y]}\n")
+
+    @pytest.mark.parametrize("ids", [False, True])
+    @pytest.mark.parametrize("graph", ["band", "directed", "arcless"])
+    def test_bytes_match_a_per_arc_writer(self, graph, ids, tmp_path):
+        g = {
+            "band": lambda: band(5000, 3),  # more arcs than one write's block
+            "directed": lambda: er(60, 0.1, seed=5, symmetric=False),
+            "arcless": lambda: from_pairs(4, []),
+        }[graph]()
+        names = None
+        if ids:
+            names = np.random.default_rng(2).permutation(g.n) * (1 << 40) + 7
+            g.original_ids = names
+        save_edge_list(g, tmp_path / "got.txt", use_original_ids=ids)
+        self._per_arc(g, tmp_path / "want.txt", names)
+        got = (tmp_path / "got.txt").read_bytes()
+        assert got == (tmp_path / "want.txt").read_bytes()
+        assert got.count(b"\n") == g.num_arcs
 
     def test_save_original_ids_requires_them(self, tmp_path):
         g = from_pairs(2, [(0, 1)])

@@ -210,7 +210,7 @@ def star_of(leaves):
     x = np.arange(1, leaves + 1)
     hub = np.zeros(leaves, dtype=np.int64)
     src, dst = np.concatenate([hub, x]), np.concatenate([x, hub])
-    return Graph.from_arcs(leaves + 1, src, dst, symmetric=True)
+    return Graph.from_arcs(leaves + 1, src, dst)
 
 
 def identical_lists(count, width):
@@ -302,7 +302,7 @@ class TestLongChunks:
 
 class TestContainer:
     def _graph(self):
-        return er(60, 0.08, seed=11, symmetric=True)
+        return er(60, 0.08, seed=11)
 
     def test_save_load_round_trip(self, tmp_path):
         g = band(300, 4)
@@ -312,7 +312,7 @@ class TestContainer:
         save(enc, p)
         back = load(p)
         assert back.cfg == enc.cfg
-        assert back.symmetric == enc.symmetric
+        assert back.upper == enc.upper
         assert back.stream == enc.stream
         assert np.array_equal(back.offsets, enc.offsets)
         assert (back.copied_arcs, back.interval_arcs) == (enc.copied_arcs, enc.interval_arcs)
@@ -430,7 +430,7 @@ class TestContainer:
         g = band(300, 4)
         enc = encode_full(g, cfg)
         p = tmp_path / "g.hbg"
-        save_hbg1(enc, p)
+        save_hbg1(enc, p, True)
         back = load(p)
         assert back.cfg == enc.cfg and back.stream == enc.stream
         assert np.array_equal(back.offsets, enc.offsets)
@@ -447,7 +447,7 @@ class TestContainer:
     def test_hbg1_checks(self, cut, error, tmp_path):
         enc = encode_full(self._graph())
         p = tmp_path / "g.hbg"
-        save_hbg1(enc, p)
+        save_hbg1(enc, p, True)
         p.write_bytes(cut(p.read_bytes(), enc.stream))
         with pytest.raises(ValueError, match=error):
             load(p)
@@ -552,9 +552,8 @@ def test_formats_md_symmetric_example():
     rows = re.findall(r"^(\d)\s+([-\d ]+?)\s{2,}([-\d ]+?)\s{2,}", block, re.M)
     lists = [[int(v) for v in full.split() if v != "-"] for _, full, _ in rows]
     upper = [[int(v) for v in up.split() if v != "-"] for _, _, up in rows]
-    g = Graph.from_arcs(7, np.repeat(np.arange(7), [len(x) for x in lists]), sum(lists, []),
-                        symmetric=True)
-    assert g.is_symmetric()
+    g = Graph.from_arcs(7, np.repeat(np.arange(7), [len(x) for x in lists]), sum(lists, []))
+    assert g.symmetric
     assert upper == [[y for y in x if y >= i] for i, x in enumerate(lists)]
     enc = encode(g, CodecConfig(0, 0, "gamma"))
     assert enc.offsets.tolist() == [int(v) for v in fields["offsets"].split()]
@@ -574,7 +573,7 @@ def _hand_built(chunks, num_arcs, window=7, min_interval=0, upper=False):
         offsets.append(w.bit_length)
     cfg = CodecConfig(window=window, min_interval=min_interval, residual_code="gamma")
     offsets = np.array(offsets, dtype=np.uint64)
-    return EncodedGraph(len(chunks), num_arcs, upper, cfg, w.getvalue(), offsets, 0, 0, upper)
+    return EncodedGraph(len(chunks), num_arcs, upper, cfg, w.getvalue(), offsets, 0, 0)
 
 
 class TestCorruptStreams:
@@ -645,14 +644,14 @@ class TestSymmetricFiles:
     def _decode(self, chunks, num_arcs, tmp_path):
         save(_hand_built(chunks, num_arcs, upper=True), tmp_path / "g.hbg")
         back = load(tmp_path / "g.hbg")
-        assert back.symmetric and back.upper
+        assert back.upper
         return decode(back)
 
     def test_loop_is_mirrored_once(self, tmp_path):
         # node 0 stores 0 and 1 (fold(0) = 0, then gap 0), node 1 stores 1
         g = self._decode([[0, 0, 0], [0, 0]], 4, tmp_path)
         assert [g.successors(x).tolist() for x in range(2)] == [[0, 1], [0, 1]]
-        assert g.symmetric and g.is_symmetric()
+        assert g.symmetric
         with pytest.raises(ValueError, match="3 stored and 1 mirrored arcs, header claims 5$"):
             self._decode([[0, 0, 0], [0, 0]], 5, tmp_path)
 
@@ -669,13 +668,22 @@ class TestSymmetricFiles:
             self._decode([[0, 1], [0]], claimed, tmp_path)
         assert self._decode([[0, 1], [0]], 2, tmp_path).successors(1).tolist() == [0]
 
-    def test_full_lists_of_a_symmetric_graph_are_not_saved(self, tmp_path):
-        with pytest.raises(ValueError, match="upper lists alone"):
-            save(encode_full(band(50, 2)), tmp_path / "g.hbg")
+    def test_full_lists_of_a_symmetric_graph_save_unflagged(self, tmp_path):
+        g = band(50, 2)
+        enc = encode_full(g)
+        save(enc, tmp_path / "g.hbg")
+        assert storage._HEADER.unpack_from((tmp_path / "g.hbg").read_bytes())[-2] == 0  # flag
+        back = load(tmp_path / "g.hbg")
+        assert not back.upper and back.stream == enc.stream
+        _assert_same_graph(g, back.decode())
 
-    def test_a_flag_without_reverse_arcs_is_refused(self):
-        with pytest.raises(ValueError, match="flagged symmetric"):
-            encode(from_pairs(3, [(0, 1)], symmetric=True))
+    def test_one_way_arcs_encode_as_full_lists(self):
+        # paired but for 2 -> 0, whose reverse is missing
+        g = from_pairs(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0)])
+        enc = encode(g)
+        assert not g.symmetric and not enc.upper
+        assert enc.stream == encode_full(g, enc.cfg).stream
+        _assert_same_graph(g, decode(enc))
 
 
 class TestDecoderChecks:
@@ -763,7 +771,7 @@ def dust(count, seed):
     first = np.cumsum(sizes) - sizes
     u = np.concatenate([f + np.arange(s - 1) for f, s in zip(first.tolist(), sizes.tolist())])
     return Graph.from_arcs(int(sizes.sum()), np.concatenate([u, u + 1]),
-                           np.concatenate([u + 1, u]), symmetric=True)
+                           np.concatenate([u + 1, u]))
 
 
 CHOOSER_GRAPHS = {
@@ -880,13 +888,15 @@ def _golden_record(graphs, cfg, tmp_path, write=save_hbg1, coder=encode_full):
     """sha256 over the files that `write` makes of the encodings that
     `coder` makes of `graphs`, in order, and their summed copied and
     interval arc counts. As HBG1 files of full lists they pin the code
-    stream and the raw offsets."""
+    stream and the raw offsets. `write` takes the encoding, the path and
+    the legacy header flag as the recordings set it: when the graph has
+    arcs and they pair up."""
     digest = hashlib.sha256()
     copied = interval = 0
     for i, g in enumerate(graphs):
         enc = coder(g, cfg)
         path = tmp_path / f"{i}.hbg"
-        write(enc, path)
+        write(enc, path, g.num_arcs > 0 and g.symmetric)
         digest.update(path.read_bytes())
         copied += enc.copied_arcs
         interval += enc.interval_arcs
@@ -1217,7 +1227,7 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_hbg3_bytes_round_trip_and_reloaded_tallies(self, name, cfg, tmp_path):
         graphs = GOLDEN_GRAPHS[name]()
-        got = _golden_record(graphs, cfg, tmp_path, save, encode)
+        got = _golden_record(graphs, cfg, tmp_path, lambda enc, path, _: save(enc, path), encode)
         back = [load(tmp_path / f"{i}.hbg") for i in range(len(graphs))]
         for g, b in zip(graphs, back):
             _assert_same_graph(g, b.decode())

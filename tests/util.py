@@ -21,18 +21,18 @@ from hbgraph.storage import _ef_encode, encode
 # ---- generators (all deterministic in their seed) ----
 
 
-def from_pairs(n, pairs, symmetric=False):
+def from_pairs(n, pairs):
     if pairs:
         src, dst = zip(*pairs)
     else:
         src, dst = [], []
-    return Graph.from_arcs(n, src, dst, symmetric=symmetric)
+    return Graph.from_arcs(n, src, dst)
 
 
 def sym_from_pairs(n, pairs):
     src = [a for a, b in pairs] + [b for a, b in pairs]
     dst = [b for a, b in pairs] + [a for a, b in pairs]
-    return Graph.from_arcs(n, src, dst, symmetric=True)
+    return Graph.from_arcs(n, src, dst)
 
 
 def er(n, p, seed, symmetric=True):
@@ -43,9 +43,7 @@ def er(n, p, seed, symmetric=True):
     if symmetric:
         mask = np.triu(mask, 1)
         s, d = np.nonzero(mask)
-        return Graph.from_arcs(
-            n, np.concatenate([s, d]), np.concatenate([d, s]), symmetric=True
-        )
+        return Graph.from_arcs(n, np.concatenate([s, d]), np.concatenate([d, s]))
     s, d = np.nonzero(mask)
     return Graph.from_arcs(n, s, d)
 
@@ -129,7 +127,7 @@ def band(n, seed):
     y = x + rng.integers(1, 40, size=x.size)
     keep = y < n
     x, y = x[keep], y[keep]
-    return Graph.from_arcs(n, np.concatenate([x, y]), np.concatenate([y, x]), symmetric=True)
+    return Graph.from_arcs(n, np.concatenate([x, y]), np.concatenate([y, x]))
 
 
 def mixed_suite(seed, count, max_n=150):
@@ -268,22 +266,24 @@ def ref_register_update(m, regs, x, seed):
 
 def encode_full(g, cfg=None):
     """`g` encoded as HBG1 and HBG2 store it: every list whole, also those
-    of a symmetric graph, under g's symmetric flag."""
-    enc = encode(Graph(g.n, g.indptr, g.indices), cfg)
-    enc.symmetric = g.symmetric
-    return enc
+    of a symmetric graph. A copy of g whose symmetry cache reads False
+    makes `encode` keep the full lists."""
+    full = Graph(g.n, g.indptr, g.indices)
+    full._symmetric = False
+    return encode(full, cfg)
 
 
-def save_hbg1(enc, path):
+def save_hbg1(enc, path, symmetric):
     """Write `enc` as HBG1: a 40-byte header whose CRC-32 covers the code
     stream alone, the n + 1 offsets as raw little-endian u64 words, then
-    the stream. Codec tallies are not stored."""
+    the stream. Codec tallies are not stored. `symmetric` goes in the
+    header's flag byte, which readers ignore."""
     assert not enc.upper, "HBG1 holds every list whole (see encode_full)"
     cfg = enc.cfg
     header = struct.pack(  # format version 1; the u16 after the tag is reserved
         "<4sBBHQQIIBBBxI", b"HBG1", 1, 0xFE, 0, enc.n, enc.num_arcs, cfg.window,
         cfg.min_interval, CODE_NAMES.index(cfg.residual_code), cfg.zeta_k,
-        int(enc.symmetric), zlib.crc32(enc.stream),
+        int(symmetric), zlib.crc32(enc.stream),
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -291,17 +291,18 @@ def save_hbg1(enc, path):
         fh.write(enc.stream)
 
 
-def save_hbg2(enc, path):
+def save_hbg2(enc, path, symmetric):
     """Write `enc` as HBG2: a 64-byte header with the codec tallies and a
     CRC-32 over every other byte, the offsets as Elias-Fano, then the
-    stream. HBG3 has this layout, but HBG2 holds every list whole."""
+    stream. HBG3 has this layout, but HBG2 holds every list whole.
+    `symmetric` goes in the header's flag byte, which readers ignore."""
     assert not enc.upper, "HBG2 holds every list whole (see encode_full)"
     cfg = enc.cfg
     low_bits, low, high = _ef_encode(enc.offsets)
     blob = bytearray(struct.pack(  # format version 2; the CRC goes in below
         "<4sBBBxQQIIBBBxI", b"HBG2", 2, 0xFE, low_bits, enc.n, enc.num_arcs, cfg.window,
         cfg.min_interval, CODE_NAMES.index(cfg.residual_code), cfg.zeta_k,
-        int(enc.symmetric), 0,
+        int(symmetric), 0,
     ))
     blob += struct.pack("<QQQ", enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
     blob += low + high + enc.stream
