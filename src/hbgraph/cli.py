@@ -25,6 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .codes import CODE_NAMES
 from .distance import summarize
 from .diameter import double_sweep, giant_component, ifub, run_length_lower_bound
 from .engine import RunSet, run, run_exact, seed_sequence
@@ -171,17 +172,16 @@ def run_manifest(manifest_path: str, out_dir: str | None = None) -> dict:
     return mapping
 
 
-def _load_graph(path: str):
+def _load_graph(path: str) -> Graph:
     """Accept compressed storage or a plain edge list; sniff by magic.
 
-    Returns (graph, codec config or None). A .ids sidecar, when present
-    next to compressed input, restores the original node ids.
+    A .ids sidecar, when present next to compressed input, restores the
+    original node ids.
     """
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head in VERSIONS:
-        enc = load_compressed(path)
-        g = enc.decode()
+        g = load_compressed(path).decode()
         sidecar = path + ".ids"
         if os.path.exists(sidecar):
             ids = np.loadtxt(sidecar, dtype=np.int64, ndmin=1)
@@ -190,8 +190,8 @@ def _load_graph(path: str):
                     f"{sidecar} lists {ids.size} ids for {g.n} nodes"
                 )
             g.original_ids = ids
-        return g, enc.cfg
-    return load_edge_list(path), None
+        return g
+    return load_edge_list(path)
 
 
 def _save_ids(g: Graph, hbg_path: str) -> list:
@@ -205,44 +205,39 @@ def _save_ids(g: Graph, hbg_path: str) -> list:
 
 
 def _codec_args(sp: argparse.ArgumentParser) -> None:
-    # unset, an option keeps the input file's value; for an edge list,
-    # encode chooses it by the bits it saves on this graph
-    unset = "unset: the input file's, or for an edge list"
+    # unset, encode chooses an option by the bits it saves on the graph
+    # being written, which for permute and transpose is not the input's
     sp.add_argument(
         "--window", type=int, default=None,
         help="how many previous lists a node may copy from (0 disables); "
-             f"{unset} 7 or 0, whichever makes the smaller file",
+             "unset: 7 or 0, whichever makes the smaller file",
     )
     sp.add_argument(
         "--min-interval", type=int, default=None,
         help="shortest consecutive run stored as an interval (0 disables); "
-             f"{unset} 4 or 0, whichever makes the smaller file",
+             "unset: 4 or 0, whichever makes the smaller file",
     )
     sp.add_argument(
-        "--code", dest="residual_code", choices=("gamma", "delta", "zeta"),
-        default=None, help=f"residual code; {unset} the one of the fewest bits",
+        "--code", dest="residual_code", choices=CODE_NAMES,
+        default=None, help="residual code; unset: the one of the fewest bits",
     )
     sp.add_argument(
         "--zeta-k", type=int, default=None,
-        help=f"shape parameter for zeta; {unset} the best of 1 to 7",
+        help="shape parameter for zeta; unset: the best of 1 to 7",
     )
 
 
 _CODEC_FIELDS = ("window", "min_interval", "residual_code", "zeta_k")
 
 
-def _encode_and_save(g: Graph, ns, fallback: CodecConfig | None) -> list:
+def _encode_and_save(g: Graph, ns) -> list:
     """Encode, save, print the compression report; returns outputs.
 
-    Codec options left unset in ns come from fallback (the input file's
-    settings) or, with none, are left for encode to choose. The values
-    used go back into ns, so the manifest records them and its replay
-    writes the same bytes.
+    Codec options left unset in ns are chosen by encode for g. The
+    values used go back into ns, so the manifest records them and its
+    replay writes the same bytes.
     """
-    given = [getattr(ns, field) for field in _CODEC_FIELDS]
-    if fallback is not None:
-        given = [getattr(fallback, f) if v is None else v for f, v in zip(_CODEC_FIELDS, given)]
-    enc = encode(g, CodecConfig(*given))
+    enc = encode(g, CodecConfig(*(getattr(ns, field) for field in _CODEC_FIELDS)))
     for field in _CODEC_FIELDS:
         setattr(ns, field, getattr(enc.cfg, field))
     out = ns.output
@@ -279,13 +274,13 @@ def cmd_import(ns) -> int:
     g = load_edge_list(
         ns.edges, symmetrize=ns.symmetrize, allow_self_loops=ns.allow_self_loops
     )
-    outputs = _encode_and_save(g, ns, None)
+    outputs = _encode_and_save(g, ns)
     _write_manifest(ns, [ns.edges], outputs)
     return 0
 
 
 def cmd_permute(ns) -> int:
-    g, file_cfg = _load_graph(ns.graph)
+    g = _load_graph(ns.graph)
     if (ns.perm is None) == (not ns.random):
         raise ValueError("pass exactly one of --perm FILE or --random")
     if ns.perm is not None:
@@ -293,21 +288,20 @@ def cmd_permute(ns) -> int:
     else:
         perm = random_permutation(g.n, ns.seed)
     g2 = apply_permutation(g, perm)
-    outputs = _encode_and_save(g2, ns, file_cfg)
+    outputs = _encode_and_save(g2, ns)
     inputs = [ns.graph] if ns.perm is None else [ns.graph, ns.perm]
     _write_manifest(ns, inputs, outputs)
     return 0
 
 
 def cmd_transpose(ns) -> int:
-    g, file_cfg = _load_graph(ns.graph)
-    outputs = _encode_and_save(transpose(g), ns, file_cfg)
+    outputs = _encode_and_save(transpose(_load_graph(ns.graph)), ns)
     _write_manifest(ns, [ns.graph], outputs)
     return 0
 
 
 def cmd_anf(ns) -> int:
-    g, _ = _load_graph(ns.graph)
+    g = _load_graph(ns.graph)
     gid = g.fingerprint()
     if ns.exact:
         if ns.runs not in (None, 1):
@@ -362,7 +356,7 @@ def cmd_stats(ns) -> int:
 
 
 def cmd_diameter(ns) -> int:
-    g, _ = _load_graph(ns.graph)
+    g = _load_graph(ns.graph)
     start, ids = ns.start, np.arange(g.n)
     if ns.giant:
         # without ids attached, the giant's original_ids are the loaded
@@ -419,7 +413,7 @@ def cmd_diameter(ns) -> int:
 
 
 def cmd_gaps(ns) -> int:
-    g, _ = _load_graph(ns.graph)
+    g = _load_graph(ns.graph)
     hist = gap_histogram(g)
     total = int(hist.sum())
     rows = []
@@ -455,7 +449,7 @@ def cmd_bound(ns) -> int:
 
 
 def cmd_export_edges(ns) -> int:
-    g, _ = _load_graph(ns.graph)
+    g = _load_graph(ns.graph)
     if ns.original_ids and g.original_ids is None:
         raise ValueError(
             "no original ids available (no .ids sidecar next to the input)"

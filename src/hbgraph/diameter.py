@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NeighbourhoodRun
-from .graph import Graph
+from .graph import Graph, _spans
 
 __all__ = [
     "DiameterResult",
@@ -50,11 +50,9 @@ def bfs(g: Graph, source: int):
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
-        # the positions of the frontier's arcs, list after list
-        lens = g.indptr[frontier + 1] - g.indptr[frontier]
-        gather = np.arange(int(lens.sum()), dtype=np.int64)
-        gather -= np.repeat(np.cumsum(lens) - lens - g.indptr[frontier], lens)
-        dsts = g.indices[gather]
+        # the frontier's arcs, list after list
+        start = g.indptr[frontier]
+        dsts = g.indices[_spans(start, g.indptr[frontier + 1] - start)]
         frontier = np.unique(dsts[dist[dsts] < 0])
         d += 1
         dist[frontier] = d
@@ -243,8 +241,7 @@ def giant_component(g: Graph) -> Graph:
     degree = g.out_degrees()[keep]
     indptr = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
-    start = g.indptr[keep]
-    arcs = np.repeat(start - indptr[:-1], degree) + np.arange(indptr[-1])
+    arcs = _spans(g.indptr[keep], degree)
     old_ids = keep if g.original_ids is None else np.asarray(g.original_ids)[keep]
     return Graph(keep.size, indptr, remap[g.indices[arcs]], original_ids=old_ids)
 

@@ -125,6 +125,13 @@ class Graph:
         return f"Graph(n={self.n}, arcs={self.num_arcs}, {kind})"
 
 
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[i] + 0..lengths[i]-1 for every i, concatenated."""
+    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    out += np.arange(out.size)
+    return out
+
+
 # ---- edge-list I/O ----
 
 

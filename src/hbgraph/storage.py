@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CODE_NAMES, _peek, bit_windows, nat_words, pack_words, read_nats, read_runs
-from .graph import Graph
+from .graph import Graph, _spans
 
 __all__ = [
     "CodecConfig",
@@ -487,13 +487,6 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
         copied += c
         intervals += i
     return EncodedGraph(n, g.num_arcs, upper, cfg, bytes(stream), offsets, copied, intervals)
-
-
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """starts[i] + 0..lengths[i]-1 for every i, concatenated."""
-    out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    out += np.arange(out.size)
-    return out
 
 
 def _running(steps: np.ndarray, count: np.ndarray) -> np.ndarray:

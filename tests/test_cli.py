@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from hbgraph.cli import _build_parser, _load_graph, _save_ids, main, run_manifest
 from hbgraph.diameter import giant_component
 from hbgraph.engine import RunSet, _peak_bytes
-from hbgraph.graph import Graph, info_lower_bound
+from hbgraph.graph import Graph, apply_permutation, info_lower_bound, random_permutation, transpose
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.storage import save as save_compressed
 from hbgraph.storage import load as load_compressed
@@ -94,7 +95,7 @@ class TestImport:
         save_compressed(encode_full(g), paths[5])
         runs = []
         for path in paths:
-            assert _load_graph(path)[0] == g
+            assert _load_graph(path) == g
             ok(["anf", path, "-o", path + ".runs.json", "--seed", "1"])
             runs.append(open(path + ".runs.json", "rb").read())
         assert all(r == runs[0] for r in runs)
@@ -124,6 +125,30 @@ class TestImport:
             assert e == g, suffix
         assert RunSet.load(str(tmp_path / "e.runs.json")).runs[0].graph_id == (
             load_compressed(hbg).decode().fingerprint())
+
+    def test_permute_and_transpose_choose_the_codec_for_what_they_write(self, tmp_path):
+        # a random order moves this band's best code from zeta_2 to zeta_3,
+        # so a codec taken over from the input file would show
+        g = band(1000, 1)
+        edges = tmp_path / "e.txt"
+        edges.write_text("".join(f"{u} {v}\n" for u in range(g.n) for v in g.successors(u).tolist()))
+        hbg = str(tmp_path / "g.hbg")
+        ok(["import", str(edges), "-o", hbg])
+        for name, graph in (("e", str(edges)), ("g", hbg)):
+            out = str(tmp_path / name)
+            ok(["permute", graph, "-o", out + ".p.hbg", "--random", "--seed", "3"])
+            ok(["transpose", graph, "-o", out + ".t.hbg"])
+        imported = load_compressed(hbg).decode()
+        written = {".p.hbg": apply_permutation(imported, random_permutation(g.n, 3)),
+                   ".t.hbg": transpose(imported)}
+        for suffix, graph in written.items():
+            ref = tmp_path / ("ref" + suffix)
+            save_compressed(encode(graph, CodecConfig(None, None, None, None)), ref)
+            for k in "eg":
+                assert (tmp_path / (k + suffix)).read_bytes() == ref.read_bytes(), k + suffix
+            e, f = ((tmp_path / (k + suffix + ".ids")).read_bytes() for k in "eg")
+            assert e == f, suffix
+        assert load_compressed(str(tmp_path / "e.p.hbg")).cfg != load_compressed(hbg).cfg
 
     def test_symmetrize_flag(self, tmp_path):
         src = tmp_path / "e.txt"
@@ -273,7 +298,7 @@ class TestAnfStats:
     def test_anf_exact_budget(self, tmp_path, edges_file, capsys):
         # a budget at the bound changes nothing; one byte under it is refused
         hbg = self._import(tmp_path, edges_file)
-        bound = _peak_bytes(_load_graph(hbg)[0], 0)
+        bound = _peak_bytes(_load_graph(hbg), 0)
         free, held, out = (str(tmp_path / f) for f in ("free.json", "held.json", "r.json"))
         ok(["anf", hbg, "-o", free, "--exact"])
         ok(["anf", hbg, "-o", held, "--exact", "--budget-bytes", str(bound)])
@@ -452,7 +477,7 @@ class TestDiameterGaps:
             b'{\n  "bfs_count": 3,\n  "component_size": null,\n  "exact": false,\n'
             b'  "far_pair": [\n    721,\n    217\n  ],\n  "lower": 9,\n'
             b'  "midpoint": 623,\n  "midpoint_ecc": 5,\n  "upper": null\n}\n')
-        g, _ = _load_graph(hbg)
+        g = _load_graph(hbg)
         bare = Graph(g.n, g.indptr, g.indices)
         assert giant_component(bare).original_ids[[17, 3, 13]].tolist() == [721, 217, 623]
         assert giant_component(g).original_ids.tolist() == [
@@ -705,3 +730,15 @@ class TestTopLevel:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+    def test_readme_cli_examples_parse(self):
+        # every line of README's CLI example block names real commands
+        # and flags, so the documented examples cannot drift from the parser
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+        lines = [words for words in lines if words]
+        assert len(lines) >= 9 and all(words[0] == "hbgraph" for words in lines)
+        parser = _build_parser()
+        for words in lines:
+            assert parser.parse_args(words[1:]).command == words[1]
