@@ -24,6 +24,9 @@ decoding the benchmark graphs took 1.2-1.6 times as long on a 2-core
 VM. `read_runs` reads many codewords at a few cursors: it reads one at
 every bit of a window and follows the codeword starts, so a long run
 costs a read per bit, not a pass per codeword. Values go up to 2^63 - 1.
+`read_everywhere` reads a codeword at every bit of a byte string, eight
+table lookups per byte, with value and width capped at 255, for a reader
+that follows codeword starts it does not know in advance.
 The scalar bit writer and reader these replaced are the oracle the tests
 check them against (tests/util.py).
 """
@@ -34,7 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["nat_words", "pack_words", "bit_windows", "read_nats", "read_runs", "CODE_NAMES"]
+__all__ = ["nat_words", "pack_words", "bit_windows", "read_nats", "read_runs", "read_everywhere",
+           "CODE_NAMES"]
 
 CODE_NAMES = ("gamma", "delta", "zeta")
 
@@ -203,6 +207,42 @@ def _read(table, pos, code: str, k: int):
     if long.any():
         x[long], width[long] = _read_long(table, pos[long], code, k)
     return x - _ONE, width
+
+
+@lru_cache(maxsize=40)
+def _capped_table(code: str, k: int) -> np.ndarray:
+    """_short_table as min(value, 255) << 8 | width, little-endian uint16."""
+    entry = _short_table(code, k)
+    value = np.minimum((entry >> 8) - _ONE, 255)  # where a codeword fits
+    table = np.where(entry & 255, value << 8 | (entry & 255), 0).astype("<u2")
+    table.flags.writeable = False
+    return table
+
+
+def read_everywhere(data, code: str = "gamma", k: int = 3):
+    """_read at every bit of `data`: the value of the codeword that starts
+    at bit 8i + s (byte i, s from its top bit) and its width, each as
+    uint8, 255 standing for 255 or more (and for a value past 2^63 - 1).
+    Eight passes, one per s, look short codewords up from the 32 bits at
+    each byte; the longer ones are read by arithmetic."""
+    if code == "zeta" and k == 1:
+        code = "gamma"
+    raw = np.frombuffer(data, dtype=np.uint8)
+    buf = np.zeros(raw.size + 3, dtype=np.uint8)
+    buf[: raw.size] = raw
+    words = np.ndarray((raw.size,), ">u4", buf, 0, (1,)).astype(np.uint32)
+    table = _capped_table(code, k)
+    entry = np.empty((raw.size, 8), dtype="<u2")
+    for s in range(8):  # a short codeword at bit s lies in bits s..s + _SHORT - 1 of the word
+        np.take(table, (words >> np.uint32(32 - _SHORT - s)) & np.uint32((1 << _SHORT) - 1),
+                out=entry[:, s])
+    pairs = entry.reshape(-1).view(np.uint8)  # width, value, width, value, ...
+    value, width = pairs[1::2].copy(), pairs[0::2].copy()
+    long = np.flatnonzero(width == 0)
+    if long.size:
+        x, w = _read_long(bit_windows(data), long.astype(np.uint64), code, k)
+        value[long], width[long] = np.minimum(x - _ONE, 255), np.minimum(w, 255)
+    return value, width
 
 
 def read_nats(table, pos, end, code: str = "gamma", k: int = 3):

@@ -12,17 +12,23 @@ web-graph playbook:
   instantaneous code; the first residual is taken relative to the node id
   via a sign fold, later ones relative to their predecessor.
 
-Chunks carry no outdegree: the per-node bit-offset table delimits every
-chunk exactly, and instantaneous codes make "read residuals until the
-chunk ends" unambiguous. A symmetric graph stores each edge once: node
-x's chunk codes only its successors y >= x, and `decode` mirrors the
-rest. `save` writes the ``HBG3`` container: a header with the copied and
-interval arc tallies, the offsets as an Elias-Fano list and the code
-stream, under one CRC-32. `load` also reads the older ``HBG2`` (the same
-layout, full lists for symmetric graphs too) and ``HBG1`` (raw u64
-offsets, a CRC over the stream alone, no tallies); their symmetric flag
-is ignored, since the decoded arcs say it. See FORMATS.md for the
-bit-exact layouts.
+Chunks carry no outdegree. In memory, an EncodedGraph keeps every
+chunk's bit offset, and instantaneous codes make "read residuals until
+the chunk ends" unambiguous. A symmetric graph stores each edge once:
+node x's chunk codes only its successors y >= x, and `decode` mirrors
+the rest. `save` writes the ``HBG4`` container: a header with the copied
+and interval arc tallies, each chunk's residual count as an Elias-Fano
+list of running totals, the offsets of every _STEP-th node as another,
+and the code stream, under one CRC-32. A chunk's reference, block count
+and interval count say how many of those fields follow, and its count
+how many residuals, so `load` rebuilds every offset (`_chunk_ends`): it
+reads each group of _STEP chunks on from its kept offset, following the
+codeword starts over `codes.read_everywhere`, and the group must end at
+the next kept offset. `load` also reads the older ``HBG3`` (every offset
+as Elias-Fano), ``HBG2`` (HBG3's layout, full lists for symmetric graphs
+too) and ``HBG1`` (raw u64 offsets, a CRC over the stream alone, no
+tallies); the HBG1 and HBG2 symmetric flag is ignored, since the decoded
+arcs say it. See FORMATS.md for the bit-exact layouts.
 
 Both directions work on arrays, over blocks of consecutive nodes. The
 encoder's blocks hold about _BLOCK arcs plus nodes (and read the lists
@@ -71,11 +77,13 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CODE_NAMES, _peek, bit_windows, nat_words, pack_words, read_nats, read_runs
+from .codes import (CODE_NAMES, _peek, _read, bit_windows, nat_words, pack_words,
+                    read_everywhere, read_nats, read_runs)
 from .graph import Graph, _spans
 
 __all__ = [
@@ -87,10 +95,12 @@ __all__ = [
     "load",
 ]
 
-MAGIC = b"HBG3"  # what save writes
-VERSIONS = {b"HBG1": 1, b"HBG2": 2, MAGIC: 3}  # every magic load reads, with its version
-_HEADER = struct.Struct("<4sBBBxQQIIBBBxI")  # every version; see FORMATS.md
+MAGIC = b"HBG4"  # what save writes
+VERSIONS = {b"HBG1": 1, b"HBG2": 2, b"HBG3": 3, MAGIC: 4}  # every magic load reads, and its version
+_HEADER = struct.Struct("<4sBBBBQQIIBBBxI")  # every version; see FORMATS.md
 _TALLIES = struct.Struct("<QQQ")  # HBG2 on: copied arcs, interval arcs, stream bits
+_INDEX = struct.Struct("<QI")  # HBG4: residual codewords, nodes per kept offset
+_STEP = 64  # the nodes per kept offset that save writes
 _LITTLE = 0xFE
 
 _CODE_IDS = {name: i for i, name in enumerate(CODE_NAMES)}
@@ -432,8 +442,10 @@ def _choose(g: Graph, cfg: CodecConfig) -> CodecConfig:
     the given one or the cheaper of 7 and 0, the min_interval the given
     one or the cheaper of 4 and 0, by the exact stream bits of each pair
     under that code: one pass over the candidates (`_block_bits`) gives
-    all four totals. Ties go to 0. The offsets' Elias-Fano part does not
-    shrink as the stream grows, so the fewest bits make the smallest file.
+    all four totals. Ties go to 0. The HBG4 index is not counted: its
+    kept offsets grow with the stream, but its residual totals shrink where
+    copies and intervals take residuals away, so the fewest stream bits
+    need not make the smallest file (on the benchmark graphs they do).
     """
     code, k = _residual_code(g, cfg)
     windows = [0, _DEFAULT.window] if cfg.window is None else [cfg.window]
@@ -761,69 +773,219 @@ def _ef_decode(low, high, count: int, low_bits: int) -> np.ndarray:
 
 
 def _crc(blob) -> int:
-    """CRC-32 of an HBG2 or HBG3 file but its CRC field, bytes 36 to 39."""
+    """CRC-32 of an HBG2, HBG3 or HBG4 file but its CRC field, bytes 36 to 39."""
     with memoryview(blob) as view:
         return zlib.crc32(view[40:], zlib.crc32(view[:36]))
 
 
+def _kept(n: int, step: int) -> np.ndarray:
+    """The nodes whose offsets HBG4 keeps: 0, step, 2 step, ... below n, then n."""
+    return np.append(np.arange(0, n, step), n)
+
+
+def _residual_counts(enc: EncodedGraph) -> np.ndarray:
+    """How many residual codewords each node's chunk holds."""
+    counts = np.zeros(enc.n, dtype=np.int64)
+    for a, b in _blocks(enc.offsets, 3):
+        counts[a:b] = _read_chunks(enc, a, b)[6]
+    return counts
+
+
+def _residual_ends(data, cfg, bounds, totals, step, where):
+    """Chunk ends, as bits of `data`, of groups of `step` chunks that hold
+    residuals alone. Group g spans bits [bounds[g], bounds[g + 1]), and
+    `totals` are the running residual counts of its nodes, from 0. Each
+    group follows its codeword starts to its end, and node x's chunk ends
+    after the (totals[x + 1] - totals[g * step])-th codeword of group g.
+    A codeword past a group's end, or a group of other than its residuals,
+    raises ValueError, `where(g)` naming the group."""
+    width = read_everywhere(data, cfg.residual_code, cfg.zeta_k)[1].tobytes()
+    marks, firsts = array("q"), []  # each group's start, then its codeword ends
+    add = marks.append
+    for g, (p, e) in enumerate(zip(bounds, bounds[1:])):
+        firsts.append(len(marks))
+        add(p)
+        while p < e:
+            p += width[p]
+            add(p)
+        if p != e:
+            raise ValueError(f"{where(g)}: a codeword runs {p - e} bits past the kept offset")
+    nodes = _kept(totals.size - 1, step)
+    held, found = np.diff(totals[nodes]), np.diff(firsts + [len(marks)]) - 1
+    if (bad := found != held).any():
+        g = int(bad.argmax())
+        raise ValueError(f"{where(g)}: {found[g]} codewords up to the kept offset, "
+                         f"the residual totals say {held[g]}")
+    group = np.arange(totals.size - 1) // step
+    at = np.array(firsts)[group] + totals[1:] - totals[group * step]
+    return np.frombuffer(marks, dtype=np.int64)[at].astype(np.uint64)
+
+
+def _field_ends(data, cfg, bounds, totals, step, where):
+    """`_residual_ends` for chunks with fields before their residuals:
+    each chunk follows them in Python, the reference, the block count and
+    blocks, the interval count and intervals, as `cfg` has them (gamma),
+    then its count of residuals. A count of fields past its group's end
+    also raises ValueError."""
+    rw = read_everywhere(data, cfg.residual_code, cfg.zeta_k)[1].tobytes()
+    gv, gw = read_everywhere(data)
+    big = np.flatnonzero(gv == 255)  # a count of 255 or more is read again, whole
+    exact = dict(zip(big.tolist(), _read(bit_windows(data), big.astype(np.uint64), "gamma", 3)[0]
+                     .tolist())) if big.size else {}
+    gv, gw, ends = gv.tobytes(), gw.tobytes(), []
+    window, min_interval = cfg.window, cfg.min_interval
+
+    def overrun(items, left):
+        g = len(ends) // step
+        return ValueError(f"{where(g)}: {items} fields in the {left} bits up to the kept offset")
+
+    counts = np.diff(totals).tolist()
+    try:
+        for g, (p, e) in enumerate(zip(bounds, bounds[1:])):
+            for c in counts[g * step : (g + 1) * step]:
+                if window:
+                    ref = gv[p]
+                    p += gw[p]
+                    if ref:  # a block count, then the blocks
+                        items = gv[p] if gv[p] < 255 else exact[p]
+                        p += gw[p]
+                        if items > e - p:
+                            raise overrun(items, e - p)
+                        for _ in range(items):
+                            p += gw[p]
+                if min_interval:  # an interval count, then two fields each
+                    items = 2 * (gv[p] if gv[p] < 255 else exact[p])
+                    p += gw[p]
+                    if items:
+                        if items > e - p:
+                            raise overrun(items, e - p)
+                        for _ in range(items):
+                            p += gw[p]
+                for _ in range(c):
+                    p += rw[p]
+                ends.append(p)
+            if p != e:
+                side = "after" if p > e else "before"
+                raise ValueError(f"{where(g)}: the chunks end {abs(p - e)} bits {side} "
+                                 "the kept offset")
+    except IndexError:
+        raise ValueError(f"{where(len(ends) // step)}: a chunk runs past the stream") from None
+    return np.array(ends, dtype=np.uint64)
+
+
+def _chunk_ends(stream, cfg: CodecConfig, kept: np.ndarray, totals: np.ndarray, step: int):
+    """The n + 1 chunk offsets that the n + 1 running residual totals give,
+    from the offsets kept of the `_kept` nodes. The groups of `step`
+    chunks between kept offsets are read in batches of about _BLOCK groups
+    plus stream bytes: `codes.read_everywhere` reads a codeword at every
+    bit of a batch, then each group follows its codeword starts in Python.
+    Raises ValueError where a group's residuals cannot fit its bits or its
+    chunks do not end at the next kept offset."""
+    nodes = _kept(totals.size - 1, step)
+    held, room = np.diff(totals[nodes]), np.diff(kept)
+    if (bad := held > room).any():
+        g = int(bad.argmax())
+        raise ValueError(f"nodes {nodes[g]} on: {held[g]} residuals in {room[g]} bits")
+    follow = _field_ends if cfg.window or cfg.min_interval else _residual_ends
+    offsets = np.empty(totals.size, dtype=np.uint64)
+    offsets[0] = kept[0]
+    for ga, gb in _blocks(kept, 3):  # groups plus stream bytes
+        a, b, first = int(nodes[ga]), int(nodes[gb]), int(kept[ga]) >> 3
+        base = np.uint64(8 * first)
+        data = stream[first : (int(kept[gb]) + 7) >> 3]
+        bounds = (kept[ga : gb + 1] - base).tolist()
+        ends = follow(data, cfg, bounds, (totals[a : b + 1] - totals[a]).astype(np.int64),
+                      step, lambda g: f"nodes {a + g * step} to {min(a + (g + 1) * step, b) - 1}")
+        offsets[a + 1 : b + 1] = ends + base
+    return offsets
+
+
 def save(enc: EncodedGraph, path) -> None:
-    """Write the HBG3 container: header, Elias-Fano offsets, code stream.
-    Its flag byte says whether the stream holds upper lists."""
-    cfg = enc.cfg
-    low_bits, low, high = _ef_encode(enc.offsets)
+    """Write the HBG4 container: header, the running residual totals and
+    every _STEP-th offset as Elias-Fano lists, code stream. Its flag byte
+    says whether the stream holds upper lists."""
+    cfg, n = enc.cfg, enc.n
+    totals = np.zeros(n + 1, dtype=np.uint64)
+    np.cumsum(_residual_counts(enc), out=totals[1:])
+    count_bits, *counts = _ef_encode(totals)
+    low_bits, *kept = _ef_encode(enc.offsets[_kept(n, _STEP)])
     blob = bytearray(_HEADER.pack(  # the CRC goes in below
-        MAGIC, VERSIONS[MAGIC], _LITTLE, low_bits, enc.n, enc.num_arcs, cfg.window,
+        MAGIC, VERSIONS[MAGIC], _LITTLE, low_bits, count_bits, n, enc.num_arcs, cfg.window,
         cfg.min_interval, _CODE_IDS[cfg.residual_code], cfg.zeta_k, int(enc.upper), 0,
     ))
     blob += _TALLIES.pack(enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
-    blob += low + high + enc.stream
+    blob += _INDEX.pack(int(totals[-1]), _STEP)
+    blob += b"".join(counts + kept) + enc.stream
     struct.pack_into("<I", blob, 36, _crc(blob))
     with open(path, "wb") as fh:
         fh.write(blob)
 
 
 def load(path) -> EncodedGraph:
-    """Read an HBG3, HBG2 or HBG1 container back into an EncodedGraph;
-    HBG1 keeps no codec tallies, so they read 0. Only an HBG3 stream holds
-    upper lists; the HBG1 and HBG2 flag byte is read and ignored."""
+    """Read an HBG4, HBG3, HBG2 or HBG1 container back into an
+    EncodedGraph; HBG1 keeps no codec tallies, so they read 0. Only an
+    HBG3 or HBG4 stream holds upper lists; the HBG1 and HBG2 flag byte is
+    read and ignored. HBG4's offsets are rebuilt by `_chunk_ends`."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] not in VERSIONS:
-        raise ValueError(f"{path}: not an HBG1, HBG2 or HBG3 graph file")
-    magic, version, endian, low_bits, n, num_arcs, window, min_interval, code_id, zeta_k, \
-        flag, crc = _HEADER.unpack_from(blob)
+        raise ValueError(f"{path}: not an HBG1, HBG2, HBG3 or HBG4 graph file")
+    magic, version, endian, low_bits, count_bits, n, num_arcs, window, min_interval, code_id, \
+        zeta_k, flag, crc = _HEADER.unpack_from(blob)
     if version != VERSIONS[magic]:
         raise ValueError(f"{path}: unsupported format version {version}")
     if endian != _LITTLE:
         raise ValueError(f"{path}: bad endianness tag {endian:#x}")
     if code_id not in _CODE_BY_ID:
         raise ValueError(f"{path}: unknown residual code id {code_id}")
+    cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
     start = _HEADER.size
     if version == 1:
         end = start + 8 * (n + 1)
         if len(blob) < end:
             raise ValueError(f"{path}: truncated offset table")
         offsets = np.frombuffer(blob[start:end], dtype="<u8").copy()
-        stream, copied, intervals = blob[end:], 0, 0
+        stream = blob[end:]
         if zlib.crc32(stream) != crc:
             raise ValueError(f"{path}: code stream checksum mismatch")
         if int(offsets[-1]) > len(stream) * 8:
             raise ValueError(f"{path}: offset table points past the stream")
+        return EncodedGraph(n, num_arcs, False, cfg, stream, offsets, 0, 0)
+    if len(blob) < start + _TALLIES.size + (_INDEX.size if version == 4 else 0):
+        raise ValueError(f"{path}: truncated header")
+    copied, intervals, top = _TALLIES.unpack_from(blob, start)
+    start += _TALLIES.size
+    # (name, unit, how many, low width, last value) of each Elias-Fano list
+    if version < 4:
+        lists = [("offsets", "bit ", n + 1, low_bits, top)]
     else:
-        if len(blob) < start + _TALLIES.size:
-            raise ValueError(f"{path}: truncated header")
-        copied, intervals, top = _TALLIES.unpack_from(blob, start)
-        start += _TALLIES.size
-        low_end = start + (low_bits * (n + 1) + 7) // 8
-        high_end = low_end + (n + 1 + (top >> low_bits) + 7) // 8
-        if len(blob) != (size := high_end + (top + 7) // 8):
-            what = "truncated file" if len(blob) < size else "bytes past the stream"
-            raise ValueError(f"{path}: {what}: {len(blob)} bytes, the header implies {size}")
-        if _crc(blob) != crc:
-            raise ValueError(f"{path}: checksum mismatch")
-        offsets = _ef_decode(blob[start:low_end], blob[low_end:high_end], n + 1, low_bits)
-        if int(offsets[-1]) != top:
-            raise ValueError(f"{path}: offsets end at bit {offsets[-1]}, the header says {top}")
-        stream = blob[high_end:]
-    cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
-    return EncodedGraph(n, num_arcs, flag and version == 3, cfg, stream, offsets, copied, intervals)
+        total, step = _INDEX.unpack_from(blob, start)
+        start += _INDEX.size
+        if step == 0:
+            raise ValueError(f"{path}: offset step 0")
+        lists = [("residual totals", "", n + 1, count_bits, total),
+                 ("kept offsets", "bit ", -(-n // step) + 1, low_bits, top)]
+    cuts = [start]  # where each low and high part ends
+    for name, _, count, bits, last in lists:
+        if bits > 63:
+            raise ValueError(f"{path}: {name}: Elias-Fano low width {bits} is past 63")
+        cuts.append(cuts[-1] + (bits * count + 7) // 8)
+        cuts.append(cuts[-1] + (count + (last >> bits) + 7) // 8)
+    if len(blob) != (size := cuts[-1] + (top + 7) // 8):
+        what = "truncated file" if len(blob) < size else "bytes past the stream"
+        raise ValueError(f"{path}: {what}: {len(blob)} bytes, the header implies {size}")
+    if _crc(blob) != crc:
+        raise ValueError(f"{path}: checksum mismatch")
+    values = []
+    for i, (name, unit, count, bits, last) in enumerate(lists):
+        low, high = blob[cuts[2 * i] : cuts[2 * i + 1]], blob[cuts[2 * i + 1] : cuts[2 * i + 2]]
+        try:
+            values.append(_ef_decode(low, high, count, bits))
+        except ValueError as err:
+            raise ValueError(f"{path}: {name}: {err}") from None
+        if int(values[-1][-1]) != last:
+            raise ValueError(f"{path}: {name} end at {unit}{values[-1][-1]}, "
+                             f"the header says {last}")
+    stream = blob[cuts[-1] :]
+    offsets = values[0] if version < 4 else _chunk_ends(stream, cfg, values[1], values[0], step)
+    return EncodedGraph(n, num_arcs, flag and version >= 3, cfg, stream, offsets, copied, intervals)

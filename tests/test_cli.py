@@ -14,7 +14,8 @@ from hbgraph.graph import Graph, apply_permutation, info_lower_bound, random_per
 from hbgraph.storage import CodecConfig, encode
 from hbgraph.storage import save as save_compressed
 from hbgraph.storage import load as load_compressed
-from util import band, encode_full, er, from_pairs, save_hbg1, save_hbg2, sym_from_pairs
+from util import (band, encode_full, er, from_pairs, save_hbg1, save_hbg2, save_hbg3,
+                  sym_from_pairs)
 
 
 @pytest.fixture()
@@ -86,13 +87,15 @@ class TestImport:
         g = sym_from_pairs(7, [(0, 0), (0, 2), (1, 2), (2, 3), (3, 5)])
         assert g.successors(5).tolist() == [3]
         paths = [str(tmp_path / f"g{v}.hbg") for v in ("1", "1-unflagged", "2", "2-unflagged",
-                                                       "3", "3-full")]
+                                                       "3", "3-full", "4", "4-full")]
         save_hbg1(encode_full(g), paths[0], True)
         save_hbg1(encode_full(g), paths[1], False)
         save_hbg2(encode_full(g), paths[2], True)
         save_hbg2(encode_full(g), paths[3], False)
-        save_compressed(encode(g), paths[4])
-        save_compressed(encode_full(g), paths[5])
+        save_hbg3(encode(g), paths[4])
+        save_hbg3(encode_full(g), paths[5])
+        save_compressed(encode(g), paths[6])
+        save_compressed(encode_full(g), paths[7])
         runs = []
         for path in paths:
             assert _load_graph(path) == g

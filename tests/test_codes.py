@@ -9,6 +9,7 @@ from hbgraph.codes import (
     bit_windows,
     nat_words,
     pack_words,
+    read_everywhere,
     read_nats,
     read_runs,
 )
@@ -374,6 +375,43 @@ class TestArrayReader:
             for end in range(int(starts[1])):
                 with pytest.raises((ValueError, EOFError)):
                     read_nats(table, starts[:1], np.full(1, end, np.uint64), code, k)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(min_value=0, max_value=1 << 40),
+                                  st.sampled_from([0, 1 << 32])), max_size=40),
+        code=st.sampled_from(CODE_NAMES),
+        k=st.integers(min_value=1, max_value=31),
+        lead=st.integers(min_value=0, max_value=70),
+    )
+    def test_everywhere_reads_the_oracle_writer_at_its_starts(self, values, code, k, lead):
+        w = BitWriter()
+        w.write_bits(0, lead)
+        starts = []
+        for v in values:
+            starts.append(w.bit_length)
+            write_nat(w, v, code, k)
+        got, width = read_everywhere(w.getvalue(), code, k)
+        assert got.size == width.size == 8 * len(w.getvalue())
+        assert got[starts].tolist() == np.minimum(values, 255).tolist()
+        assert width[starts].tolist() == np.diff(starts + [w.bit_length]).clip(max=255).tolist()
+
+    @pytest.mark.parametrize("code,k", [("gamma", 3), ("delta", 3), ("zeta", 1), ("zeta", 2),
+                                        ("zeta", 3), ("zeta", 12), ("zeta", 13)])
+    def test_everywhere_is_a_read_at_every_bit(self, code, k):
+        # random bytes, many of them 0, hold codewords of every length and
+        # values past 2^63 - 1, which _read marks with _FAR and more
+        rng = np.random.default_rng(k)
+        for size in (0, 1, 3, 40, 300):
+            data = rng.integers(0, 256, size, dtype=np.uint8)
+            data[rng.random(size) < 0.5] = 0
+            data = data.tobytes()
+            got, width = read_everywhere(data, code, k)
+            want, want_width = codes._read(bit_windows(data), np.arange(8 * size, dtype=np.uint64),
+                                           code, k)
+            assert got.dtype == width.dtype == np.uint8
+            assert np.array_equal(got, np.minimum(want, 255))
+            assert np.array_equal(width, np.minimum(want_width, 255))
 
     def test_bad_code(self):
         table, starts, ends = cursors([1], "gamma")

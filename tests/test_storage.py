@@ -23,10 +23,11 @@ from hbgraph.storage import (
     _crc,
     _ef_decode,
     _ef_encode,
+    _kept,
     _split_runs,
 )
-from util import (BitWriter, ba, band, encode_full, er, from_pairs, mixed_suite, save_hbg1,
-                  save_hbg2, write_nat)
+from util import (BitReader, BitWriter, ba, band, encode_full, er, from_pairs, mixed_suite,
+                  read_nat, save_hbg1, save_hbg2, save_hbg3, write_nat)
 
 # the 12 knob combinations of acceptance check C8
 C8_CONFIGS = [
@@ -300,6 +301,53 @@ class TestLongChunks:
             _assert_same_graph(g, decode(enc))
 
 
+def _scalar_residual_counts(enc):
+    """Each chunk's count of residuals, read field by field with the
+    scalar reader: the reference, blocks and intervals, then residuals up
+    to the chunk's end."""
+    cfg, counts = enc.cfg, []
+    for x in range(enc.n):
+        r = BitReader(enc.stream, int(enc.offsets[x]), int(enc.offsets[x + 1]))
+        if cfg.window and read_nat(r):
+            for _ in range(read_nat(r)):
+                read_nat(r)
+        for _ in range(2 * read_nat(r) if cfg.min_interval else 0):
+            read_nat(r)
+        count = 0
+        while r.remaining:
+            read_nat(r, cfg.residual_code, cfg.zeta_k)
+            count += 1
+        counts.append(count)
+    return counts
+
+
+def _sections(blob):
+    """Byte ranges of the Elias-Fano parts of an HBG3 or HBG4 file, as
+    FORMATS.md sizes them ("offsets low", "offsets high" or "residual
+    totals low", ..., "kept offsets high"), and for HBG4 the decoded
+    "totals" and "kept" lists."""
+    header = storage._HEADER.unpack_from(blob)
+    low_bits, count_bits, n = header[3:6]
+    top = struct.unpack_from("<Q", blob, 56)[0]
+    if blob[:4] == b"HBG3":
+        lists, at = [("offsets", n + 1, low_bits, top)], 64
+    else:
+        total, step = struct.unpack_from("<QI", blob, 64)
+        lists, at = [("residual totals", n + 1, count_bits, total),
+                     ("kept offsets", -(-n // step) + 1, low_bits, top)], 76
+    out = {}
+    for name, count, bits, last in lists:
+        low, high = (bits * count + 7) // 8, (count + (last >> bits) + 7) // 8
+        out[f"{name} low"], out[f"{name} high"] = (at, at + low), (at + low, at + low + high)
+        if name != "offsets":
+            key = "totals" if name == "residual totals" else "kept"
+            parts = blob[at : at + low], blob[at + low : at + low + high]
+            out[key] = _ef_decode(*parts, count, bits)
+        at += low + high
+    out["stream"] = (at, len(blob))
+    return out
+
+
 class TestContainer:
     def _graph(self):
         return er(60, 0.08, seed=11)
@@ -319,24 +367,32 @@ class TestContainer:
         _assert_same_graph(g, back.decode())
 
     def test_magic_and_layout(self, tmp_path):
-        enc = encode(band(300, 4))
+        cfg = CodecConfig()
+        enc = encode(band(300, 4), cfg)
         p = tmp_path / "g.hbg"
         save(enc, p)
         blob = p.read_bytes()
         n, top = enc.n, enc.stream_bits
-        low_bits = int(math.log2(top / (n + 1)))
-        assert MAGIC == b"HBG3"
-        assert blob[:8] == MAGIC + bytes([3, 0xFE, low_bits, 0])
+        totals = np.cumsum([0] + _scalar_residual_counts(enc)).astype(np.uint64)
+        kept = enc.offsets[[0, 64, 128, 192, 256, 300]]
+        total = int(totals[-1])
+        count_bits, low_bits = int(math.log2(total / (n + 1))), int(math.log2(top / 6))
+        assert MAGIC == b"HBG4"
+        assert blob[:8] == MAGIC + bytes([4, 0xFE, low_bits, count_bits])
         assert struct.unpack_from("<QQIIBBBx", blob, 8) == (
-            n, enc.num_arcs, 7, 4, 2, 3, 1)  # zeta is code 2
-        assert struct.unpack_from("<QQQ", blob, 40) == (enc.copied_arcs, enc.interval_arcs, top)
-        # header(64), the low bits, the unary high parts, then the stream verbatim
-        low_end = 64 + (low_bits * (n + 1) + 7) // 8
-        high_end = low_end + (n + 1 + (top >> low_bits) + 7) // 8
-        assert _ef_encode(enc.offsets) == (low_bits, blob[64:low_end], blob[low_end:high_end])
-        assert blob[high_end:] == enc.stream
+            n, enc.num_arcs, cfg.window, cfg.min_interval, 2, cfg.zeta_k, 1)  # zeta is code 2
+        assert struct.unpack_from("<QQQQI", blob, 40) == (
+            enc.copied_arcs, enc.interval_arcs, top, total, 64)
+        # header(76), the totals and the kept offsets as Elias-Fano, the stream verbatim
+        cuts = np.cumsum([76, (count_bits * (n + 1) + 7) // 8,
+                          (n + 1 + (total >> count_bits) + 7) // 8,
+                          (low_bits * 6 + 7) // 8, (6 + (top >> low_bits) + 7) // 8])
+        assert _ef_encode(totals) == (count_bits, blob[cuts[0]:cuts[1]], blob[cuts[1]:cuts[2]])
+        assert _ef_encode(kept) == (low_bits, blob[cuts[2]:cuts[3]], blob[cuts[3]:cuts[4]])
+        assert blob[cuts[4]:] == enc.stream
         crc = zlib.crc32(blob[:36] + blob[40:])
         assert crc == int.from_bytes(blob[36:40], "little") == _crc(blob)
+        assert np.array_equal(load(p).offsets, enc.offsets)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.hbg"
@@ -382,18 +438,24 @@ class TestContainer:
             load(p)
 
     def test_every_cut_and_extra_byte_is_named(self, tmp_path):
+        # HBG4's header is 76 bytes and HBG3's 64
         enc = encode(self._graph())
         p = tmp_path / "g.hbg"
-        save(enc, p)
-        blob = p.read_bytes()
-        for size in (64, 65, 100, len(blob) - len(enc.stream), len(blob) - 1):
-            p.write_bytes(blob[:size])
-            want = f"truncated file: {size} bytes, the header implies {len(blob)}"
-            with pytest.raises(ValueError, match=want):
+        for write, header in [(save, 76), (save_hbg3, 64)]:
+            write(enc, p)
+            blob = p.read_bytes()
+            for size in range(40, header):
+                p.write_bytes(blob[:size])
+                with pytest.raises(ValueError, match="truncated header"):
+                    load(p)
+            for size in (header, header + 1, 100, len(blob) - len(enc.stream), len(blob) - 1):
+                p.write_bytes(blob[:size])
+                want = f"truncated file: {size} bytes, the header implies {len(blob)}"
+                with pytest.raises(ValueError, match=want):
+                    load(p)
+            p.write_bytes(blob + b"\0")
+            with pytest.raises(ValueError, match="bytes past the stream"):
                 load(p)
-        p.write_bytes(blob + b"\0")
-        with pytest.raises(ValueError, match="bytes past the stream"):
-            load(p)
 
     @pytest.mark.parametrize("change,error", [
         ("clear", "high part holds {} ones, expected {}"),
@@ -401,29 +463,39 @@ class TestContainer:
         ("move", "offsets end at bit {}, the header says {}"),
     ])
     def test_high_part_checked_past_the_checksum(self, change, error, tmp_path):
-        # the parts are rewritten under a valid CRC, so only the Elias-Fano
-        # checks can see the change
-        enc = encode(self._graph())
-        low_bits, low, high = _ef_encode(enc.offsets)
-        start = 64 + len(low)
-        bits = np.unpackbits(np.frombuffer(high, dtype=np.uint8))
-        ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
-        count = ones.size
-        if change in ("clear", "move"):
-            bits[ones[-1]] = 0
-            count -= 1
-        if change in ("set", "move"):
-            bits[zeros[0]] = 1  # before the last one, or in the padding
-            count += 1
+        # each list is rewritten under a valid CRC, so only the Elias-Fano
+        # checks can see the change: HBG3's offsets, and HBG4's residual
+        # totals and kept offsets
+        enc = encode(band(300, 4))
         p = tmp_path / "g.hbg"
-        save(enc, p)
-        blob = bytearray(p.read_bytes())
-        blob[start : start + len(high)] = np.packbits(bits).tobytes()
-        struct.pack_into("<I", blob, 36, _crc(blob))
-        p.write_bytes(bytes(blob))
-        args = (count, enc.n + 1) if change != "move" else (r"\d+", enc.stream_bits)
-        with pytest.raises(ValueError, match=error.format(*args)):
-            load(p)
+        for write, name in [(save_hbg3, "offsets"), (save, "residual totals"),
+                            (save, "kept offsets")]:
+            write(enc, p)
+            blob = bytearray(p.read_bytes())
+            sections = _sections(blob)
+            values = {"offsets": enc.offsets, "residual totals": sections.get("totals"),
+                      "kept offsets": sections.get("kept")}[name]
+            a, b = sections[f"{name} high"]
+            bits = np.unpackbits(np.frombuffer(blob[a:b], dtype=np.uint8))
+            ones, zeros = np.flatnonzero(bits), np.flatnonzero(bits == 0)
+            count = ones.size
+            if change in ("clear", "move"):
+                bits[ones[-1]] = 0
+                count -= 1
+            if change in ("set", "move"):
+                bits[zeros[0]] = 1  # before the last one, or in the padding
+                count += 1
+            blob[a:b] = np.packbits(bits).tobytes()
+            struct.pack_into("<I", blob, 36, _crc(blob))
+            p.write_bytes(bytes(blob))
+            if change == "move":
+                want = error.format(r"\d+", int(values[-1]))
+                if name == "residual totals":
+                    want = want.replace("offsets end at bit", "residual totals end at")
+            else:
+                want = f"{name}: Elias-Fano " + error.format(count, values.size)
+            with pytest.raises(ValueError, match=want):
+                load(p)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     def test_hbg1_files_still_load(self, cfg, tmp_path):
@@ -461,9 +533,157 @@ class TestContainer:
             assert first.read_bytes() == second.read_bytes()
 
 
+# the codec settings of the benchmark graphs (residuals alone) and the defaults
+HBG4_CONFIGS = [CodecConfig(0, 0, "zeta", 2), CodecConfig()]
+
+
+class TestHBG4:
+    """The HBG4 index: each node's residual count as running totals and
+    the offsets of every _STEP-th node, from which load rebuilds every
+    offset. Corrupt indexes are rewritten under a valid CRC, so only the
+    index checks can see them."""
+
+    @staticmethod
+    def _rewrite(enc, tmp_path, edit):
+        """The path of enc saved, its bytes changed by edit(blob, sections)
+        and its CRC made good again."""
+        p = tmp_path / "g.hbg"
+        save(enc, p)
+        blob = bytearray(p.read_bytes())
+        edit(blob, _sections(blob))
+        struct.pack_into("<I", blob, 36, _crc(blob))
+        p.write_bytes(bytes(blob))
+        return p
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129, 300])
+    @pytest.mark.parametrize("cfg", HBG4_CONFIGS, ids=_cfg_id)
+    def test_groups_of_every_size(self, n, cfg, tmp_path):
+        g = band(n, 6)
+        enc = encode(g, cfg)
+        save(enc, tmp_path / "g.hbg")
+        sections = _sections((tmp_path / "g.hbg").read_bytes())
+        assert np.array_equal(sections["kept"], enc.offsets[_kept(n, 64)])
+        assert sections["kept"].size == -(-n // 64) + 1
+        assert sections["totals"].tolist() == np.cumsum([0] + _scalar_residual_counts(enc)).tolist()
+        back = load(tmp_path / "g.hbg")
+        assert back.stream == enc.stream and np.array_equal(back.offsets, enc.offsets)
+        _assert_same_graph(g, back.decode())
+
+    @pytest.mark.parametrize("cfg", HBG4_CONFIGS + [CodecConfig(4, 2, "gamma", 3)], ids=_cfg_id)
+    @pytest.mark.parametrize("block", [1, 16, storage._BLOCK])
+    def test_batch_size_does_not_change_the_offsets(self, cfg, block, monkeypatch, tmp_path):
+        # a batch of groups reads one byte range, so its first and last
+        # groups must find their chunks as any other does
+        for i, g in enumerate([band(700, 2), ba(900, 2, 5), er(200, 0.3, 4, symmetric=False)]):
+            enc = encode(g, cfg)
+            save(enc, tmp_path / f"{i}.hbg")
+            monkeypatch.setattr(storage, "_BLOCK", block)
+            assert np.array_equal(load(tmp_path / f"{i}.hbg").offsets, enc.offsets)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("cfg", [CodecConfig(0, 2, "gamma"), CodecConfig(1, 2, "zeta", 3)],
+                             ids=_cfg_id)
+    def test_counts_of_255_fields_or_more(self, cfg, tmp_path):
+        # node 0 holds 300 intervals of two ids, past what a byte of
+        # read_everywhere says; node 1 may copy every other one of them
+        ids = [3 * i + j for i in range(300) for j in (0, 1)]
+        g = from_pairs(1000, [(0, y) for y in ids] + [(1, y) for y in ids[::2]])
+        enc = encode(g, cfg)
+        save(enc, tmp_path / "g.hbg")
+        back = load(tmp_path / "g.hbg")
+        assert np.array_equal(back.offsets, enc.offsets)
+        _assert_same_graph(g, back.decode())
+
+    @pytest.mark.parametrize("step", [1, 5, 64, 1000])
+    def test_any_recorded_step_loads(self, step, monkeypatch, tmp_path):
+        g = band(300, 4)
+        enc = encode(g)
+        monkeypatch.setattr(storage, "_STEP", step)
+        save(enc, tmp_path / "g.hbg")
+        assert struct.unpack_from("<I", (tmp_path / "g.hbg").read_bytes(), 72)[0] == step
+        _assert_same_graph(g, load(tmp_path / "g.hbg").decode())
+
+    @pytest.mark.parametrize("cfg", HBG4_CONFIGS, ids=_cfg_id)
+    @pytest.mark.parametrize("shift", [-9, -1, 1, 9])
+    def test_moved_kept_offset(self, cfg, shift, tmp_path):
+        # node 128's offset, where group 1 (nodes 64 to 127) ends, moves
+        # by `shift` bits; the list keeps its size, as it keeps its count
+        # and its last value
+        enc = encode(band(300, 4), cfg)
+
+        def move(blob, sections):
+            kept = sections["kept"].copy()
+            kept[2] = int(kept[2]) + shift
+            a, b = sections["kept offsets low"][0], sections["kept offsets high"][1]
+            blob[a:b] = b"".join(_ef_encode(kept)[1:])
+
+        with pytest.raises(ValueError, match="nodes 64 to 127: .*kept offset"):
+            load(self._rewrite(enc, tmp_path, move))
+
+    @pytest.mark.parametrize("cfg", HBG4_CONFIGS, ids=_cfg_id)
+    def test_residual_total_must_match_the_header(self, cfg, tmp_path):
+        # with a low width of 1 or more, the total's lowest bit leaves every
+        # part's size as it was
+        enc = encode(band(300, 4), cfg)
+        total = sum(_scalar_residual_counts(enc))
+
+        def change(blob, sections):
+            assert blob[7] >= 1  # the totals' low width
+            struct.pack_into("<Q", blob, 64, total ^ 1)
+
+        want = f"residual totals end at {total}, the header says {total ^ 1}$"
+        with pytest.raises(ValueError, match=want):
+            load(self._rewrite(enc, tmp_path, change))
+
+    @pytest.mark.parametrize("field,value,error", [
+        ("step", 0, "offset step 0"),
+        ("count_bits", 64, "residual totals: Elias-Fano low width 64 is past 63"),
+        ("low_bits", 70, "kept offsets: Elias-Fano low width 70 is past 63"),
+    ])
+    def test_header_fields_checked(self, field, value, error, tmp_path):
+        def change(blob, sections):
+            if field == "step":
+                struct.pack_into("<I", blob, 72, value)
+            else:
+                blob[{"low_bits": 6, "count_bits": 7}[field]] = value
+
+        with pytest.raises(ValueError, match=error):
+            load(self._rewrite(encode(band(300, 4)), tmp_path, change))
+
+    @pytest.mark.parametrize("section", ["residual totals low", "residual totals high",
+                                         "kept offsets low", "kept offsets high", "stream"])
+    def test_a_flipped_bit_fails_the_checksum(self, section, tmp_path):
+        p = tmp_path / "g.hbg"
+        save(encode(band(300, 4), CodecConfig(0, 0, "zeta", 2)), p)
+        blob = bytearray(p.read_bytes())
+        a, b = _sections(blob)[section]
+        assert b > a
+        blob[(a + b) // 2] ^= 0x10
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            load(p)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    def test_older_files_save_as_hbg4(self, version, cfg, tmp_path):
+        g = band(300, 4)
+        old, new = tmp_path / "old.hbg", tmp_path / "new.hbg"
+        if version == 3:
+            save_hbg3(encode(g, cfg), old)
+        else:
+            (save_hbg1 if version == 1 else save_hbg2)(encode_full(g, cfg), old, True)
+        first = load(old)
+        save(first, new)
+        assert new.read_bytes()[:5] == b"HBG4\x04"
+        back = load(new)
+        assert back.stream == first.stream and np.array_equal(back.offsets, first.offsets)
+        assert back.upper == (version == 3)
+        _assert_same_graph(g, back.decode())
+
+
 @pytest.fixture(scope="module")
 def saved_files(tmp_path_factory):
-    """A directory and the bytes of three saved HBG2 files: with copies
+    """A directory and the bytes of three saved files: with copies
     and intervals, with neither, and without arcs."""
     where = tmp_path_factory.mktemp("flips")
     blobs = {}
@@ -560,6 +780,32 @@ def test_formats_md_symmetric_example():
     assert enc.stream == bytes.fromhex(fields["stream"])
     assert enc.num_arcs == 9 and enc.stream_bits == 15
     _assert_same_graph(g, decode(enc))
+
+
+def test_formats_md_symmetric_example_as_hbg4(tmp_path):
+    # the HBG4 index of the same example: its counts, totals and kept
+    # offsets, and the bytes of the parts that save writes and load reads
+    text = (Path(__file__).parents[1] / "FORMATS.md").read_text(encoding="utf-8")
+    block = [b for b in text.split("### Symmetric graphs")[1].split("###")[0].split("```")
+             if "kept:" in b][0]
+    fields = dict(re.findall(r"^(\w+(?: \w+)?)\s*:[ \t]*(.*?)\s*(?:#.*)?$", block, re.M))
+    g = Graph.from_arcs(7, [0, 0, 1, 2, 2, 2, 3, 3, 5], [0, 2, 2, 0, 1, 3, 2, 5, 3])
+    enc = encode(g, CodecConfig(0, 0, "gamma"))
+    assert _scalar_residual_counts(enc) == [int(v) for v in fields["counts"].split()]
+    save(enc, tmp_path / "g.hbg")
+    blob = (tmp_path / "g.hbg").read_bytes()
+    sections = _sections(blob)
+    assert sections["totals"].tolist() == [int(v) for v in fields["totals"].split()]
+    assert sections["kept"].tolist() == [int(v) for v in fields["kept"].split()]
+    for part in ("totals low", "totals high", "kept low", "kept high"):
+        a, b = sections[part.replace("totals", "residual totals").replace("kept", "kept offsets")]
+        assert blob[a:b] == bytes.fromhex(fields[part]), part
+    assert blob[6:8] == bytes([2, 0])  # the low widths l and m
+    assert struct.unpack_from("<QQI", blob, 56) == (15, 5, 64)  # U, R, K
+    assert len(blob) == 82
+    back = load(tmp_path / "g.hbg")
+    assert back.offsets.tolist() == [0, 4, 7, 10, 15, 15, 15, 15]
+    _assert_same_graph(g, back.decode())
 
 
 def _hand_built(chunks, num_arcs, window=7, min_interval=0, upper=False):
@@ -1206,6 +1452,117 @@ GOLDEN_HBG3 = {
 }
 
 
+# (sha256 of the HBG4 files, copied_arcs, interval_arcs) of the same
+# encodings as GOLDEN_HBG3, recorded when HBG4 replaced HBG3, once each
+# file was checked to load back to the offsets and decode to the graph
+GOLDEN_HBG4 = {
+    ("arcless", "w7-i4-zeta3"): (
+        "cd55f8427e8237abd1ae966d04496183a338ed4b17e48f8c04bec067408162a0", 0, 0,
+    ),
+    ("arcless", "w0-i0-gamma3"): (
+        "d1e3478717b6e7b6e4ec4c0ec50ea30020b542aa84f08c1015c0c2b1ce6181c6", 0, 0,
+    ),
+    ("arcless", "w4-i2-delta3"): (
+        "dbaa409da1b5a652c39d55cf3fc26d7246be7a74d8d7c826efce443c8da7af26", 0, 0,
+    ),
+    ("arcless", "w1-i0-zeta2"): (
+        "d00ac38c41d4cadcdc9720624e1775a47eaa9305b2ef262eb9bc6e16b1c10347", 0, 0,
+    ),
+    ("arcless", "w16-i8-zeta5"): (
+        "e3572b7201532edbeb2a4ed16b19d87958fd3dffb7d50d8d866410bc6f5cfa03", 0, 0,
+    ),
+    ("band", "w7-i4-zeta3"): (
+        "44fa01d01b66472bd246fec2c91091d0859366e219aa877ee3aec539d091f748", 122, 129,
+    ),
+    ("band", "w0-i0-gamma3"): (
+        "bc1deaf13ff287ff23ce38ece6fc6dc9200711569feb49dbb084b75e8f24d4af", 0, 0,
+    ),
+    ("band", "w4-i2-delta3"): (
+        "32c31947563e9d7622a9074c35da19cdcc81f078a7bdd7976d21721746ba5f37", 725, 2827,
+    ),
+    ("band", "w1-i0-zeta2"): (
+        "92b62949e9202c2edd977521435bea66ec69a6e94be343ec21d2e7855be34ac9", 18, 0,
+    ),
+    ("band", "w16-i8-zeta5"): (
+        "94a43a4c2baaaf5d91f22bdf339fc3eefdab3daca6ee881f54941a84b26eebcf", 1738, 0,
+    ),
+    ("empty", "w7-i4-zeta3"): (
+        "10bcafed22f683527772c021a48f885088c0aa7f9cdf79c9df28fdc126d2e61e", 0, 0,
+    ),
+    ("empty", "w0-i0-gamma3"): (
+        "e1065a1d25e3ed3b64f8c97aa53cbfac6daaf6e42b5fec4fd5e77f2d6b721927", 0, 0,
+    ),
+    ("empty", "w4-i2-delta3"): (
+        "1ca5491f5dab17684cb257576230c91887b9faeadf932b580f9b056d91495604", 0, 0,
+    ),
+    ("empty", "w1-i0-zeta2"): (
+        "a19505caf3c5cd11c9011337a5a9265214f0dbdd06e993e668addde0adbdc1ac", 0, 0,
+    ),
+    ("empty", "w16-i8-zeta5"): (
+        "67b53dbb2941e4ec9b03ea3122fdf6f59985f9bec019aab0a965394e6f501cdc", 0, 0,
+    ),
+    ("mixed", "w7-i4-zeta3"): (
+        "47e8fbc415c30086afe4f39ad1a12c545eeb4306070dbb8d36bcc1a1339201e3", 30, 129,
+    ),
+    ("mixed", "w0-i0-gamma3"): (
+        "66484f1da1f48cf426098a9a41038451ef221c110080618e35571adecfdab809", 0, 0,
+    ),
+    ("mixed", "w4-i2-delta3"): (
+        "2b05ceec44c0e11e0ef28a6d3aeeab03726ec03a8e38c062cb7dd60e36057323", 28, 286,
+    ),
+    ("mixed", "w1-i0-zeta2"): (
+        "a426bca600a4e2580a8dab42f1abd6a93ac31b645ff78526e02a4c5857c1a0bb", 1, 0,
+    ),
+    ("mixed", "w16-i8-zeta5"): (
+        "c86b1bfb53a235d202a6af6f5d45aabe6bd9b473603ea80d48feb5a075763e15", 76, 106,
+    ),
+    ("self_loops", "w7-i4-zeta3"): (
+        "f43c24941a05260796ad799707ca6fda9333943ac7af0a28a60fe1e1325abd92", 0, 0,
+    ),
+    ("self_loops", "w0-i0-gamma3"): (
+        "d3bafdb9dc34d3b24054da2110565150058b485619309d70a77f4c04ae07cf71", 0, 0,
+    ),
+    ("self_loops", "w4-i2-delta3"): (
+        "4860838be4627f8bae90db8ce406a718ce5999d6b8cc25699e9b0e81f55d6d12", 0, 2,
+    ),
+    ("self_loops", "w1-i0-zeta2"): (
+        "26b1abe6de4dede88a83f843ce9addc41b6a443a05138b700ea4d54158d6fc9c", 0, 0,
+    ),
+    ("self_loops", "w16-i8-zeta5"): (
+        "acf8f53549be2c75aeaac923e912185934c98cb50bb8369c0d67b537a9d685d1", 0, 0,
+    ),
+    ("ties", "w7-i4-zeta3"): (
+        "bc094712a7a34c393b45e0d2ff36f4749fc6ff32f20ea0e5f9f0d5330e4da935", 3, 0,
+    ),
+    ("ties", "w0-i0-gamma3"): (
+        "490a0b0f9cbe216833807e0142c564d29237e65b00e85960bf6abafc17c425a5", 0, 0,
+    ),
+    ("ties", "w4-i2-delta3"): (
+        "df6437fa74ea88e29479ff84ebfe27fde10b8298def00a04bbccc1c1069f7d71", 7, 4,
+    ),
+    ("ties", "w1-i0-zeta2"): (
+        "062d6ef5961804a6a452aa8e2934a0777a364dc30e1ba41b882299549b5078d9", 0, 0,
+    ),
+    ("ties", "w16-i8-zeta5"): (
+        "c966d293dc81c4a2c0c2125bfedb89483f262c575447336bd15ed32612191b1d", 8, 0,
+    ),
+    ("worked", "w7-i4-zeta3"): (
+        "1411d7b9ce8894edb411833927f651c7dae5112c59be5ea37f4d34819c9fc83c", 0, 0,
+    ),
+    ("worked", "w0-i0-gamma3"): (
+        "e0e0b295efc95b0b26aaaf7a56d677a05d99b22333c389c11b983197605208fa", 0, 0,
+    ),
+    ("worked", "w4-i2-delta3"): (
+        "60427613e5a6d61ea5efe4036a859859de0998ce357d84660bdd2dd3c63d0f7b", 0, 3,
+    ),
+    ("worked", "w1-i0-zeta2"): (
+        "814cd298fa42e9fa7f51544f0355a8fb7ee54e561373350036b10776628b8dcc", 0, 0,
+    ),
+    ("worked", "w16-i8-zeta5"): (
+        "27ae179b5aa702863503068312891dd7afeda0e9330596da7999a2dcf5640b6a", 0, 0,
+    ),
+}
+
 class TestGolden:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
@@ -1227,10 +1584,25 @@ class TestGolden:
     @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
     def test_hbg3_bytes_round_trip_and_reloaded_tallies(self, name, cfg, tmp_path):
         graphs = GOLDEN_GRAPHS[name]()
-        got = _golden_record(graphs, cfg, tmp_path, lambda enc, path, _: save(enc, path), encode)
+        got = _golden_record(graphs, cfg, tmp_path, lambda enc, path, _: save_hbg3(enc, path),
+                             encode)
         back = [load(tmp_path / f"{i}.hbg") for i in range(len(graphs))]
         for g, b in zip(graphs, back):
             _assert_same_graph(g, b.decode())
         tallies = sum(b.copied_arcs for b in back), sum(b.interval_arcs for b in back)
         assert got == GOLDEN_HBG3[name, _cfg_id(cfg)]
         assert tallies == got[1:]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_hbg4_bytes_round_trip_and_offsets(self, name, cfg, tmp_path):
+        # the same encodings as GOLDEN_HBG3's, so the streams and the
+        # tallies are theirs; the offsets come back from the HBG4 index
+        graphs = GOLDEN_GRAPHS[name]()
+        got = _golden_record(graphs, cfg, tmp_path, lambda enc, path, _: save(enc, path), encode)
+        for i, g in enumerate(graphs):
+            enc, back = encode(g, cfg), load(tmp_path / f"{i}.hbg")
+            assert back.stream == enc.stream and np.array_equal(back.offsets, enc.offsets)
+            _assert_same_graph(g, back.decode())
+        assert got == GOLDEN_HBG4[name, _cfg_id(cfg)]
+        assert got[1:] == GOLDEN_HBG3[name, _cfg_id(cfg)][1:]

@@ -261,7 +261,7 @@ def ref_register_update(m, regs, x, seed):
     regs[j] = max(regs[j], rho)
 
 
-# ---- the HBG1 and HBG2 containers (hbgraph.storage reads them, and writes HBG3) ----
+# ---- the HBG1, HBG2 and HBG3 containers (hbgraph.storage reads them, and writes HBG4) ----
 
 
 def encode_full(g, cfg=None):
@@ -297,12 +297,21 @@ def save_hbg2(enc, path, symmetric):
     stream. HBG3 has this layout, but HBG2 holds every list whole.
     `symmetric` goes in the header's flag byte, which readers ignore."""
     assert not enc.upper, "HBG2 holds every list whole (see encode_full)"
+    _save_elias_fano_offsets(enc, path, b"HBG2", 2, symmetric)
+
+
+def save_hbg3(enc, path):
+    """Write `enc` as HBG3: HBG2's layout under magic HBG3, format version
+    3, whose flag byte says whether the stream holds upper lists."""
+    _save_elias_fano_offsets(enc, path, b"HBG3", 3, enc.upper)
+
+
+def _save_elias_fano_offsets(enc, path, magic, version, flag):
     cfg = enc.cfg
     low_bits, low, high = _ef_encode(enc.offsets)
-    blob = bytearray(struct.pack(  # format version 2; the CRC goes in below
-        "<4sBBBxQQIIBBBxI", b"HBG2", 2, 0xFE, low_bits, enc.n, enc.num_arcs, cfg.window,
-        cfg.min_interval, CODE_NAMES.index(cfg.residual_code), cfg.zeta_k,
-        int(symmetric), 0,
+    blob = bytearray(struct.pack(  # the CRC goes in below
+        "<4sBBBxQQIIBBBxI", magic, version, 0xFE, low_bits, enc.n, enc.num_arcs, cfg.window,
+        cfg.min_interval, CODE_NAMES.index(cfg.residual_code), cfg.zeta_k, int(flag), 0,
     ))
     blob += struct.pack("<QQQ", enc.copied_arcs, enc.interval_arcs, enc.stream_bits)
     blob += low + high + enc.stream
