@@ -219,11 +219,13 @@ def _codec_args(sp: argparse.ArgumentParser) -> None:
     )
     sp.add_argument(
         "--code", dest="residual_code", choices=CODE_NAMES,
-        default=None, help="residual code; unset: the one of the fewest bits",
+        default=None, help="residual code (expgolomb: exp-Golomb); unset: the one of the "
+                           "fewest bits",
     )
     sp.add_argument(
         "--zeta-k", type=int, default=None,
-        help="shape parameter for zeta; unset: the best of 1 to 7",
+        help="parameter k of zeta and expgolomb (1 to 31); unset: the best of 1 to 7 for "
+             "zeta, of 1 to 31 for expgolomb",
     )
 
 

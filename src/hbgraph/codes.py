@@ -1,25 +1,29 @@
 """Instantaneous integer codes, written and read as numpy arrays.
 
 The compressed graph store writes small nonnegative integers with one of
-three self-delimiting codes:
+four self-delimiting codes:
 
 * ``gamma``: unary length prefix + binary mantissa, good for tiny values.
 * ``delta``: gamma-coded length + mantissa, better past ~32.
 * ``zeta_k``: unary count of k-bit groups + truncated binary remainder,
   tuned for power-law gap distributions (k=3 is a good web-graph default).
+* ``expgolomb`` (exp-Golomb_k): gamma of (n >> k) + 1, then the k low
+  bits of n, for values spread flat below 2^k (Teuhola 1978).
 
-Every function codes a natural n >= 0 as n + 1, so callers never
-special-case zero. Streams are MSB-first within each byte.
+Gamma, delta and zeta code a natural n >= 0 as n + 1, so callers never
+special-case zero; exp-Golomb_k's gamma part codes (n >> k) + 1 for
+the same reason. Streams are MSB-first within each byte.
 
 `nat_words` gives every value's codeword and `pack_words` packs them.
 `read_nats`, their inverse, reads one codeword at each of a vector of
 bit cursors and returns the values and the advanced cursors. It looks
 codewords of up to 12 bits up in a table per code, indexed by the bits
 at the cursor from `bit_windows` (the 64 bits at every byte of the
-stream); zeta_k with k > 12 has none that short. It reads longer ones by
-arithmetic on the 64 bits at the cursor (a 9-byte gather), with
-`_bit_lengths` for the unary part, and a second window for the rest of
-one wider than 64 bits (gamma of 2^32 or more). Without the table,
+stream); zeta_k with k > 12 and exp-Golomb_k with k > 11 have none that
+short. It reads longer ones by arithmetic on the 64 bits at the cursor
+(a 9-byte gather), with `_bit_lengths` for the unary part, and a second
+window for the rest of one wider than 64 bits (gamma of 2^32 or more,
+the low bits of a long exp-Golomb codeword). Without the table,
 decoding the benchmark graphs took 1.2-1.6 times as long on a 2-core
 VM. `read_runs` reads many codewords at a few cursors: it reads one at
 every bit of a window and follows the codeword starts, so a long run
@@ -40,7 +44,7 @@ import numpy as np
 __all__ = ["nat_words", "pack_words", "bit_windows", "read_nats", "read_runs", "read_everywhere",
            "CODE_NAMES"]
 
-CODE_NAMES = ("gamma", "delta", "zeta")
+CODE_NAMES = ("gamma", "delta", "zeta", "expgolomb")
 
 
 _ONE = np.uint64(1)
@@ -57,13 +61,23 @@ def nat_words(values, code: str = "gamma", k: int = 3) -> tuple[np.ndarray, np.n
     """The (words, widths) of every value's codeword.
 
     Codeword i is the low widths[i] bits of words[i], MSB-first. A word
-    wider than 64 bits (gamma of 2^32 or more) starts with zeros, which
+    wider than 64 bits (gamma of 2^32 or more, exp-Golomb_k where
+    q = (n >> k) + 1 has 2 bitlen(q) + k > 65) starts with zeros, which
     its width counts. A codeword with more than 64 significant bits
-    (delta or zeta of values near 2^63) raises ValueError.
+    (delta or zeta of values near 2^63) raises ValueError; exp-Golomb has
+    none.
     """
     v = np.asarray(values)
     if v.size and v.min() < 0:
         raise ValueError("cannot code negative values")
+    if code == "expgolomb":
+        if not 1 <= k <= 63:
+            raise ValueError("exp-Golomb parameter k must be in [1, 63]")
+        kk = np.uint64(k)
+        v = v.astype(np.uint64)
+        q = (v >> kk) + _ONE  # at most 2^(63 - k), so at most 64 significant bits
+        width = 2 * _bit_lengths(q) - _ONE + kk
+        return (q << kk) | (v & ((_ONE << kk) - _ONE)), width.astype(np.int64)
     x = v.astype(np.uint64) + _ONE
     b = _bit_lengths(x)
     if code == "gamma":
@@ -158,6 +172,14 @@ def _read_long(table, pos, code: str, k: int):
         b = _field(table, w, pos, u, u + 1) - _ONE  # bits after the leading 1
         ok &= b < 64
         x, width = (_ONE << b) | _field(table, w, pos, 2 * u + 1, b), 2 * u + 1 + b
+    elif code == "expgolomb":
+        # the u + 1 + k bits after the zeros are ((value >> k) + 1) << k
+        # | the k low bits, value + 2^k; past 64 bits the value is too
+        kk = np.uint64(k)
+        ok &= u + _ONE + kk <= 64
+        x = _field(table, w, pos, u, np.minimum(u + _ONE + kk, 64))
+        ok &= x - (_ONE << kk) < _FAR
+        x, width = x - ((_ONE << kk) - _ONE), 2 * u + 1 + kk
     else:
         kk = np.uint64(k)
         hk = u * kk
@@ -182,7 +204,7 @@ def _short_table(code: str, k: int) -> np.ndarray:
     fit = np.flatnonzero(widths <= _SHORT)
     pattern = np.arange(1 << _SHORT, dtype=np.uint64)
     table = np.zeros(pattern.size, dtype=np.uint64)
-    if fit.size:  # zeta_k has none for k > _SHORT
+    if fit.size:  # zeta_k has none for k > _SHORT, exp-Golomb_k for k >= _SHORT
         fit = fit[np.argsort(words[fit] << free[fit])]  # by the smallest pattern each starts
         free, first = free[fit], words[fit] << free[fit]
         i = np.maximum(np.searchsorted(first, pattern, side="right") - 1, 0)

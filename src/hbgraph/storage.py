@@ -48,8 +48,11 @@ give offsets.
 
 `encode` chooses each knob that the config leaves None for the graph at
 hand (`_choose`): the residual code of the fewest bits over the graph's
-gaps, then the window and min_interval pair of the fewest stream bits,
-from one pass that totals the candidates without packing anything.
+gaps (gamma, delta, zeta_k or exp-Golomb_k, all costed from one
+histogram of the gaps), then the window and min_interval pair of the
+fewest stream bits, from one pass that totals the candidates without
+packing anything. It keeps each chunk's residual count, as running
+totals, for `save`.
 
 The decoder's blocks hold about _BLOCK nodes plus stream bytes, and each
 reads its chunks from one slice of the stream. `codes.read_nats` reads
@@ -69,7 +72,10 @@ ending at its chunk's end (EOFError past it), references within min(x,
 window), ids in [0, n) (an interval past n before it is expanded), copy
 blocks within their reference's list, and the header's arc count before
 any write; for upper lists, no stored id below its node and the stored
-plus mirrored arcs equal to the header's count. The scalar bit I/O went
+plus mirrored arcs equal to the header's count. The arc count is
+allocated only as far as the tallies allow (`_held`); past that, a first
+pass counts the stored arcs, so a forged count fails on the mismatch
+and allocates no more than the stream holds. The scalar bit I/O went
 to the tests, as their oracle.
 """
 
@@ -105,6 +111,7 @@ _LITTLE = 0xFE
 
 _CODE_IDS = {name: i for i, name in enumerate(CODE_NAMES)}
 _CODE_BY_ID = {i: name for name, i in _CODE_IDS.items()}
+_LEGACY_CODES = 3  # HBG1 to HBG3 were written with gamma, delta and zeta alone
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,9 @@ class CodecConfig:
 
     window=0 disables copying, min_interval=0 disables intervalisation;
     min_interval=1 would make every lone id an interval, so the smallest
-    useful value is 2. `encode` chooses each knob left None for the graph
+    useful value is 2. residual_code is one of `CODE_NAMES`, and zeta_k
+    (1 to 31) is the parameter k of zeta and of exp-Golomb, which the
+    other codes ignore. `encode` chooses each knob left None for the graph
     at hand (see `encode`); the defaults are the web-graph ones.
     """
 
@@ -333,7 +342,8 @@ def _candidates(g: Graph, a: int, b: int, cfgs):
 
 
 def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
-    """Code words of nodes a..b-1, with their bit counts and tallies.
+    """Code words of nodes a..b-1, with their bit and residual counts and
+    the block's tallies.
 
     A node keeps the fields of the first candidate strictly cheaper than
     those before.
@@ -359,10 +369,11 @@ def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
     copied = int(best_count.sum())
     # every own arc is copied, in an interval or a residual
     intervals = int(g.indptr[b] - g.indptr[a]) - copied - best[-1][0].size
+    residuals = np.bincount(best[-1][0], minlength=m)[own]
     field_nodes, words, widths = _words(best, cfg)
     del best
     order = np.argsort(field_nodes, kind="stable")
-    return words[order], widths[order], best_bits[own], copied, intervals
+    return words[order], widths[order], best_bits[own], residuals, copied, intervals
 
 
 def _block_bits(g: Graph, a: int, b: int, cfgs):
@@ -384,10 +395,14 @@ class EncodedGraph:
 
     num_arcs counts the graph's arcs. With `upper`, the stream holds only
     the arcs x -> y with y >= x of a symmetric graph, and the copied and
-    interval tallies count among those.
+    interval tallies count among those. `residual_totals` are the running
+    counts of residual codewords over the chunks, as `encode` and an HBG4
+    `load` know them; None where they are not known (older containers,
+    hand-built streams), and `save` counts them then.
     """
 
-    def __init__(self, n, num_arcs, upper, cfg, stream, offsets, copied_arcs, interval_arcs):
+    def __init__(self, n, num_arcs, upper, cfg, stream, offsets, copied_arcs, interval_arcs,
+                 residual_totals=None):
         self.n = int(n)
         self.num_arcs = int(num_arcs)
         self.upper = bool(upper)
@@ -396,6 +411,7 @@ class EncodedGraph:
         self.offsets = offsets  # (n + 1) uint64 bit offsets
         self.copied_arcs = int(copied_arcs)
         self.interval_arcs = int(interval_arcs)
+        self.residual_totals = residual_totals  # (n + 1) uint64, or None
 
     @property
     def stream_bits(self) -> int:
@@ -419,33 +435,43 @@ class EncodedGraph:
 
 def _residual_code(g: Graph, cfg: CodecConfig):
     """The (code, k) of the fewest bits over g's gaps with no copying and
-    no intervals, among gamma, delta and zeta_1..zeta_7, as far as `cfg`
-    leaves them open; ties go to the first of these."""
+    no intervals, among gamma, delta, zeta_1..zeta_7 and
+    exp-Golomb_1..exp-Golomb_31, as far as `cfg` leaves them open; ties go
+    to the first of these. Every option is costed on one histogram of the
+    gaps, which the blocks' own histograms add up to."""
     k = _DEFAULT.zeta_k if cfg.zeta_k is None else cfg.zeta_k
     options = [(c, k) for c in ("gamma", "delta")]
     options += [("zeta", j) for j in (range(1, 8) if cfg.zeta_k is None else [k])]
+    options += [("expgolomb", j) for j in (range(1, 32) if cfg.zeta_k is None else [k])]
     options = [o for o in options if cfg.residual_code in (None, o[0])]
-    cost = np.zeros(len(options), dtype=np.int64)
-    for a, b in _blocks(g.indptr) if len(options) > 1 else ():
+    if len(options) == 1:
+        return options[0]
+    values, counts = [_NONE], [_NONE]
+    for a, b in _blocks(g.indptr):
         ptr = g.indptr[a : b + 1]
         ids = g.indices[ptr[0] : ptr[-1]]
         gaps = _gaps(np.repeat(np.arange(b - a), np.diff(ptr)), ids, ids, a)[0]
-        values, counts = np.unique(gaps, return_counts=True)
-        cost += [nat_words(values, c, j)[1] @ counts for c, j in options]
-    return options[int(cost.argmin())]
+        v, c = np.unique(gaps, return_counts=True)
+        values.append(v)
+        counts.append(c)
+    values, at = np.unique(np.concatenate(values), return_inverse=True)
+    counts = np.bincount(at, weights=np.concatenate(counts), minlength=values.size).astype(np.int64)
+    cost = [nat_words(values, c, j)[1] @ counts for c, j in options]
+    return options[int(np.argmin(cost))]
 
 
 def _choose(g: Graph, cfg: CodecConfig) -> CodecConfig:
     """`cfg` with every knob it leaves None chosen for g by measured bits.
 
-    The residual code comes first (`_residual_code`). Then the window is
-    the given one or the cheaper of 7 and 0, the min_interval the given
-    one or the cheaper of 4 and 0, by the exact stream bits of each pair
-    under that code: one pass over the candidates (`_block_bits`) gives
-    all four totals. Ties go to 0. The HBG4 index is not counted: its
-    kept offsets grow with the stream, but its residual totals shrink where
-    copies and intervals take residuals away, so the fewest stream bits
-    need not make the smallest file (on the benchmark graphs they do).
+    The residual code comes first (`_residual_code`), with its k: zeta_k
+    and exp-Golomb_k share the field. Then the window is the given one or
+    the cheaper of 7 and 0, the min_interval the given one or the cheaper
+    of 4 and 0, by the exact stream bits of each pair under that code: one
+    pass over the candidates (`_block_bits`) gives all four totals. Ties
+    go to 0. The HBG4 index is not counted: its kept offsets grow with the
+    stream, but its residual totals shrink where copies and intervals take
+    residuals away, so the fewest stream bits need not make the smallest
+    file (on the benchmark graphs they do).
     """
     code, k = _residual_code(g, cfg)
     windows = [0, _DEFAULT.window] if cfg.window is None else [cfg.window]
@@ -484,12 +510,13 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     stored = _upper(g) if upper else g
     cfg = _choose(stored, cfg or CodecConfig())
     n = g.n
-    offsets = np.zeros(n + 1, dtype=np.uint64)
+    offsets, totals = np.zeros((2, n + 1), dtype=np.uint64)
     stream = bytearray()
     copied = intervals = 0
     for a, b in _blocks(stored.indptr):
-        words, widths, node_bits, c, i = _encode_block(stored, a, b, cfg)
+        words, widths, node_bits, residuals, c, i = _encode_block(stored, a, b, cfg)
         offsets[a + 1 : b + 1] = offsets[a] + np.cumsum(node_bits).astype(np.uint64)
+        totals[a + 1 : b + 1] = totals[a] + np.cumsum(residuals).astype(np.uint64)
         lead = int(offsets[a]) % 8
         piece = pack_words(words, widths, lead)
         if lead:
@@ -498,7 +525,8 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
         stream += piece
         copied += c
         intervals += i
-    return EncodedGraph(n, g.num_arcs, upper, cfg, bytes(stream), offsets, copied, intervals)
+    return EncodedGraph(n, g.num_arcs, upper, cfg, bytes(stream), offsets, copied, intervals,
+                        totals)
 
 
 def _running(steps: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -600,9 +628,10 @@ def _read_chunks(enc: EncodedGraph, a: int, b: int):
     return ref, nblocks, blocks, icount, ivals[0::2], ivals[1::2], rcount, res
 
 
-def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out: np.ndarray):
+def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out):
     """Decode the lists of nodes a..b-1 into `out`, after the lists before
-    them, which `indptr` locates; returns the list lengths."""
+    them, which `indptr` locates; returns the list lengths. With `out`
+    None, only checks the chunks and returns their lengths."""
     n, m, every = enc.n, b - a, np.arange(b - a)
     nodes = every + a
     ref, nblocks, blocks, icount, gaps, lens, rcount, res = _read_chunks(enc, a, b)
@@ -649,6 +678,8 @@ def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out: np
     reach = np.where(outside, ext_len, length[source])  # the copied list's length
     if (bad := copying & (spent > reach)).any():
         raise ValueError(f"node {nodes[bad.argmax()]}: copy blocks run past the reference list")
+    if out is None:
+        return length
     at = int(indptr[a])
     if at + length.sum() > out.size:
         raise ValueError(f"corrupt stream: decoded more arcs than the header's {out.size}")
@@ -703,10 +734,11 @@ def _decode_lists(enc: EncodedGraph, a: int, b: int, indptr: np.ndarray, out: np
     return length
 
 
-def _mirror(n: int, ptr: np.ndarray, indices: np.ndarray) -> Graph:
-    """The symmetric graph whose arcs x -> y with y >= x are the lists
-    (ptr, indices[:ptr[-1]]), built in `indices`, which holds every arc:
-    node y's list is the x < y that hold y, ascending, then its own.
+def _mirror(n: int, ptr: np.ndarray, indices: np.ndarray, num_arcs: int) -> Graph:
+    """The symmetric graph of `num_arcs` arcs whose arcs x -> y with y >= x
+    are the lists (ptr, indices[:ptr[-1]]), built in `indices`, which has
+    room for every arc once their count checks out: node y's list is the
+    x < y that hold y, ascending, then its own.
     Stored arc i of node x moves right, to i plus the mirrored arcs of
     the nodes up to x, so the stored arcs shift in place; one stable
     argsort on y puts the mirrored arcs in node order, x ascending
@@ -719,9 +751,9 @@ def _mirror(n: int, ptr: np.ndarray, indices: np.ndarray) -> Graph:
         raise ValueError(f"node {src[i]}: stored successor {upper[i]} is below it")
     lower = upper != src  # a self-loop is not mirrored
     y = upper[lower]
-    if stored + y.size != indices.size:
+    if stored + y.size != num_arcs:
         raise ValueError(f"corrupt stream: {stored} stored and {y.size} mirrored arcs, "
-                         f"header claims {indices.size}")
+                         f"header claims {num_arcs}")
     order = np.argsort(y, kind="stable")
     before = np.cumsum(np.bincount(y, minlength=n))  # mirrored arcs of nodes up to y
     # the stored arcs move right over their own slots: copy them out first
@@ -733,18 +765,34 @@ def _mirror(n: int, ptr: np.ndarray, indices: np.ndarray) -> Graph:
     return Graph(n, indptr, indices)
 
 
+def _held(enc: EncodedGraph) -> int:
+    """The arcs enc's tallies say its stream holds at most: every stored arc
+    is copied, in an interval or a residual, whose codeword takes a bit or
+    more, and a stored upper arc stands for two at most."""
+    residuals = enc.stream_bits if enc.residual_totals is None else int(enc.residual_totals[-1])
+    return (1 + enc.upper) * (enc.copied_arcs + enc.interval_arcs + residuals)
+
+
 def decode(enc: EncodedGraph) -> Graph:
     """Materialize the full CSR graph, in blocks of consecutive nodes;
-    a stream of upper lists is mirrored in place (`_mirror`)."""
+    a stream of upper lists is mirrored in place (`_mirror`). An arc count
+    past what the tallies allow (`_held`: forged, or HBG1's missing
+    tallies) is not allocated before a first pass counts the stored arcs."""
     n, arcs = enc.n, enc.num_arcs
-    indptr, indices = np.zeros(n + 1, dtype=np.int64), np.empty(arcs, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if arcs > _held(enc):
+        for a, b in _blocks(enc.offsets, 3):
+            indptr[a + 1 : b + 1] = indptr[a] + np.cumsum(_decode_lists(enc, a, b, indptr, None))
+        arcs = min(arcs, (1 + enc.upper) * int(indptr[-1]))
+    indices = np.empty(arcs, dtype=np.int64)
     for a, b in _blocks(enc.offsets, 3):  # nodes plus stream bytes
         length = _decode_lists(enc, a, b, indptr, indices)
         indptr[a + 1 : b + 1] = indptr[a] + np.cumsum(length)
     if enc.upper:
-        return _mirror(n, indptr, indices)
-    if indptr[-1] != arcs:
-        raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, header claims {arcs}")
+        return _mirror(n, indptr, indices, enc.num_arcs)
+    if indptr[-1] != enc.num_arcs:
+        raise ValueError(f"corrupt stream: decoded {indptr[-1]} arcs, "
+                         f"header claims {enc.num_arcs}")
     return Graph(n, indptr, indices)
 
 
@@ -783,12 +831,15 @@ def _kept(n: int, step: int) -> np.ndarray:
     return np.append(np.arange(0, n, step), n)
 
 
-def _residual_counts(enc: EncodedGraph) -> np.ndarray:
-    """How many residual codewords each node's chunk holds."""
-    counts = np.zeros(enc.n, dtype=np.int64)
+def _residual_totals(enc: EncodedGraph) -> np.ndarray:
+    """The running counts of residual codewords over enc's chunks: those
+    it keeps, else read from every chunk (`_read_chunks`)."""
+    if enc.residual_totals is not None:
+        return enc.residual_totals
+    totals = np.zeros(enc.n + 1, dtype=np.uint64)
     for a, b in _blocks(enc.offsets, 3):
-        counts[a:b] = _read_chunks(enc, a, b)[6]
-    return counts
+        totals[a + 1 : b + 1] = totals[a] + np.cumsum(_read_chunks(enc, a, b)[6]).astype(np.uint64)
+    return totals
 
 
 def _residual_ends(data, cfg, bounds, totals, step, where):
@@ -905,8 +956,7 @@ def save(enc: EncodedGraph, path) -> None:
     every _STEP-th offset as Elias-Fano lists, code stream. Its flag byte
     says whether the stream holds upper lists."""
     cfg, n = enc.cfg, enc.n
-    totals = np.zeros(n + 1, dtype=np.uint64)
-    np.cumsum(_residual_counts(enc), out=totals[1:])
+    totals = _residual_totals(enc)
     count_bits, *counts = _ef_encode(totals)
     low_bits, *kept = _ef_encode(enc.offsets[_kept(n, _STEP)])
     blob = bytearray(_HEADER.pack(  # the CRC goes in below
@@ -936,7 +986,7 @@ def load(path) -> EncodedGraph:
         raise ValueError(f"{path}: unsupported format version {version}")
     if endian != _LITTLE:
         raise ValueError(f"{path}: bad endianness tag {endian:#x}")
-    if code_id not in _CODE_BY_ID:
+    if code_id not in _CODE_BY_ID or (version < 4 and code_id >= _LEGACY_CODES):
         raise ValueError(f"{path}: unknown residual code id {code_id}")
     cfg = CodecConfig(window, min_interval, _CODE_BY_ID[code_id], zeta_k)
     start = _HEADER.size
@@ -986,6 +1036,9 @@ def load(path) -> EncodedGraph:
         if int(values[-1][-1]) != last:
             raise ValueError(f"{path}: {name} end at {unit}{values[-1][-1]}, "
                              f"the header says {last}")
+    upper = bool(flag) and version >= 3
     stream = blob[cuts[-1] :]
-    offsets = values[0] if version < 4 else _chunk_ends(stream, cfg, values[1], values[0], step)
-    return EncodedGraph(n, num_arcs, flag and version >= 3, cfg, stream, offsets, copied, intervals)
+    if version < 4:
+        return EncodedGraph(n, num_arcs, upper, cfg, stream, values[0], copied, intervals)
+    offsets = _chunk_ends(stream, cfg, values[1], values[0], step)
+    return EncodedGraph(n, num_arcs, upper, cfg, stream, offsets, copied, intervals, values[0])

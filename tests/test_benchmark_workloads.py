@@ -6,7 +6,8 @@ is not the generated one. This test runs that round trip in-process on
 every workload, at its benchmark size and at seeds 1-10, so a seed that
 breaks the import stage fails here with its message and traceback. It
 also checks that the imported HBG4 file is smaller than the HBG3 file of
-the same encoding, whose stream it keeps bit for bit.
+the same encoding, whose stream it keeps bit for bit, and no larger than
+the file of any residual code import chose from before exp-Golomb.
 """
 
 import importlib.util
@@ -18,7 +19,7 @@ import pytest
 
 from hbgraph.cli import main
 from hbgraph.graph import load_edge_list
-from hbgraph.storage import CodecConfig, encode, load
+from hbgraph.storage import CodecConfig, encode, load, save
 from util import save_hbg3
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -80,3 +81,18 @@ def test_import_file_is_smaller_than_hbg3(tmp_path, workload, seed):
     imported = load(hbg)
     assert imported.stream == enc.stream and imported.stream_bits == enc.stream_bits
     assert (tmp_path / "g.hbg").stat().st_size < (tmp_path / "g3.hbg").stat().st_size
+
+
+# the residual codes import chose among before exp-Golomb came
+OLDER_CODES = [("gamma", 3), ("delta", 3)] + [("zeta", k) for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_import_file_is_no_larger_than_any_older_code(tmp_path, workload, seed):
+    _, edges, hbg = _import(tmp_path, workload, seed)
+    g, size = load_edge_list(edges), (tmp_path / "g.hbg").stat().st_size
+    older = tmp_path / "older.hbg"
+    for code, k in OLDER_CODES:
+        save(encode(g, CodecConfig(None, None, code, k)), older)
+        assert size <= older.stat().st_size, (code, k)

@@ -74,7 +74,9 @@ class TestImport:
         hbg, old = str(tmp_path / "g.hbg"), str(tmp_path / "old.hbg")
         ok(["import", edges_file, "-o", hbg])
         enc = load_compressed(hbg)
-        save_hbg1(encode_full(enc.decode(), enc.cfg), old, True)
+        # HBG1 holds gamma, delta and zeta alone; import may choose exp-Golomb
+        cfg = CodecConfig(enc.cfg.window, enc.cfg.min_interval, "zeta", 3)
+        save_hbg1(encode_full(enc.decode(), cfg), old, True)
         for path in (hbg, old):
             ok(["export-edges", path, "-o", path + ".txt"])
         assert open(hbg + ".txt").read() == open(old + ".txt").read()

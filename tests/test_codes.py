@@ -94,6 +94,20 @@ class TestKnownCodewords:
                 assert ld < lg
         assert nat_length(0, "delta") == 1
 
+    def test_expgolomb(self):
+        # gamma of (v >> k) + 1, then the k low bits of v
+        cases = {(0, 2): "100", (3, 2): "111", (4, 2): "01000", (5, 2): "01001",
+                 (11, 2): "01111", (12, 2): "0010000", (0, 1): "10", (6, 3): "1110"}
+        for (v, k), bits in cases.items():
+            w = BitWriter()
+            write_nat(w, v, "expgolomb", k)
+            got = "".join(
+                str((w.getvalue()[i // 8] >> (7 - i % 8)) & 1)
+                for i in range(w.bit_length)
+            )
+            assert got == bits, (v, k)
+            assert nat_length(v, "expgolomb", k) == len(bits)
+
     def test_zeta_k1_matches_gamma(self):
         # shape parameter 1 degenerates to gamma's length for every value
         for v in range(200):
@@ -102,7 +116,7 @@ class TestKnownCodewords:
     def test_lengths_match_written_bits(self):
         values = [0, 1, 2, 3, 7, 8, 63, 64, 12345]
         for code in CODE_NAMES:
-            for k in (1, 2, 3, 5) if code == "zeta" else (3,):
+            for k in (1, 2, 3, 5) if code in ("zeta", "expgolomb") else (3,):
                 for v in values:
                     w = BitWriter()
                     write_nat(w, v, code, k)
@@ -114,9 +128,29 @@ class TestRoundTrip:
     def test_boundaries(self, code):
         values = [0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128,
                   255, 256, 1 << 20, (1 << 20) - 1, (1 << 20) + 1]
-        for k in (1, 2, 3, 4, 8) if code == "zeta" else (3,):
+        for k in (1, 2, 3, 4, 8) if code in ("zeta", "expgolomb") else (3,):
             out, _ = roundtrip(values, code, k)
             assert out == values
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 31])
+    def test_expgolomb_up_to_2_to_63(self, k):
+        # the scalar oracle and the array forms, across every gamma prefix
+        # length up to the largest natural
+        values = [0, 1, (1 << k) - 1, 1 << k, (1 << 40) + 3, (1 << 62) - 1, 1 << 62,
+                  (1 << 63) - 2, (1 << 63) - 1] + [(1 << b) - 1 for b in range(1, 64)]
+        out, nbits = roundtrip(values, "expgolomb", k)
+        assert out == values
+        arr = np.array(values, dtype=np.int64)
+        words, widths = nat_words(arr, "expgolomb", k)
+        assert widths.tolist() == [nat_length(v, "expgolomb", k) for v in values]
+        assert int(widths.sum()) == nbits
+        data = pack_words(words, widths)
+        assert data == written(values, "expgolomb", k)
+        starts = (np.cumsum(widths) - widths).astype(np.uint64)
+        got, after = read_nats(bit_windows(data), starts, np.full(starts.size, nbits, np.uint64),
+                               "expgolomb", k)
+        assert got.tolist() == values
+        assert after.tolist() == starts[1:].tolist() + [nbits]
 
     def test_interleaved_codes_random(self):
         rng = np.random.default_rng(0)
@@ -168,6 +202,8 @@ class TestErrors:
         w = BitWriter()
         with pytest.raises(ValueError):
             write_nat(w, 1, "zeta", 0)
+        with pytest.raises(ValueError):
+            write_nat(w, 1, "expgolomb", 0)
 
     def test_truncated_stream(self):
         w = BitWriter()
@@ -258,6 +294,9 @@ class TestArrayForms:
             nat_lengths(np.array([1]), "elias")
         with pytest.raises(ValueError):
             nat_words(np.array([1]), "zeta", 0)
+        for k in (0, 64):
+            with pytest.raises(ValueError, match="exp-Golomb parameter"):
+                nat_words(np.array([1]), "expgolomb", k)
 
     def test_empty(self):
         words, widths = nat_words(np.zeros(0, dtype=np.int64), "zeta", 3)
@@ -334,7 +373,8 @@ class TestArrayReader:
 
     def test_runs_raise_as_reads_do(self):
         # a codeword cut by its cursor's end, and one past 2^63 - 1
-        for code, k in (("gamma", 3), ("delta", 3), ("zeta", 3), ("zeta", 20)):
+        for code, k in (("gamma", 3), ("delta", 3), ("zeta", 3), ("zeta", 20), ("expgolomb", 2),
+                        ("expgolomb", 20)):
             table, starts, _ = cursors([7, 1000, 3], code, k)
             with pytest.raises((ValueError, EOFError)):
                 read_runs(table, starts[:1], starts[2:] - np.uint64(1), code, k)
@@ -352,7 +392,7 @@ class TestArrayReader:
         # values past 2^63 - 1, which no int64 holds, raise: 2^63 has 63
         # zeros, the others 64 and 70
         for value in (1 << 63, (1 << 64) - 1, 1 << 70):
-            for code, k in (("gamma", 3), ("zeta", 1)):
+            for code, k in (("gamma", 3), ("zeta", 1), ("expgolomb", 1), ("expgolomb", 31)):
                 table, starts, ends = cursors([value, 0], code, k, lead=3)
                 with pytest.raises(ValueError, match="past 2"):
                     read_nats(table, starts[:1], ends[:1], code, k)
@@ -365,7 +405,8 @@ class TestArrayReader:
                 read_nats(table, np.zeros(1, np.uint64), np.full(1, 100, np.uint64), code)
 
     @pytest.mark.parametrize(
-        "code,k", [("gamma", 3), ("delta", 3), ("zeta", 1), ("zeta", 3), ("zeta", 8)]
+        "code,k", [("gamma", 3), ("delta", 3), ("zeta", 1), ("zeta", 3), ("zeta", 8),
+                   ("expgolomb", 2), ("expgolomb", 31)]
     )
     def test_codeword_cut_by_its_end(self, code, k):
         # the codeword is followed by more bits, so the cut is not at the
@@ -397,7 +438,9 @@ class TestArrayReader:
         assert width[starts].tolist() == np.diff(starts + [w.bit_length]).clip(max=255).tolist()
 
     @pytest.mark.parametrize("code,k", [("gamma", 3), ("delta", 3), ("zeta", 1), ("zeta", 2),
-                                        ("zeta", 3), ("zeta", 12), ("zeta", 13)])
+                                        ("zeta", 3), ("zeta", 12), ("zeta", 13),
+                                        ("expgolomb", 1), ("expgolomb", 2), ("expgolomb", 11),
+                                        ("expgolomb", 12), ("expgolomb", 31)])
     def test_everywhere_is_a_read_at_every_bit(self, code, k):
         # random bytes, many of them 0, hold codewords of every length and
         # values past 2^63 - 1, which _read marks with _FAR and more

@@ -182,6 +182,20 @@ class TestRoundTrip:
             enc = encode(g, cfg)
             _assert_same_graph(g, decode(enc))
 
+    @pytest.mark.parametrize("k", [1, 2, 8, 11, 12, 31])
+    def test_expgolomb_round_trips(self, k, tmp_path):
+        # exp-Golomb_k codewords fit the 12-bit table for k <= 11 alone
+        graphs = mixed_suite(seed=905, count=6, max_n=80) + [long_chunk("residuals", 300)]
+        for w, i in ((0, 0), (7, 4)):
+            cfg = CodecConfig(w, i, "expgolomb", k)
+            for g in graphs:
+                enc = encode(g, cfg)
+                _assert_same_graph(g, decode(enc))
+                save(enc, tmp_path / "g.hbg")
+                back = load(tmp_path / "g.hbg")
+                assert back.cfg == cfg and np.array_equal(back.offsets, enc.offsets)
+                _assert_same_graph(g, back.decode())
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_round_trip(self, data):
@@ -664,6 +678,44 @@ class TestHBG4:
             load(p)
 
     @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_containers_keep_their_code_set(self, version, tmp_path):
+        # exp-Golomb (code id 3) came with HBG4: no HBG1 to HBG3 writer wrote it
+        g, p = band(300, 4), tmp_path / "old.hbg"
+        cfg = CodecConfig(7, 4, "expgolomb", 2)
+        if version == 3:
+            save_hbg3(encode(g, cfg), p)
+        else:
+            (save_hbg1 if version == 1 else save_hbg2)(encode_full(g, cfg), p, True)
+        assert p.read_bytes()[32] == 3
+        with pytest.raises(ValueError, match="unknown residual code id 3$"):
+            load(p)
+        save(encode(g, cfg), p)
+        _assert_same_graph(g, load(p).decode())
+
+    @pytest.mark.parametrize("cfg", HBG4_CONFIGS + [CodecConfig(0, 0, "expgolomb", 3)],
+                             ids=_cfg_id)
+    def test_save_reads_no_chunk(self, cfg, monkeypatch, tmp_path):
+        # encode and an HBG4 load keep the running residual totals, so save
+        # writes them without reading the stream again
+        g = band(300, 4)
+        enc = encode(g, cfg)
+        want = np.cumsum([0] + _scalar_residual_counts(enc)).tolist()
+        assert enc.residual_totals.tolist() == want
+        first, second = tmp_path / "first.hbg", tmp_path / "second.hbg"
+        save(enc, first)
+
+        def read_chunks(*args):
+            raise AssertionError("save read the chunks")
+
+        monkeypatch.setattr(storage, "_read_chunks", read_chunks)
+        save(enc, second)
+        assert second.read_bytes() == first.read_bytes()
+        back = load(first)
+        assert np.array_equal(back.residual_totals, enc.residual_totals)
+        save(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
     def test_older_files_save_as_hbg4(self, version, cfg, tmp_path):
         g = band(300, 4)
@@ -932,6 +984,59 @@ class TestSymmetricFiles:
         _assert_same_graph(g, decode(enc))
 
 
+class TestArcCount:
+    """The header's arc count A, forged under a good CRC. decode allocates
+    A arcs only as far as the tallies say the stream can hold (`_held`);
+    past that it counts the stored arcs first, so a forged A fails on the
+    mismatch with ValueError, not with MemoryError."""
+
+    FORGED = 1 << 60
+
+    @staticmethod
+    def _saved(g, version, path):
+        if version == 4:
+            save(encode(g), path)
+        elif version == 3:
+            save_hbg3(encode(g), path)
+        else:
+            (save_hbg1 if version == 1 else save_hbg2)(encode_full(g), path, True)
+        return path
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["upper", "full"])
+    def test_forged_count(self, version, symmetric, tmp_path):
+        g = band(300, 4) if symmetric else er(200, 0.05, 4, symmetric=False)
+        p = self._saved(g, version, tmp_path / "g.hbg")
+        blob = bytearray(p.read_bytes())
+        struct.pack_into("<Q", blob, 16, self.FORGED)
+        if version > 1:  # HBG1's CRC covers the stream alone
+            struct.pack_into("<I", blob, 36, _crc(blob))
+        p.write_bytes(bytes(blob))
+        back = load(p)
+        assert back.upper == (symmetric and version >= 3)
+        assert storage._held(back) < self.FORGED
+        with pytest.raises(ValueError, match=f"header claims {self.FORGED}$"):
+            decode(back)
+
+    @pytest.mark.parametrize("cfg", CONFIGS + [CodecConfig(7, 4, "expgolomb", 2)], ids=_cfg_id)
+    def test_tallies_hold_every_arc(self, cfg, tmp_path):
+        # what encode and load give never takes the counting pass
+        for g in mixed_suite(seed=906, count=8, max_n=80) + [identical_lists(120, 6), band(300, 4)]:
+            enc = encode(g, cfg)
+            save(enc, tmp_path / "g.hbg")
+            assert storage._held(enc) >= g.num_arcs
+            assert storage._held(load(tmp_path / "g.hbg")) >= g.num_arcs
+
+    def test_hbg1_without_tallies_counts_first(self, tmp_path):
+        # copies of whole lists take a few bits for many arcs, and HBG1
+        # keeps no tallies to say so
+        g = identical_lists(120, 6)
+        p = self._saved(g, 1, tmp_path / "g.hbg")
+        back = load(p)
+        assert storage._held(back) < g.num_arcs
+        _assert_same_graph(g, back.decode())
+
+
 class TestDecoderChecks:
     """The checks the array decoder added to those of TestCorruptStreams,
     on chunks built the same way."""
@@ -1026,7 +1131,8 @@ CHOOSER_GRAPHS = {
     "dust": lambda: dust(3000, 2),
     "shared": lambda: shared_successors(1000, 5),
 }
-ALL_CODES = [("gamma", 3), ("delta", 3)] + [("zeta", k) for k in range(1, 8)]
+ALL_CODES = ([("gamma", 3), ("delta", 3)] + [("zeta", k) for k in range(1, 8)]
+             + [("expgolomb", k) for k in range(1, 32)])
 OPEN = CodecConfig(None, None, None, None)
 
 
@@ -1074,11 +1180,12 @@ class TestChooser:
 
     def test_picks_per_graph(self):
         picks = {name: encode(make(), OPEN).cfg for name, make in CHOOSER_GRAPHS.items()}
-        assert picks["band"] == CodecConfig(0, 0, "zeta", 2)
-        assert picks["ba"] == CodecConfig(0, 0, "zeta", 3)  # zeta_4 on its full lists
-        assert picks["dust"] == CodecConfig(0, 0, "gamma", 3)
+        assert picks["band"] == CodecConfig(0, 0, "expgolomb", 1)
+        assert picks["ba"] == CodecConfig(0, 0, "expgolomb", 6)
+        # each upper list is one arc x -> x + 1, gap fold(1) = 1: 2 bits, where gamma takes 3
+        assert picks["dust"] == CodecConfig(0, 0, "expgolomb", 1)
         # shared lists: copying stays, intervals go
-        assert picks["shared"] == CodecConfig(7, 0, "zeta", 3)
+        assert picks["shared"] == CodecConfig(7, 0, "expgolomb", 4)
 
     def test_given_knobs_are_kept(self):
         g = shared_successors(400, 3)
@@ -1561,7 +1668,34 @@ GOLDEN_HBG4 = {
     ("worked", "w16-i8-zeta5"): (
         "27ae179b5aa702863503068312891dd7afeda0e9330596da7999a2dcf5640b6a", 0, 0,
     ),
+    # exp-Golomb, which only HBG4 holds, recorded when it came, once each
+    # file was checked to load back to the offsets, decode to the graph and
+    # hold the residual counts that the scalar reader finds
+    ("arcless", "w7-i4-expgolomb2"): (
+        "ee80ff8e7989c08f2488c4cd3569152276e0f6fe3fd97dd4967cc4c7963bd764", 0, 0,
+    ),
+    ("band", "w7-i4-expgolomb2"): (
+        "959da0b8cd724a3309b19a693ba83552bb002a24d8c858c6795dfc4497bb0914", 19, 133,
+    ),
+    ("empty", "w7-i4-expgolomb2"): (
+        "3981ac346d74150dd37a297103bfd20624953da1d34f6e694fef7644f530a2a3", 0, 0,
+    ),
+    ("mixed", "w7-i4-expgolomb2"): (
+        "89fe432a5770d7d03b334fab778e9108f87a5f7476aba22d79a7cfeeab0b3cca", 5, 129,
+    ),
+    ("self_loops", "w7-i4-expgolomb2"): (
+        "de0b58d7294d03bf0ef8f57bee071bab25d38bd411e0dbba9137e5f5e80f9876", 0, 0,
+    ),
+    ("ties", "w7-i4-expgolomb2"): (
+        "797508dc60db16ce6f10a2f4b35989ece06a7e9445deace900e27bb1b7cdb9d9", 0, 0,
+    ),
+    ("worked", "w7-i4-expgolomb2"): (
+        "3b6169a6e16a4f886650f0e1bad2c81f9947c8c1d04e8bf8d72623966ccb50a0", 0, 0,
+    ),
 }
+
+# the exp-Golomb config of GOLDEN_HBG4
+EXPGOLOMB = CodecConfig(window=7, min_interval=4, residual_code="expgolomb", zeta_k=2)
 
 class TestGolden:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
@@ -1606,3 +1740,16 @@ class TestGolden:
             _assert_same_graph(g, back.decode())
         assert got == GOLDEN_HBG4[name, _cfg_id(cfg)]
         assert got[1:] == GOLDEN_HBG3[name, _cfg_id(cfg)][1:]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_GRAPHS))
+    def test_hbg4_expgolomb_bytes_round_trip_and_offsets(self, name, tmp_path):
+        graphs = GOLDEN_GRAPHS[name]()
+        got = _golden_record(graphs, EXPGOLOMB, tmp_path, lambda enc, path, _: save(enc, path),
+                             encode)
+        for i, g in enumerate(graphs):
+            enc, back = encode(g, EXPGOLOMB), load(tmp_path / f"{i}.hbg")
+            assert back.stream == enc.stream and np.array_equal(back.offsets, enc.offsets)
+            assert back.residual_totals.tolist() == np.cumsum(
+                [0] + _scalar_residual_counts(enc)).tolist()
+            _assert_same_graph(g, back.decode())
+        assert got == GOLDEN_HBG4[name, _cfg_id(EXPGOLOMB)]

@@ -484,12 +484,13 @@ def _zeta_pos_length(v: int, k: int) -> int:
     return h + 1 + (width - 1 if v - base < short else width)
 
 
-# natural-number API (n >= 0, codes n + 1)
+# natural-number API (n >= 0; gamma, delta and zeta code n + 1,
+# exp-Golomb_k codes (n >> k) + 1 in gamma, then n's k low bits)
 
 
-def _check_zeta_k(k: int) -> None:
+def _check_k(k: int) -> None:
     if k < 1:
-        raise ValueError("zeta shrinking parameter k must be >= 1")
+        raise ValueError("code parameter k must be >= 1")
 
 
 def write_nat(w: BitWriter, n: int, code: str = "gamma", k: int = 3) -> None:
@@ -500,8 +501,12 @@ def write_nat(w: BitWriter, n: int, code: str = "gamma", k: int = 3) -> None:
     elif code == "delta":
         _write_delta_pos(w, n + 1)
     elif code == "zeta":
-        _check_zeta_k(k)
+        _check_k(k)
         _write_zeta_pos(w, n + 1, k)
+    elif code == "expgolomb":
+        _check_k(k)
+        _write_gamma_pos(w, (n >> k) + 1)
+        w.write_bits(n, k)  # the low k bits
     else:
         raise ValueError(f"unknown code {code!r}")
 
@@ -512,8 +517,12 @@ def read_nat(r: BitReader, code: str = "gamma", k: int = 3) -> int:
     if code == "delta":
         return _read_delta_pos(r) - 1
     if code == "zeta":
-        _check_zeta_k(k)
+        _check_k(k)
         return _read_zeta_pos(r, k) - 1
+    if code == "expgolomb":
+        _check_k(k)
+        high = _read_gamma_pos(r) - 1
+        return (high << k) | r.read_bits(k)
     raise ValueError(f"unknown code {code!r}")
 
 
@@ -524,8 +533,11 @@ def nat_length(n: int, code: str = "gamma", k: int = 3) -> int:
     if code == "delta":
         return _delta_pos_length(n + 1)
     if code == "zeta":
-        _check_zeta_k(k)
+        _check_k(k)
         return _zeta_pos_length(n + 1, k)
+    if code == "expgolomb":
+        _check_k(k)
+        return _gamma_pos_length((n >> k) + 1) + k
     raise ValueError(f"unknown code {code!r}")
 
 
