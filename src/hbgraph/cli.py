@@ -205,17 +205,16 @@ def _save_ids(g: Graph, hbg_path: str) -> list:
 
 
 def _codec_args(sp: argparse.ArgumentParser) -> None:
-    # unset, encode chooses an option by the bits it saves on the graph
-    # being written, which for permute and transpose is not the input's
+    # unset, window and min-interval are 0 and encode chooses the code and
+    # k by the bits they take on the graph being written, which for
+    # permute and transpose is not the input's
     sp.add_argument(
         "--window", type=int, default=None,
-        help="how many previous lists a node may copy from (0 disables); "
-             "unset: 7 or 0, whichever makes the smaller file",
+        help="how many previous lists a node may copy from (0 disables); unset: 0",
     )
     sp.add_argument(
         "--min-interval", type=int, default=None,
-        help="shortest consecutive run stored as an interval (0 disables); "
-             "unset: 4 or 0, whichever makes the smaller file",
+        help="shortest consecutive run stored as an interval (0 disables); unset: 0",
     )
     sp.add_argument(
         "--code", dest="residual_code", choices=CODE_NAMES,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import NeighbourhoodRun
-from .graph import Graph, _spans
+from .graph import Graph, _heads, _spans
 
 __all__ = [
     "DiameterResult",
@@ -53,7 +53,8 @@ def bfs(g: Graph, source: int):
         # the frontier's arcs, list after list
         start = g.indptr[frontier]
         dsts = g.indices[_spans(start, g.indptr[frontier + 1] - start)]
-        frontier = np.unique(dsts[dist[dsts] < 0])
+        frontier = np.sort(dsts[dist[dsts] < 0])
+        frontier = frontier[_heads(frontier)]
         d += 1
         dist[frontier] = d
     return dist

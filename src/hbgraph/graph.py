@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 
@@ -59,7 +60,8 @@ class Graph:
             if src.max() >= n or dst.max() >= n:
                 raise ValueError("node id out of range")
             key = src * n + dst
-            key = np.unique(key)  # sorts by (src, dst) and drops duplicates
+            key.sort()  # by (src, dst); then the duplicates are neighbours
+            key = key[_heads(key)]
             src, dst = key // n, key % n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -125,6 +127,13 @@ class Graph:
         return f"Graph(n={self.n}, arcs={self.num_arcs}, {kind})"
 
 
+def _heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the first item of each run of equal values in a sorted array."""
+    head = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
+
+
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """starts[i] + 0..lengths[i]-1 for every i, concatenated."""
     out = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
@@ -176,10 +185,49 @@ def parse_edges(lines, symmetrize=False, allow_self_loops=False):
     return Graph.from_arcs(len(ids), src, dst, original_ids=original)
 
 
+def _first_appearance(ids: np.ndarray):
+    """Compact ids in first-appearance order: each id's label, and the
+    distinct ids in label order. One sort groups equal ids; a group's
+    first index is the least position in it, and labels rank the groups
+    by that index."""
+    order = np.argsort(ids)
+    head = _heads(ids[order])
+    starts = np.flatnonzero(head)
+    by_first = np.argsort(np.minimum.reduceat(order, starts))
+    rank = np.empty(starts.size, dtype=np.int64)
+    rank[by_first] = np.arange(starts.size)
+    labels = np.empty(ids.size, dtype=np.int64)
+    labels[order] = rank[np.cumsum(head) - 1]
+    return labels, ids[order[starts[by_first]]]
+
+
 def load_edge_list(path, symmetrize=False, allow_self_loops=False) -> Graph:
-    """Read an ASCII edge list ('u v' per line, '#' comments)."""
+    """Read an ASCII edge list ('u v' per line, '#' comments), as
+    `parse_edges` reads it.
+
+    The file is read in one `np.loadtxt` pass, its warnings raised as
+    errors. Whatever that pass refuses, and any pair that `parse_edges`
+    would refuse (an id below 0 or past 62 bits, a self-loop not
+    permitted), sends the file through `parse_edges`, which raises its
+    error with the line number, or accepts what numpy does not (`1_000`).
+    """
     with open(path, "r", encoding="ascii") as fh:
-        return parse_edges(fh, symmetrize=symmetrize, allow_self_loops=allow_self_loops)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pairs = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            pairs = None
+        if (pairs is None or pairs.shape[1] != 2 or not pairs.size or pairs.min() < 0
+                or pairs.max() >= 1 << 62
+                or not allow_self_loops and (pairs[:, 0] == pairs[:, 1]).any()):
+            fh.seek(0)
+            return parse_edges(fh, symmetrize=symmetrize, allow_self_loops=allow_self_loops)
+    labels, original = _first_appearance(pairs.ravel())  # u, v interleaved, as read
+    src, dst = labels[0::2], labels[1::2]
+    if symmetrize:  # a self-loop's reverse is a duplicate, which from_arcs drops
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    return Graph.from_arcs(original.size, src, dst, original_ids=original)
 
 
 def save_edge_list(g: Graph, path, use_original_ids=False) -> None:

@@ -46,13 +46,12 @@ no copying, so those nodes are not tried). A stable sort on node puts
 the kept fields in chunk order for `codes.pack_words`; their widths
 give offsets.
 
-`encode` chooses each knob that the config leaves None for the graph at
-hand (`_choose`): the residual code of the fewest bits over the graph's
-gaps (gamma, delta, zeta_k or exp-Golomb_k, all costed from one
-histogram of the gaps), then the window and min_interval pair of the
-fewest stream bits, from one pass that totals the candidates without
-packing anything. It keeps each chunk's residual count, as running
-totals, for `save`.
+`encode` sets each knob that the config leaves None (`_choose`): window
+and min_interval to 0, so a node's chunk is its residuals alone, and the
+residual code to the one of the fewest bits over the graph's gaps (gamma,
+delta, zeta_k or exp-Golomb_k, all costed from one histogram of the
+gaps). It keeps each chunk's residual count, as running totals, for
+`save`.
 
 The decoder's blocks hold about _BLOCK nodes plus stream bytes, and each
 reads its chunks from one slice of the stream. `codes.read_nats` reads
@@ -90,7 +89,7 @@ import numpy as np
 
 from .codes import (CODE_NAMES, _peek, _read, bit_windows, nat_words, pack_words,
                     read_everywhere, read_nats, read_runs)
-from .graph import Graph, _spans
+from .graph import Graph, _heads, _spans
 
 __all__ = [
     "CodecConfig",
@@ -144,13 +143,6 @@ class CodecConfig:
 
 _DEFAULT = CodecConfig()
 _NONE = np.zeros(0, dtype=np.int64)
-
-
-def _heads(nodes: np.ndarray) -> np.ndarray:
-    """Mask of the first item of each node in a node-sorted array."""
-    head = np.ones(nodes.size, dtype=bool)
-    head[1:] = nodes[1:] != nodes[:-1]
-    return head
 
 
 def _split_runs(nodes: np.ndarray, ids: np.ndarray, min_interval: int):
@@ -305,17 +297,17 @@ def _blocks(start: np.ndarray, shift: int = 0):
         a = b
 
 
-def _candidates(g: Graph, a: int, b: int, cfgs):
-    """Candidates of nodes a..b-1 under each of `cfgs`, which differ in
-    min_interval alone: no copying, for every node, then copying from
-    x - r, r = 1..window, for the nodes that copy something.
+def _candidates(g: Graph, a: int, b: int, cfg: CodecConfig):
+    """Candidates of nodes a..b-1 under `cfg`: no copying, for every node,
+    then copying from x - r, r = 1..window, for the nodes that copy
+    something.
 
-    Yields (nodes x, the arcs each copies, the field kinds under each cfg,
-    the bits of each x under each cfg). The block also reads the lists
-    of up to `window` nodes before a, as references; local node i, as x
-    and in the kinds, is node base + i.
+    Yields (nodes x, the arcs each copies, the field kinds, the bits of
+    each x). The block also reads the lists of up to `window` nodes before
+    a, as references; local node i, as x and in the kinds, is node
+    base + i.
     """
-    window = cfgs[0].window
+    window = cfg.window
     base = max(a - window, 0)
     ptr = g.indptr[base : b + 1]
     indptr = ptr - ptr[0]
@@ -326,9 +318,8 @@ def _candidates(g: Graph, a: int, b: int, cfgs):
     own_nodes, own_ids = nodes[start:], ids[start:]
 
     def candidate(x, count, front_kinds, keep):
-        kinds = [front_kinds + _rest_fields(own_nodes[keep], own_ids[keep], x, base, c)
-                 for c in cfgs]
-        return x, count, kinds, [_bits(k, m, c)[x] for k, c in zip(kinds, cfgs)]
+        kinds = front_kinds + _rest_fields(own_nodes[keep], own_ids[keep], x, base, cfg)
+        return x, count, kinds, _bits(kinds, m, cfg)[x]
 
     empty = (_NONE, _NONE)
     no_copy = [(own, np.zeros(own.size, dtype=np.int64)), empty, empty, empty]
@@ -348,12 +339,12 @@ def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
     A node keeps the fields of the first candidate strictly cheaper than
     those before.
     """
-    cands = _candidates(g, a, b, [cfg])
-    own, _, [best], [own_bits] = next(cands)
+    cands = _candidates(g, a, b, cfg)
+    own, _, best, own_bits = next(cands)
     m = own[-1] + 1
     best_bits, best_count = np.zeros((2, m), dtype=np.int64)
     best_bits[own] = own_bits
-    for x, count, [kinds], [bits] in cands:
+    for x, count, kinds, bits in cands:
         better = bits < best_bits[x]
         if better.any():
             x = x[better]
@@ -374,20 +365,6 @@ def _encode_block(g: Graph, a: int, b: int, cfg: CodecConfig):
     del best
     order = np.argsort(field_nodes, kind="stable")
     return words[order], widths[order], best_bits[own], residuals, copied, intervals
-
-
-def _block_bits(g: Graph, a: int, b: int, cfgs):
-    """Stream bits of nodes a..b-1 under each of `cfgs`, which differ in
-    min_interval alone: as (window 0, the cfg's window). Window 0 saves
-    the 1-bit reference of no copying and loses the copy candidates."""
-    cands = _candidates(g, a, b, cfgs)
-    own, _, _, plain = next(cands)
-    best = np.zeros((len(cfgs), own[-1] + 1), dtype=np.int64)
-    best[:, own] = plain
-    for x, _, _, bits in cands:
-        best[:, x] = np.minimum(best[:, x], bits)
-    refs = own.size if cfgs[0].window else 0
-    return [(int(p.sum()) - refs, int(t.sum())) for p, t in zip(plain, best)]
 
 
 class EncodedGraph:
@@ -433,19 +410,11 @@ class EncodedGraph:
         return decode(self)
 
 
-def _residual_code(g: Graph, cfg: CodecConfig):
-    """The (code, k) of the fewest bits over g's gaps with no copying and
-    no intervals, among gamma, delta, zeta_1..zeta_7 and
-    exp-Golomb_1..exp-Golomb_31, as far as `cfg` leaves them open; ties go
-    to the first of these. Every option is costed on one histogram of the
-    gaps, which the blocks' own histograms add up to."""
-    k = _DEFAULT.zeta_k if cfg.zeta_k is None else cfg.zeta_k
-    options = [(c, k) for c in ("gamma", "delta")]
-    options += [("zeta", j) for j in (range(1, 8) if cfg.zeta_k is None else [k])]
-    options += [("expgolomb", j) for j in (range(1, 32) if cfg.zeta_k is None else [k])]
-    options = [o for o in options if cfg.residual_code in (None, o[0])]
-    if len(options) == 1:
-        return options[0]
+def _code_bits(g: Graph, options) -> list:
+    """Stream bits of g under each (code, k) of `options` with no copying
+    and no intervals, where the gaps are the whole stream. Every option is
+    costed on one histogram of the gaps, which the blocks' own histograms
+    add up to."""
     values, counts = [_NONE], [_NONE]
     for a, b in _blocks(g.indptr):
         ptr = g.indptr[a : b + 1]
@@ -456,35 +425,28 @@ def _residual_code(g: Graph, cfg: CodecConfig):
         counts.append(c)
     values, at = np.unique(np.concatenate(values), return_inverse=True)
     counts = np.bincount(at, weights=np.concatenate(counts), minlength=values.size).astype(np.int64)
-    cost = [nat_words(values, c, j)[1] @ counts for c, j in options]
-    return options[int(np.argmin(cost))]
+    return [int(nat_words(values, c, k)[1] @ counts) for c, k in options]
 
 
 def _choose(g: Graph, cfg: CodecConfig) -> CodecConfig:
-    """`cfg` with every knob it leaves None chosen for g by measured bits.
-
-    The residual code comes first (`_residual_code`), with its k: zeta_k
-    and exp-Golomb_k share the field. Then the window is the given one or
-    the cheaper of 7 and 0, the min_interval the given one or the cheaper
-    of 4 and 0, by the exact stream bits of each pair under that code: one
-    pass over the candidates (`_block_bits`) gives all four totals. Ties
-    go to 0. The HBG4 index is not counted: its kept offsets grow with the
-    stream, but its residual totals shrink where copies and intervals take
-    residuals away, so the fewest stream bits need not make the smallest
-    file (on the benchmark graphs they do).
+    """`cfg` with every knob it leaves None set for g. An unset window or
+    min_interval is 0: copies and intervals pay only where lists share
+    arcs or hold long runs of ids, which the benchmark graphs' lists do
+    not, in their generated order or shuffled. The residual code and its
+    k (zeta_k and exp-Golomb_k share the field) are the option of the
+    fewest bits over g's gaps (`_code_bits`) among gamma, delta,
+    zeta_1..zeta_7 and exp-Golomb_1..exp-Golomb_31, as far as `cfg`
+    leaves them open; ties go to the first of these. A given window or
+    min_interval is kept, and the code is still costed without them.
     """
-    code, k = _residual_code(g, cfg)
-    windows = [0, _DEFAULT.window] if cfg.window is None else [cfg.window]
-    mins = [0, _DEFAULT.min_interval] if cfg.min_interval is None else [cfg.min_interval]
-    cfgs = [CodecConfig(windows[-1], i, code, k) for i in mins]
-    if len(windows) * len(mins) == 1:
-        return cfgs[0]
-    total = np.zeros((len(mins), 2), dtype=np.int64)  # by min_interval: window 0, windows[-1]
-    for a, b in _blocks(g.indptr):
-        total += _block_bits(g, a, b, cfgs)
-    pairs = [(w, j) for w in windows for j in range(len(mins))]  # 0 first, to win ties
-    w, j = min(pairs, key=lambda p: total[p[1], int(p[0] > 0)])
-    return CodecConfig(w, mins[j], code, k)
+    k = _DEFAULT.zeta_k if cfg.zeta_k is None else cfg.zeta_k
+    options = [(c, k) for c in ("gamma", "delta")]
+    options += [("zeta", j) for j in (range(1, 8) if cfg.zeta_k is None else [k])]
+    options += [("expgolomb", j) for j in (range(1, 32) if cfg.zeta_k is None else [k])]
+    options = [o for o in options if cfg.residual_code in (None, o[0])]
+    code, k = options[int(np.argmin(_code_bits(g, options)))] if len(options) > 1 else options[0]
+    window, min_interval = (0 if v is None else v for v in (cfg.window, cfg.min_interval))
+    return CodecConfig(window, min_interval, code, k)
 
 
 def _upper(g: Graph) -> Graph:
@@ -504,7 +466,8 @@ def encode(g: Graph, cfg: CodecConfig | None = None) -> EncodedGraph:
     cheapest of no copying and copying from each x - r, r = 1..window;
     ties go to no copying, then to the smallest r. Nodes are coded in
     blocks of about _BLOCK arcs plus nodes. Knobs that `cfg` leaves None
-    are chosen first (`_choose`); the result's cfg holds the values used.
+    are set first (`_choose`): window and min_interval to 0, the residual
+    code and k by measured bits. The result's cfg holds the values used.
     """
     upper = g.num_arcs > 0 and g.symmetric  # arcless: empty lists either way, flag 0
     stored = _upper(g) if upper else g

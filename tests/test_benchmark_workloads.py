@@ -7,9 +7,12 @@ every workload, at its benchmark size and at seeds 1-10, so a seed that
 breaks the import stage fails here with its message and traceback. It
 also checks that the imported HBG4 file is smaller than the HBG3 file of
 the same encoding, whose stream it keeps bit for bit, and no larger than
-the file of any residual code import chose from before exp-Golomb.
+the file of any residual code import chose from before exp-Golomb, and
+that import writes the bytes it wrote before it parsed by arrays and
+stopped searching for copies and intervals.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -96,3 +99,23 @@ def test_import_file_is_no_larger_than_any_older_code(tmp_path, workload, seed):
     for code, k in OLDER_CODES:
         save(encode(g, CodecConfig(None, None, code, k)), older)
         assert size <= older.stat().st_size, (code, k)
+
+
+# sha256 of the .hbg file and of its .ids sidecar that import writes at
+# seed 1, recorded with the line-by-line parser and the chooser that
+# searched window {7, 0} x min_interval {4, 0}; never regenerate these
+IMPORT_DIGESTS = {
+    "locality": ("a161cf1c3f7026cf977577c7e3452ca70ee6542e4e794b2d950f35b7d50cb313",
+                 "0eb76798c5d62cf7d52cf74effb52f9c5e9d729063c0d9843cbc58776886b4a1"),
+    "scalefree": ("c2d50694d24a2f2a12f3e8d38c3aa628714b10cba2c9819262515e93c0158ae0",
+                  "154b2de80680a655809967907e24c9783aad28b90637ee130d9e2279bedd7b39"),
+    "smallworld": ("040342c99defb0dfbc819d49654c145b4c99ed508da74dbf9b727bd1ae165058",
+                   "60ca767d880385d16bd409800190b12f8eb69cff0a3117a3fa106ed751d2b386"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_import_writes_the_pinned_bytes(tmp_path, workload):
+    _, _, hbg = _import(tmp_path, workload, 1)
+    digests = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (hbg, hbg + ".ids"))
+    assert digests == IMPORT_DIGESTS[workload]

@@ -1,4 +1,6 @@
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,17 @@ from util import (
 )
 
 
+def _perfbench_graphs():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "graphs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_graphs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GRAPHS = _perfbench_graphs()
+
+
 def brute_diameter(g):
     return true_diameter(g)
 
@@ -41,6 +54,17 @@ class TestBfs:
         for g in mixed_suite(seed=55, count=20, max_n=80):
             for s in (0, g.n // 2, g.n - 1):
                 assert np.array_equal(bfs(g, s), bfs_oracle(g, s))
+
+    @pytest.mark.parametrize("make, size", [("smallworld", 300), ("locality", 300),
+                                            ("scalefree", 40)])
+    def test_eccentricities_match_the_benchmarks_reference(self, make, size):
+        # perfbench's bit-parallel BFS from every source, an implementation
+        # that shares no code with bfs
+        for seed in (1, 2):
+            n, a, b = graph = getattr(GRAPHS, make)(size, seed)
+            g = Graph.from_arcs(n, np.concatenate([a, b]), np.concatenate([b, a]))
+            ecc = GRAPHS.eccentricities(graph)
+            assert [int(bfs(g, s).max()) for s in range(n)] == ecc.tolist()
 
     def test_source_out_of_range(self):
         g = from_pairs(3, [(0, 1)])

@@ -1,8 +1,12 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hbgraph import graph
 from hbgraph.graph import (
     Graph,
     apply_permutation,
@@ -26,6 +30,19 @@ class TestFromArcs:
         assert g.successors(0).tolist() == [1, 3]
         assert g.successors(2).tolist() == [1]
         assert g.num_arcs == 3
+
+    @pytest.mark.parametrize("n, src, dst", [
+        (3, [], []),
+        (4, [2] * 50, [1] * 50),
+        (1, [0, 0, 0], [0, 0, 0]),
+        (300, *np.random.default_rng(5).integers(0, 300, size=(2, 5000))),
+        (70, *np.random.default_rng(6).integers(0, 70, size=(2, 5000))),
+    ], ids=["empty", "all-duplicate", "one-node", "random", "dense"])
+    def test_dedupe_matches_np_unique(self, n, src, dst):
+        key = np.unique(np.asarray(src, dtype=np.int64) * n + np.asarray(dst, dtype=np.int64))
+        g = Graph.from_arcs(n, src, dst)
+        assert g.indices.tolist() == (key % n).tolist()
+        assert g.indptr.tolist() == [0] + np.cumsum(np.bincount(key // n, minlength=n)).tolist()
 
     def test_out_degrees(self):
         g = from_pairs(3, [(0, 1), (0, 2), (2, 1)])
@@ -122,6 +139,97 @@ class TestParseEdges:
     def test_huge_id_rejected(self):
         with pytest.raises(ValueError):
             parse_edges([f"{1 << 63} 1"])
+
+
+def _loop(path, **kw):
+    """What the line loop makes of an edge-list file: (graph, ids) or the
+    ValueError's message."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            g = parse_edges(fh, **kw)
+    except ValueError as err:
+        return str(err)
+    return g, g.original_ids.tolist()
+
+
+def _array(path, **kw):
+    """The same for load_edge_list."""
+    try:
+        g = load_edge_list(path, **kw)
+    except ValueError as err:
+        return str(err)
+    return g, g.original_ids.tolist()
+
+
+_ID = st.one_of(st.integers(0, 12), st.integers(0, (1 << 62) - 1))
+_GAP = st.sampled_from([" ", "  ", "\t", " \t "])
+_TOKEN = st.one_of(_ID.map(str), _ID.map(lambda v: f"+{v}"), st.sampled_from(["007", "-0"]))
+_PAIR = st.tuples(_TOKEN, _TOKEN, _GAP, st.sampled_from(["", " ", "\t", " # tail"])).map(
+    lambda p: f"{p[0]}{p[2]}{p[1]}{p[3]}")
+_LINE = st.one_of(_PAIR, _PAIR, _PAIR, st.sampled_from(["", "   ", "\t", "# comment", "  # x"]))
+
+
+class TestLoadEdgeList:
+    """load_edge_list reads a file in one array pass and must agree with
+    the line loop, parse_edges, on what it returns and on every error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_LINE, max_size=30), newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           last=st.booleans(), symmetrize=st.booleans(), loops=st.booleans())
+    def test_matches_the_line_loop(self, lines, newline, last, symmetrize, loops):
+        text = newline.join(lines) + (newline if last else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.txt"
+            path.write_bytes(text.encode("ascii"))
+            kw = dict(symmetrize=symmetrize, allow_self_loops=loops)
+            want, got = _loop(path, **kw), _array(path, **kw)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got[0] == want[0] and got[1] == want[1]
+
+    @pytest.mark.parametrize("bad", [
+        "1.0 2", "1e3 2", "0x1 2", "5 6 7", "5", "-1 2", "4611686018427387904 1",
+        "9223372036854775807 1", "9223372036854775808 1", "1 1",
+    ])
+    def test_errors_are_the_loops(self, bad, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(f"# edges\n1 2\n{bad}\n3 4\n")
+        message = _array(path)
+        assert isinstance(message, str) and message.startswith("line 3: ")
+        assert message == _loop(path)
+
+    def test_non_ascii_bytes_give_the_loops_error(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"1 2\n# caf\xc3\xa9\n3 4\n")
+        message = _array(path)
+        assert isinstance(message, str) and "ascii" in message
+        assert message == _loop(path)
+
+    def test_empty_file_gives_the_loops_error(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("# nothing\n\n")
+        assert _array(path) == _loop(path) == "empty edge list"
+
+    @pytest.mark.parametrize("text, ids", [("+5 6\n6 7\n", [5, 6, 7]),
+                                           ("1_000 2\n2 3\n", [1000, 2, 3])])
+    def test_what_the_loop_accepts_is_kept(self, text, ids, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        g, got = _array(path)
+        assert got == ids and (g, got) == _loop(path)
+
+    def test_clean_files_skip_the_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.txt"
+        path.write_text("10 20\n20 30 # c\n\n30 10\n10 20\n")
+
+        def refuse(*args, **kw):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(graph, "parse_edges", refuse)
+        g = load_edge_list(path, symmetrize=True)
+        assert g.original_ids.tolist() == [10, 20, 30]
+        assert g.successors(0).tolist() == [1, 2] and g.num_arcs == 6 and g.symmetric
 
 
 class TestEdgeListIO:

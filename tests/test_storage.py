@@ -1143,7 +1143,9 @@ def _file_bytes(enc, tmp_path, name):
 
 
 class TestChooser:
-    @pytest.mark.parametrize("name", CHOOSER_GRAPHS)
+    # no list shares arcs with one before it: window 0 and no intervals,
+    # what an unset window and min_interval mean, make the smallest file
+    @pytest.mark.parametrize("name", ["band", "ba", "dust"])
     def test_no_larger_than_any_pair_or_the_defaults(self, name, tmp_path):
         g = CHOOSER_GRAPHS[name]()
         enc = encode(g, OPEN)
@@ -1163,20 +1165,34 @@ class TestChooser:
             assert size <= len(_file_bytes(other, tmp_path, f"w{w}i{i}"))
         assert size <= len(_file_bytes(encode(g), tmp_path, "default"))
 
+    def test_shared_lists_copy_when_asked(self, tmp_path):
+        # copying pays on shared lists, but only a given window turns it on;
+        # the code is chosen without copying either way
+        g = CHOOSER_GRAPHS["shared"]()
+        plain = encode(g, OPEN)
+        assert plain.cfg == CodecConfig(0, 0, "expgolomb", 4)
+        asked = encode(g, CodecConfig(7, 0, None, None))
+        assert asked.cfg == CodecConfig(7, 0, "expgolomb", 4)
+        # 7 of each group's 8 lists are whole copies
+        assert (asked.copy_fraction, asked.interval_arcs) == (7 / 8, 0)
+        _assert_same_graph(g, decode(asked))
+
+        def file_bits(enc, name):
+            return 8 * len(_file_bytes(enc, tmp_path, name)) / g.num_arcs
+
+        assert round(file_bits(asked, "asked"), 2) == 1.03
+        assert round(file_bits(plain, "plain"), 2) == 6.73
+        assert round(file_bits(encode(g), "default"), 2) == 1.13
+
     @pytest.mark.parametrize("block", [64, 1 << 13])
     def test_totals_are_the_stream_bits(self, block, monkeypatch):
-        # the chooser's one pass gives, for each min_interval, the stream
-        # bits of window 0 and of the window, exactly
+        # the chooser's one histogram, added up over the blocks, gives the
+        # stream bits of every code with no copying and no intervals, exactly
         monkeypatch.setattr(storage, "_BLOCK", block)
         for g in (band(300, 3), shared_successors(400, 3), dust(200, 1)):
-            cfgs = [CodecConfig(7, i, "zeta", 2) for i in (0, 4)]
-            total = np.zeros((2, 2), dtype=np.int64)
             stored = storage._upper(g) if g.symmetric else g
-            for a, b in storage._blocks(stored.indptr):
-                total += storage._block_bits(stored, a, b, cfgs)
-            want = [[encode(g, CodecConfig(w, i, "zeta", 2)).stream_bits for w in (0, 7)]
-                    for i in (0, 4)]
-            assert total.tolist() == want
+            want = [encode(g, CodecConfig(0, 0, c, k)).stream_bits for c, k in ALL_CODES]
+            assert storage._code_bits(stored, ALL_CODES) == want
 
     def test_picks_per_graph(self):
         picks = {name: encode(make(), OPEN).cfg for name, make in CHOOSER_GRAPHS.items()}
@@ -1184,20 +1200,20 @@ class TestChooser:
         assert picks["ba"] == CodecConfig(0, 0, "expgolomb", 6)
         # each upper list is one arc x -> x + 1, gap fold(1) = 1: 2 bits, where gamma takes 3
         assert picks["dust"] == CodecConfig(0, 0, "expgolomb", 1)
-        # shared lists: copying stays, intervals go
-        assert picks["shared"] == CodecConfig(7, 0, "expgolomb", 4)
+        # shared lists: an unset window is 0 here too
+        assert picks["shared"] == CodecConfig(0, 0, "expgolomb", 4)
 
     def test_given_knobs_are_kept(self):
         g = shared_successors(400, 3)
         for given in (CodecConfig(), CodecConfig(3, 2, "delta", 4), CodecConfig(0, 0, "gamma")):
             assert encode(g, given).cfg == given
-        # each knob left None is chosen alone; the others stay as given
+        # each knob left None is set alone; the others stay as given
         enc = encode(g, CodecConfig(window=None, min_interval=4))
-        assert (enc.cfg.window, enc.cfg.min_interval) == (7, 4)
-        assert (enc.cfg.residual_code, enc.cfg.zeta_k) == ("zeta", 3)
-        enc = encode(g, CodecConfig(window=0, min_interval=None, residual_code="zeta", zeta_k=None))
-        assert enc.cfg.window == 0 and enc.cfg.residual_code == "zeta"
-        assert 1 <= enc.cfg.zeta_k <= 7
+        assert enc.cfg == CodecConfig(0, 4, "zeta", 3)
+        assert enc.stream == encode(g, CodecConfig(0, 4, "zeta", 3)).stream
+        enc = encode(g, CodecConfig(window=7, min_interval=None, residual_code="zeta", zeta_k=None))
+        assert (enc.cfg.window, enc.cfg.min_interval, enc.cfg.residual_code) == (7, 0, "zeta")
+        assert 1 <= enc.cfg.zeta_k <= 7 and enc.copied_arcs > 0
         enc = encode(g, CodecConfig(2, 0, residual_code="gamma", zeta_k=None))
         assert enc.cfg == CodecConfig(2, 0, "gamma", 3)
 
